@@ -32,6 +32,50 @@ from _oracles import (
     random_relabel,
 )
 
+# (forest hash, tensor hash) of each forest in TestCanonicalForm.test_pinned_hashes.
+PINNED_HASHES = {
+    "three-point chain d2": (
+        "9332893f6fb6c027acc76c5cf6cf73f6c5d068d6d96a8515dff0436214826b77",
+        "35e8725782be147e081ba96c03ebf5e2dacb82d6ee539c36d1b6c744af4b74c6",
+    ),
+    "three-point other d2": (
+        "377977112f93a49060405bafd65c1e0699786c51d155d13657545d9d19c80355",
+        "41070a2aa4cfa5a0caef31cc09ac7f0daa81b5baed976dbf41766165b664828c",
+    ),
+    "three-point chain d4": (
+        "118285996329ba772550be160100ff2bfceae4d2ded7c01bf2cee9cfba9d1dc3",
+        "bf3c111f58ac70cae99ec5ab91097f57f6373be80329f568169efa08b75174ee",
+    ),
+    "three-point other d4": (
+        "e2518d2f85c3b2c7b7ad2a7fe9782723e2dd8c968b198fd4655342faf955afb6",
+        "e8a37723bcef7d905238af2b33df5a049fe7f06dc7f64637c406afddb48ca9ab",
+    ),
+    "star 11": (
+        "89ad6f341dc6c0f14b474d2205fab0291fc3d453593fc775cc7ecfbde35cb555",
+        "d029fbe64ff9caa1d86c8a8cd9a1507db9f80249ba164f78606c0c3273c80e00",
+    ),
+    "broom 3+11": (
+        "1d37aff282187b71b9cf5273d15af714b128651aeb0a9b788d36ead6aa97fd8f",
+        "6c805395292f02bf81a2506887ca9da26bf0e0c879a6549e166336208ac4feb2",
+    ),
+    "empty": (
+        "50cc43ac0eb14733f942a5e92c09f6a3cc38d6bea0d88022dacf99527a8edf51",
+        "fd98ebcdd70520d5084dd43d278e1d9e9fb6ff5faf827d2a587d2243a0f7ffaf",
+    ),
+    "random d2": (
+        "0f012f0459b25e727b90302f2efddc6df29ef763637fe7e4c2f56f236f3ddfe1",
+        "8fd328101bc5283949e0a5c5cf80391fa01b88f3c715b0984abb05d8433bd12c",
+    ),
+    "random d3": (
+        "5b9ad8295bc75a894d73a8b0acd9009ffd185d4ff18fa23a0c514d5b1b27abfe",
+        "0fab2cb8e6258231a4d9488fc8fec44757bb4f91d7fee548cf7cebf0112f3b24",
+    ),
+    "random d4": (
+        "70b2e4b0f3d93db80c1273cac395f9dcc1c1949d36dc506d69c295aac57ee9b2",
+        "e751ce2fe30a7192fc7ebc9377c59378ba14d65b7cdb32f0bef675d4fe5f0a0f",
+    ),
+}
+
 
 class TestCanonicalForm:
     def test_relabeling_is_permutation(self, three_chain_mixed):
@@ -68,6 +112,33 @@ class TestCanonicalForm:
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
             canonical_form([1, 2, 3])
+
+    def test_pinned_hashes(self):
+        """Canonical hashes are a stable output format; a change to one must be deliberate."""
+        star = ProximityForest.make(2, (1, []), *[(1, [1])] * 11)
+        broom = ProximityForest.make(2, (1, []), (1, [1]), (1, [2]), *[(1, [3])] * 11)
+        corpus = {
+            "three-point chain d2": ProximityForest.make(2, (1, []), (1, [1]), (3, [2])),
+            "three-point other d2": ProximityForest.make(2, (1, []), (2, [1]), (2, [2])),
+            "three-point chain d4": ProximityForest.make(4, (1, []), (1, [1]), (3, [2])),
+            "three-point other d4": ProximityForest.make(4, (1, []), (2, [1]), (2, [2])),
+            "star 11": star,
+            "broom 3+11": broom,
+            "empty": ProximityForest(2),
+            "random d2": random_forest(7, 2, 9, 3),
+            "random d3": random_forest(8, 3, 8, 2),
+            "random d4": random_forest(9, 4, 7, 3),
+        }
+        found = {
+            name: (canonical_form(forest).hash, canonical_form(tensor_from_forest(forest)).hash)
+            for name, forest in corpus.items()
+        }
+        assert found == PINNED_HASHES
+        twins = ProximityForest.make(2, (1, []), (1, [1]), (1, [1]), (2, []))
+        twins_blocks = MarkedPartition((frozenset({1}), frozenset({2, 3}), frozenset({4})))
+        moved = ProximityForest.make(2, (2, []), (1, []), (1, [2]), (1, [2]))
+        moved_blocks = MarkedPartition((frozenset({3, 4}), frozenset({1}), frozenset({2})))
+        assert marked_forest_equivalent(twins, twins_blocks, moved, moved_blocks) == (3, 1, 2)
 
 
 class TestForestIsomorphic:
