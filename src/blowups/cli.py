@@ -15,7 +15,7 @@ import sys
 from typing import Any, Callable
 
 from . import io
-from .contraction import contract, final_set, recover_all_orders, recover_sequence
+from .contraction import DEFAULT_ORDER_LIMIT, contract, final_set, recover_all_orders, recover_sequence
 from .equivalence import (
     canonical_form,
     automorphism_orbits,
@@ -31,8 +31,6 @@ from .forest import random_forest, validate_forest
 from .tensor import diagonal, quotient_tensor, tensor_from_forest
 
 __all__ = ["main", "build_parser"]
-
-DEFAULT_ORDER_LIMIT = 1000
 
 
 def _load_forest(path: str, require_valid: bool = True):

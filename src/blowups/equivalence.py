@@ -3,23 +3,25 @@
 Two sequences are combinatorially equivalent when some bijection of their
 points preserves degrees and proximity; two intersection tensors are
 equivalent when some index permutation carries one onto the other entry by
-entry.  For genuine blow-up tensors the two notions coincide, and this
-module exploits that: :func:`tensor_equivalent` first recovers the
-sequences by numerical contraction and decides isomorphism on the cheap
-degree-labelled proximity DAGs, then verifies the induced permutation on
-every stored entry.  A direct backtracking matcher on tensors
-(:func:`tensor_equivalent_direct`) is implemented independently and serves
-as an oracle for the recovery route; the two are cross-checked in the test
-suite and never merged.
+entry.  Every decision here is made the same way: canonically label both
+objects, compare the canonical serializations, compose the two labellings,
+and verify the composed map on the inputs.  For blow-up tensors the paper's
+bijection between sequences and their forms gives a second route (recover
+both forests by contraction and match those); the test suite keeps that
+route as a cross-check of :func:`tensor_equivalent`.
 
-Both routes share one canonical-labelling search: iterative colour
+The canonical labelling follows the individualise-and-refine pattern of
+McKay & Piperno, "Practical graph isomorphism II" (2014): iterative colour
 refinement (seeded with degrees, diagonal values, and for forests the
 proximity depth) followed by lexicographically minimal relabelling, with
-discovered automorphisms pruning symmetric branches.  Canonical hashes are
-SHA-256 over the canonical JSON serialization of the relabelled object;
-equivalent inputs produce byte-identical hashes.  Permutations are plain
-tuples ``p`` with ``p[i-1]`` the image of index ``i``; every permutation
-returned by this module has been verified exhaustively against its inputs.
+discovered automorphisms pruning symmetric branches.  The search sees an
+object through one of two structures, a vertex-coloured digraph (forests
+and block-proximity graphs) or an index-coloured tensor, each of which
+turns a labelling into a JSON-ready document.  Canonical hashes are
+SHA-256 over the canonical JSON serialization of that document; equivalent
+inputs produce byte-identical hashes.  Permutations are plain tuples ``p``
+with ``p[i-1]`` the image of index ``i``; every permutation returned by
+this module has been verified exhaustively against its inputs.
 """
 
 from __future__ import annotations
@@ -29,8 +31,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import io
-from .contraction import recover_sequence
-from .errors import NotContractibleError, SearchLimitError
+
+# Not used here: ``perfbench/tracer.py`` wraps ``blowups.equivalence.recover_sequence``
+# by name, and every traced benchmark run fails with AttributeError without it.
+from .contraction import recover_sequence  # noqa: F401
+from .errors import SearchLimitError
 from .forest import MarkedPartition, Point, ProximityForest, block_degree, block_proximity
 from .tensor import IntersectionTensor, diagonal, quotient_tensor
 
@@ -69,56 +74,69 @@ def _ranks(keys: list) -> list[int]:
     return [order[key] for key in keys]
 
 
-class _ForestStructure:
-    """Vertex-coloured view of a forest for the canonical search.
+class _DigraphStructure:
+    """Vertex-coloured digraph: a forest's proximity DAG or a block-proximity graph.
 
-    Initial colours carry the proximity depth first, so every refinement
-    stays compatible with creation order and the canonical relabelling is
-    itself a valid forest.
+    Each vertex has an edge to every vertex it is proximate to; block graphs
+    may have loops and 2-cycles.  Forest colours carry the proximity depth
+    first, so every refinement stays compatible with creation order and the
+    canonical relabelling is itself a valid forest.  Block colours are the
+    block degree and whether the block is proximate to itself.  A forest
+    keeps its ``dimension``; a block graph has none and its document is
+    ``{"degrees": ..., "edges": ...}``.
     """
 
-    def __init__(self, forest: ProximityForest):
-        self.forest = forest
-        self.n = len(forest)
-        self.targets = [sorted(j - 1 for j in p.proximate_to) for p in forest.points]
-        self.children: list[list[int]] = [[] for _ in range(self.n)]
-        for v, ts in enumerate(self.targets):
-            for u in ts:
-                self.children[u].append(v)
-        self.degrees = [p.degree for p in forest.points]
-        self.depth = [0] * self.n
-        for v in range(self.n):
-            self.depth[v] = 1 + max((self.depth[u] for u in self.targets[v]), default=-1)
+    def __init__(self, degrees: list[int], edges: list[tuple[int, int]], colors: list, dimension: int | None = None):
+        self.degrees = degrees
+        self.edges = edges
+        self.colors = colors
+        self.dimension = dimension
+        self.n = len(degrees)
+        self.out: list[list[int]] = [[] for _ in range(self.n)]
+        self.inn: list[list[int]] = [[] for _ in range(self.n)]
+        for a, b in edges:
+            self.out[a].append(b)
+            self.inn[b].append(a)
+
+    @classmethod
+    def of_forest(cls, forest: ProximityForest) -> "_DigraphStructure":
+        degrees = [p.degree for p in forest.points]
+        edges = [(v, j - 1) for v, p in enumerate(forest.points) for j in p.proximate_to]
+        depth = [0] * len(degrees)
+        for v, p in enumerate(forest.points):
+            depth[v] = 1 + max((depth[j - 1] for j in p.proximate_to), default=-1)
+        return cls(degrees, edges, list(zip(depth, degrees)), forest.dimension)
+
+    @classmethod
+    def of_blocks(cls, forest: ProximityForest, partition: MarkedPartition) -> "_DigraphStructure":
+        degrees = [block_degree(forest, partition, b) for b in range(1, len(partition) + 1)]
+        edges = [(a - 1, b - 1) for a, b in block_proximity(forest, partition)]
+        loops = {a for a, b in edges if a == b}
+        return cls(degrees, edges, [(g, 1 if v in loops else 0) for v, g in enumerate(degrees)])
 
     def initial_colors(self) -> list:
-        return [(self.depth[v], self.degrees[v]) for v in range(self.n)]
+        return self.colors
 
     def fingerprint(self, v: int, colors: list[int]):
         return (
-            tuple(sorted(colors[u] for u in self.targets[v])),
-            tuple(sorted(colors[u] for u in self.children[v])),
+            tuple(sorted(colors[u] for u in self.out[v])),
+            tuple(sorted(colors[u] for u in self.inn[v])),
         )
 
     def relabel(self, labels: list[int]) -> ProximityForest:
         inverse = [0] * self.n
         for v, label in enumerate(labels):
             inverse[label - 1] = v
-        points = []
-        for new in range(self.n):
-            old = inverse[new]
-            points.append(Point(self.degrees[old], frozenset(labels[u] for u in self.targets[old])))
-        return ProximityForest(self.forest.dimension, tuple(points))
+        points = tuple(Point(self.degrees[old], frozenset(labels[u] for u in self.out[old])) for old in inverse)
+        return ProximityForest(self.dimension, points)
 
-    def serialize(self, labels: list[int]) -> bytes:
-        return io.canonical_json(io.forest_to_dict(self.relabel(labels))).encode()
-
-    def is_automorphism(self, sigma: tuple[int, ...]) -> bool:
+    def document(self, labels: list[int]) -> dict:
+        if self.dimension is not None:
+            return io.forest_to_dict(self.relabel(labels))
+        degrees = [0] * self.n
         for v in range(self.n):
-            if self.degrees[sigma[v]] != self.degrees[v]:
-                return False
-            if {sigma[u] for u in self.targets[v]} != set(self.targets[sigma[v]]):
-                return False
-        return True
+            degrees[labels[v] - 1] = self.degrees[v]
+        return {"degrees": degrees, "edges": sorted([labels[a], labels[b]] for a, b in self.edges)}
 
 
 class _TensorStructure:
@@ -151,51 +169,8 @@ class _TensorStructure:
         }
         return IntersectionTensor(self.tensor.dimension, self.n, entries)
 
-    def serialize(self, labels: list[int]) -> bytes:
-        return io.canonical_json(io.tensor_to_dict(self.relabel(labels))).encode()
-
-    def is_automorphism(self, sigma: tuple[int, ...]) -> bool:
-        entries = self.tensor.entries
-        for key, value in entries.items():
-            image = tuple(sorted(sigma[i - 1] + 1 for i in key))
-            if entries.get(image, 0) != value:
-                return False
-        return True
-
-
-class _BlockGraphStructure:
-    """Degree-labelled block-proximity digraph (loops and 2-cycles allowed)."""
-
-    def __init__(self, degrees: tuple[int, ...], edges: frozenset[tuple[int, int]]):
-        self.degrees = degrees
-        self.edges = edges
-        self.n = len(degrees)
-        self.out: list[list[int]] = [[] for _ in range(self.n)]
-        self.inn: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in edges:
-            self.out[a].append(b)
-            self.inn[b].append(a)
-
-    def initial_colors(self) -> list:
-        return [(self.degrees[v], 1 if (v, v) in self.edges else 0) for v in range(self.n)]
-
-    def fingerprint(self, v: int, colors: list[int]):
-        return (
-            tuple(sorted(colors[u] for u in self.out[v])),
-            tuple(sorted(colors[u] for u in self.inn[v])),
-        )
-
-    def serialize(self, labels: list[int]) -> bytes:
-        degrees = [0] * self.n
-        for v in range(self.n):
-            degrees[labels[v] - 1] = self.degrees[v]
-        edges = sorted([labels[a], labels[b]] for a, b in self.edges)
-        return io.canonical_json({"degrees": degrees, "edges": edges}).encode()
-
-    def is_automorphism(self, sigma: tuple[int, ...]) -> bool:
-        if any(self.degrees[sigma[v]] != self.degrees[v] for v in range(self.n)):
-            return False
-        return {(sigma[a], sigma[b]) for a, b in self.edges} == set(self.edges)
+    def document(self, labels: list[int]) -> dict:
+        return io.tensor_to_dict(self.relabel(labels))
 
 
 @dataclass
@@ -206,7 +181,7 @@ class _SearchOutcome:
     orbit_parent: list[int]
 
 
-def _search(struct, node_limit: int = DEFAULT_NODE_LIMIT) -> _SearchOutcome:
+def _search(struct) -> _SearchOutcome:
     """Canonical-labelling backtracking over colour refinements.
 
     Returns the lexicographically minimal serialization over all discrete
@@ -218,7 +193,8 @@ def _search(struct, node_limit: int = DEFAULT_NODE_LIMIT) -> _SearchOutcome:
     """
     n = struct.n
     if n == 0:
-        return _SearchOutcome((), struct.serialize([]), [], [])
+        return _SearchOutcome((), io.canonical_json(struct.document([])).encode(), [], [])
+    identity = struct.document(list(range(1, n + 1)))
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -247,7 +223,7 @@ def _search(struct, node_limit: int = DEFAULT_NODE_LIMIT) -> _SearchOutcome:
 
     def handle_leaf(colors: list[int]) -> None:
         labels = [c + 1 for c in colors]
-        data = struct.serialize(labels)
+        data = io.canonical_json(struct.document(labels)).encode()
         previous = leaves.get(data)
         if previous is None:
             leaves[data] = labels
@@ -256,7 +232,7 @@ def _search(struct, node_limit: int = DEFAULT_NODE_LIMIT) -> _SearchOutcome:
             for v, label in enumerate(previous):
                 inverse_prev[label - 1] = v
             sigma = tuple(inverse_prev[labels[v] - 1] for v in range(n))
-            if any(sigma[v] != v for v in range(n)) and struct.is_automorphism(sigma):
+            if any(sigma[v] != v for v in range(n)) and struct.document([s + 1 for s in sigma]) == identity:
                 automorphisms.append(sigma)
                 for v in range(n):
                     union(v, sigma[v])
@@ -286,8 +262,8 @@ def _search(struct, node_limit: int = DEFAULT_NODE_LIMIT) -> _SearchOutcome:
     def descend(colors: list[int], path: tuple[int, ...]) -> None:
         nonlocal nodes
         nodes += 1
-        if nodes > node_limit:
-            raise SearchLimitError(f"canonical search exceeded {node_limit} nodes")
+        if nodes > DEFAULT_NODE_LIMIT:
+            raise SearchLimitError(f"canonical search exceeded {DEFAULT_NODE_LIMIT} nodes")
         colors = refine(colors)
         counts = Counter(colors)
         cell = min((c for c, k in counts.items() if k > 1), default=None)
@@ -310,7 +286,7 @@ def _search(struct, node_limit: int = DEFAULT_NODE_LIMIT) -> _SearchOutcome:
 
 def _structure_for(obj):
     if isinstance(obj, ProximityForest):
-        return _ForestStructure(obj)
+        return _DigraphStructure.of_forest(obj)
     if isinstance(obj, IntersectionTensor):
         return _TensorStructure(obj)
     raise TypeError(f"expected a forest or a tensor, got {type(obj).__name__}")
@@ -348,24 +324,20 @@ def _compose(labels1: tuple[int, ...], labels2: tuple[int, ...]) -> tuple[int, .
     return tuple(inverse2[labels1[i] - 1] for i in range(len(labels1)))
 
 
-def _forest_map_ok(f1: ProximityForest, f2: ProximityForest, perm: tuple[int, ...]) -> bool:
-    if sorted(perm) != list(range(1, len(f1) + 1)):
-        return False
-    for i, p in enumerate(f1.points, 1):
-        if f2.degree(perm[i - 1]) != p.degree:
-            return False
-        if {perm[j - 1] for j in p.proximate_to} != f2.targets(perm[i - 1]):
-            return False
-    return sum(len(p.proximate_to) for p in f1.points) == sum(len(p.proximate_to) for p in f2.points)
+def _verified(s1, s2, perm: tuple[int, ...]) -> tuple[int, ...]:
+    """``perm``, after checking that it carries structure ``s1`` onto structure ``s2``."""
+    if s1.document(list(perm)) != s2.document(list(range(1, s2.n + 1))):
+        raise RuntimeError("canonical relabelling failed verification")
+    return perm
 
 
-def _tensor_map_ok(t1: IntersectionTensor, t2: IntersectionTensor, perm: tuple[int, ...]) -> bool:
-    if len(t1.entries) != len(t2.entries):
-        return False
-    for key, value in t1.entries.items():
-        if t2.entries.get(tuple(sorted(perm[i - 1] for i in key)), 0) != value:
-            return False
-    return True
+def _canonical_match(a, b) -> tuple[int, ...] | None:
+    """The verified map between two forests or two tensors with equal canonical hashes, or ``None``."""
+    c1 = canonical_form(a)
+    c2 = canonical_form(b)
+    if c1.hash != c2.hash:
+        return None
+    return _verified(_structure_for(a), _structure_for(b), _compose(c1.relabeling, c2.relabeling))
 
 
 def forest_isomorphic(f1: ProximityForest, f2: ProximityForest) -> tuple[int, ...] | None:
@@ -376,42 +348,17 @@ def forest_isomorphic(f1: ProximityForest, f2: ProximityForest) -> tuple[int, ..
         return None
     if sorted(p.degree for p in f1.points) != sorted(p.degree for p in f2.points):
         return None
-    c1 = canonical_form(f1)
-    c2 = canonical_form(f2)
-    if c1.hash != c2.hash:
-        return None
-    perm = _compose(c1.relabeling, c2.relabeling)
-    if not _forest_map_ok(f1, f2, perm):
-        raise RuntimeError("canonical relabelling failed verification")
-    return perm
-
-
-def tensor_equivalent_direct(t1: IntersectionTensor, t2: IntersectionTensor) -> tuple[int, ...] | None:
-    """Backtracking tensor matcher, independent of sequence recovery."""
-    if t1.dimension != t2.dimension:
-        raise ValueError(f"dimension mismatch: {t1.dimension} vs {t2.dimension}")
-    if t1.size != t2.size or len(t1.entries) != len(t2.entries):
-        return None
-    if sorted(diagonal(t1)) != sorted(diagonal(t2)):
-        return None
-    c1 = canonical_form(t1)
-    c2 = canonical_form(t2)
-    if c1.hash != c2.hash:
-        return None
-    perm = _compose(c1.relabeling, c2.relabeling)
-    if not _tensor_map_ok(t1, t2, perm):
-        raise RuntimeError("canonical relabelling failed verification")
-    return perm
+    return _canonical_match(f1, f2)
 
 
 def tensor_equivalent(t1: IntersectionTensor, t2: IntersectionTensor) -> tuple[int, ...] | None:
     """An index permutation carrying ``t1`` onto ``t2``, or ``None``.
 
-    Both tensors are first contracted back to forests; when that succeeds
-    the decision reduces to forest isomorphism and the induced permutation
-    is verified on every stored entry.  Tensors that are not blow-up
-    tensors (where recovery fails on both sides) fall back to the direct
-    matcher.
+    Decided by canonical search on the tensors themselves, after cheap
+    checks on size, entry count and the diagonal multiset; the composed
+    canonical labellings are verified on every stored entry.  This works
+    for any symmetric form, whether or not it comes from a blow-up
+    sequence.  ``tensor_equivalent_direct`` is the same function.
     """
     if t1.dimension != t2.dimension:
         raise ValueError(f"dimension mismatch: {t1.dimension} vs {t2.dimension}")
@@ -419,27 +366,10 @@ def tensor_equivalent(t1: IntersectionTensor, t2: IntersectionTensor) -> tuple[i
         return None
     if sorted(diagonal(t1)) != sorted(diagonal(t2)):
         return None
-    try:
-        f1, trace1 = recover_sequence(t1)
-    except NotContractibleError:
-        f1, trace1 = None, None
-    try:
-        f2, trace2 = recover_sequence(t2)
-    except NotContractibleError:
-        f2, trace2 = None, None
-    if (f1 is None) != (f2 is None):
-        return None
-    if f1 is None:
-        return tensor_equivalent_direct(t1, t2)
-    psi = forest_isomorphic(f1, f2)
-    if psi is None:
-        return None
-    creation1 = trace1.creation_indices()
-    original2 = {c: orig for orig, c in trace2.creation_indices().items()}
-    perm = tuple(original2[psi[creation1[o] - 1]] for o in range(1, t1.size + 1))
-    if _tensor_map_ok(t1, t2, perm):
-        return perm
-    return tensor_equivalent_direct(t1, t2)
+    return _canonical_match(t1, t2)
+
+
+tensor_equivalent_direct = tensor_equivalent
 
 
 def marked_forest_equivalent(
@@ -455,26 +385,15 @@ def marked_forest_equivalent(
     p2.check(len(f2))
     if len(p1) != len(p2):
         raise ValueError(f"block count mismatch: {len(p1)} vs {len(p2)}")
-    g1 = _block_graph(f1, p1)
-    g2 = _block_graph(f2, p2)
+    g1 = _DigraphStructure.of_blocks(f1, p1)
+    g2 = _DigraphStructure.of_blocks(f2, p2)
     if sorted(g1.degrees) != sorted(g2.degrees) or len(g1.edges) != len(g2.edges):
         return None
     o1 = _search(g1)
     o2 = _search(g2)
     if o1.data != o2.data:
         return None
-    perm = _compose(o1.labels, o2.labels)
-    if any(g2.degrees[perm[v] - 1] != g1.degrees[v] for v in range(g1.n)):
-        raise RuntimeError("canonical relabelling failed verification")
-    if {(perm[a] - 1, perm[b] - 1) for a, b in g1.edges} != set(g2.edges):
-        raise RuntimeError("canonical relabelling failed verification")
-    return perm
-
-
-def _block_graph(forest: ProximityForest, partition: MarkedPartition) -> _BlockGraphStructure:
-    degrees = tuple(block_degree(forest, partition, b) for b in range(1, len(partition) + 1))
-    edges = frozenset((a - 1, b - 1) for a, b in block_proximity(forest, partition))
-    return _BlockGraphStructure(degrees, edges)
+    return _verified(g1, g2, _compose(o1.labels, o2.labels))
 
 
 def marked_tensor_equivalent(

@@ -63,18 +63,14 @@ class TotalTransformMatrix:
         m = self.size
         inv: list[list[int]] = [[0] * m for _ in range(m)]
         for i in range(m - 1, -1, -1):
-            row = list(e_basis(m, i))
+            row = [0] * m
+            row[i] = 1
             for k in range(i + 1, m):
                 if self.rows[i][k] == -1:
                     for c in range(m):
                         row[c] += inv[k][c]
             inv[i] = row
         return tuple(tuple(r) for r in inv)
-
-
-def e_basis(m: int, i: int) -> tuple[int, ...]:
-    """The ``i``-th (0-based) standard basis vector of length ``m``."""
-    return tuple(1 if c == i else 0 for c in range(m))
 
 
 @dataclass(frozen=True, eq=True)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from blowups import (
     IntersectionTensor,
     MarkedPartition,
+    NotContractibleError,
     ProximityForest,
     automorphism_orbits,
     canonical_form,
@@ -17,6 +18,7 @@ from blowups import (
     partition_compatible_morphism,
     partition_compatible_sequence,
     random_forest,
+    recover_sequence,
     tensor_equivalent,
     tensor_equivalent_direct,
     tensor_from_forest,
@@ -31,6 +33,38 @@ from _oracles import (
     random_partition_inside,
     random_relabel,
 )
+
+# Size, entry count and diagonal multiset agree with those of the surface
+# chain's tensor, but no component contracts.
+STUCK = IntersectionTensor(2, 2, {(1, 1): -1, (2, 2): -2, (1, 2): -1})
+
+
+def recovery_route(t1: IntersectionTensor, t2: IntersectionTensor) -> tuple[int, ...] | None:
+    """Tensor equivalence through the paper's bijection with blow-up sequences.
+
+    Recover both sequences by contraction, match the forests, and map the
+    forest isomorphism back to tensor indices through the creation order.
+    A tensor that contracts is never equivalent to one that does not; two
+    tensors that both fail to contract are outside this route.
+    """
+    recovered = []
+    for tensor in (t1, t2):
+        try:
+            recovered.append(recover_sequence(tensor))
+        except NotContractibleError:
+            recovered.append(None)
+    if recovered == [None, None]:
+        raise NotContractibleError("neither tensor contracts to a blow-up sequence")
+    if None in recovered:
+        return None
+    (f1, trace1), (f2, trace2) = recovered
+    psi = forest_isomorphic(f1, f2)
+    if psi is None:
+        return None
+    creation1 = trace1.creation_indices()
+    original2 = {c: orig for orig, c in trace2.creation_indices().items()}
+    return tuple(original2[psi[creation1[o] - 1]] for o in range(1, t1.size + 1))
+
 
 # (forest hash, tensor hash) of each forest in TestCanonicalForm.test_pinned_hashes.
 PINNED_HASHES = {
@@ -217,13 +251,12 @@ class TestTensorEquivalent:
 
     def test_one_side_not_contractible(self, surface_chain):
         contractible = tensor_from_forest(surface_chain)
-        stuck = IntersectionTensor(2, 2, {(1, 1): -1, (2, 2): -2, (1, 2): -1})
         # size, entry count, and diagonal multiset all agree, so no prefilter decides
-        assert sorted(stuck.entries[(i, i)] for i in (1, 2)) == sorted(
+        assert sorted(STUCK.entries[(i, i)] for i in (1, 2)) == sorted(
             contractible.entries[(i, i)] for i in (1, 2)
         )
-        assert tensor_equivalent(contractible, stuck) is None
-        assert tensor_equivalent(stuck, contractible) is None
+        assert tensor_equivalent(contractible, STUCK) is None
+        assert tensor_equivalent(STUCK, contractible) is None
 
     def test_neither_side_contractible_uses_direct_matcher(self):
         t1 = IntersectionTensor(2, 2, {(1, 1): -1, (2, 2): -2, (1, 2): -1})
@@ -254,11 +287,24 @@ class TestTensorEquivalent:
         seed2=st.integers(0, 10**6),
         dimension=st.integers(2, 3),
         size=st.integers(0, 5),
+        shuffle_seed=st.integers(0, 10**6),
     )
-    def test_direct_matcher_agrees_with_recovery_route(self, seed1, seed2, dimension, size):
-        t1 = tensor_from_forest(random_forest(seed1, dimension, size, 2))
+    def test_direct_matcher_agrees_with_recovery_route(
+        self, seed1, seed2, dimension, size, shuffle_seed
+    ):
+        forest = random_forest(seed1, dimension, size, 2)
+        shuffled, _ = random_relabel(forest, random.Random(shuffle_seed))
+        t1 = tensor_from_forest(forest)
         t2 = tensor_from_forest(random_forest(seed2, dimension, size, 2))
-        assert (tensor_equivalent(t1, t2) is None) == (tensor_equivalent_direct(t1, t2) is None)
+        pairs = [(t1, t2), (t1, tensor_from_forest(shuffled))]
+        if dimension == 2:
+            pairs += [(t1, STUCK), (STUCK, t1)]
+        for a, b in pairs:
+            found = tensor_equivalent(a, b)
+            witness = recovery_route(a, b)
+            assert (witness is None) == (found is None)
+            if witness is not None:
+                assert apply_permutation(a, witness).entries == b.entries
 
 
 class TestOrbits:
