@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .errors import NotContractibleError, SearchLimitError
 from .forest import Point, ProximityForest
@@ -52,6 +53,12 @@ class ContractionStep:
     proximate_to_current: tuple[int, ...]
     index_map: tuple[int | None, ...]
 
+    @classmethod
+    def at(cls, contracted: int, stage: int, degree: int, proximities: Iterable[int]) -> "ContractionStep":
+        """The step blowing down ``contracted`` at a stage of ``stage`` components."""
+        index_map = tuple(None if a == contracted else a if a < contracted else a - 1 for a in range(1, stage + 1))
+        return cls(contracted, degree, tuple(proximities), index_map)
+
 
 @dataclass(frozen=True)
 class ContractionTrace:
@@ -65,14 +72,20 @@ class ContractionTrace:
     steps: tuple[ContractionStep, ...]
     index_maps: tuple[tuple[int, ...], ...]
 
+    @classmethod
+    def of(cls, steps: tuple[ContractionStep, ...]) -> "ContractionTrace":
+        """The history of ``steps``, contracting all of ``len(steps)`` components."""
+        alive = tuple(range(1, len(steps) + 1))
+        maps = []
+        for step in steps:
+            alive = alive[: step.contracted - 1] + alive[step.contracted :]
+            maps.append(alive)
+        return cls(tuple(steps), tuple(maps))
+
     def original_order(self) -> tuple[int, ...]:
         """Original indices in the order they were contracted."""
-        order = []
-        alive = tuple(range(1, len(self.steps) + 1))
-        for step, survivors in zip(self.steps, self.index_maps):
-            order.append(alive[step.contracted - 1])
-            alive = survivors
-        return tuple(order)
+        stages = (tuple(range(1, len(self.steps) + 1)),) + self.index_maps
+        return tuple(alive[step.contracted - 1] for step, alive in zip(self.steps, stages))
 
     def creation_indices(self) -> dict[int, int]:
         """Map original tensor indices to creation order in the recovered forest."""
@@ -147,33 +160,52 @@ def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, Co
         raise ValueError(f"component {i} is not final")
     d, m = tensor.dimension, tensor.size
     neighbours = frozenset(_neighbours(tensor, i))
-    alive = [a for a in range(1, m + 1) if a != i]
-    renumber = {a: a if a < i else a - 1 for a in alive}
+    diag = tensor.entries.get((i,) * d, 0)
+    step = ContractionStep.at(i, m, diag if d % 2 else -diag, sorted(neighbours))
     entries: dict[tuple[int, ...], int] = {}
-    for key in itertools.combinations_with_replacement(alive, d):
+    for key in itertools.combinations_with_replacement([a for a in range(1, m + 1) if a != i], d):
         options = [(a, i) if a in neighbours else (a,) for a in key]
         value = 0
         for combo in itertools.product(*options):
             value += tensor.entries.get(tuple(sorted(combo)), 0)
         if value:
-            entries[tuple(renumber[a] for a in key)] = value
-    diag = tensor.entries.get((i,) * d, 0)
-    step = ContractionStep(
-        contracted=i,
-        degree=diag if d % 2 else -diag,
-        proximate_to_current=tuple(sorted(neighbours)),
-        index_map=tuple(renumber.get(a) for a in range(1, m + 1)),
-    )
+            entries[tuple(step.index_map[a - 1] for a in key)] = value
     return IntersectionTensor(d, m - 1, entries), step
 
 
-def _assemble(dimension: int, size: int, events: list[tuple[int, int, frozenset[int]]]) -> ProximityForest:
-    """Rebuild the forest from ``(original index, degree, original proximities)`` per step."""
-    creation = {orig: size - t for t, (orig, _, _) in enumerate(events)}
-    points: list[Point | None] = [None] * size
-    for orig, degree, proximities in events:
-        points[creation[orig] - 1] = Point(degree, frozenset(creation[p] for p in proximities))
-    return ProximityForest(dimension, tuple(points))  # type: ignore[arg-type]
+def _forest(dimension: int, trace: ContractionTrace) -> ProximityForest:
+    """The forest a full history recovers: step ``t`` of ``m`` creates point ``m + 1 - t``."""
+    creation = trace.creation_indices()
+    stages = (tuple(range(1, len(trace.steps) + 1)),) + trace.index_maps
+    points = [
+        Point(step.degree, frozenset(creation[alive[j - 1]] for j in step.proximate_to_current))
+        for step, alive in zip(trace.steps, stages)
+    ]
+    return ProximityForest(dimension, tuple(reversed(points)))
+
+
+def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, ContractionTrace]]:
+    """Every full contraction of ``tensor``, depth first by ascending final index.
+
+    Yields in lexicographic order of the contracted index sequences.  Each
+    stack entry is a stage, the steps that reached it and the final index
+    to contract next; siblings are contracted only when popped, so the
+    first result costs exactly the greedy walk.
+    """
+    stack: list[tuple[IntersectionTensor, tuple[ContractionStep, ...], int | None]] = [(tensor, (), None)]
+    while stack:
+        current, steps, chosen = stack.pop()
+        if chosen is not None:
+            current, step = contract(current, chosen)
+            steps += (step,)
+        if not current.size:
+            trace = ContractionTrace.of(steps)
+            yield _forest(tensor.dimension, trace), trace
+            continue
+        finals = final_set(current)
+        if not finals:
+            raise NotContractibleError(f"no final component at stage {len(steps) + 1}")
+        stack.extend((current, steps, k) for k in sorted(finals, reverse=True))
 
 
 def recover_sequence(tensor: IntersectionTensor) -> tuple[ProximityForest, ContractionTrace]:
@@ -181,27 +213,12 @@ def recover_sequence(tensor: IntersectionTensor) -> tuple[ProximityForest, Contr
 
     At every stage the smallest final index is contracted; the point
     contracted at step ``t`` of ``m`` receives creation index
-    ``m + 1 - t``.  Raises :class:`NotContractibleError` when a nonempty
-    stage has no final component, i.e. the input is not the intersection
-    form of any blow-up sequence.
+    ``m + 1 - t``; the result is the first that :func:`recover_all_orders`
+    lists.  Raises :class:`NotContractibleError` when a nonempty stage has
+    no final component, i.e. the input is not the intersection form of any
+    blow-up sequence.
     """
-    current = tensor
-    alive = list(range(1, tensor.size + 1))
-    steps: list[ContractionStep] = []
-    maps: list[tuple[int, ...]] = []
-    events: list[tuple[int, int, frozenset[int]]] = []
-    while current.size:
-        finals = final_set(current)
-        if not finals:
-            raise NotContractibleError(f"no final component at stage {len(steps) + 1}")
-        chosen = min(finals)
-        current, step = contract(current, chosen)
-        events.append((alive[chosen - 1], step.degree, frozenset(alive[j - 1] for j in step.proximate_to_current)))
-        del alive[chosen - 1]
-        steps.append(step)
-        maps.append(tuple(alive))
-    forest = _assemble(tensor.dimension, tensor.size, events)
-    return forest, ContractionTrace(tuple(steps), tuple(maps))
+    return next(_orders(tensor))
 
 
 def recover_all_orders(
@@ -216,35 +233,7 @@ def recover_all_orders(
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    results: list[tuple[ProximityForest, ContractionTrace]] = []
-
-    def walk(
-        current: IntersectionTensor,
-        alive: list[int],
-        steps: list[ContractionStep],
-        maps: list[tuple[int, ...]],
-        events: list[tuple[int, int, frozenset[int]]],
-    ) -> None:
-        if not current.size:
-            if len(results) >= limit:
-                raise SearchLimitError(f"more than {limit} contraction orders")
-            results.append(
-                (_assemble(tensor.dimension, tensor.size, events), ContractionTrace(tuple(steps), tuple(maps)))
-            )
-            return
-        finals = final_set(current)
-        if not finals:
-            raise NotContractibleError(f"no final component at stage {len(steps) + 1}")
-        for chosen in sorted(finals):
-            nxt, step = contract(current, chosen)
-            survivors = alive[: chosen - 1] + alive[chosen:]
-            walk(
-                nxt,
-                survivors,
-                steps + [step],
-                maps + [tuple(survivors)],
-                events + [(alive[chosen - 1], step.degree, frozenset(alive[j - 1] for j in step.proximate_to_current))],
-            )
-
-    walk(tensor, list(range(1, tensor.size + 1)), [], [], [])
+    results = list(itertools.islice(_orders(tensor), limit + 1))
+    if len(results) > limit:
+        raise SearchLimitError(f"more than {limit} contraction orders")
     return results

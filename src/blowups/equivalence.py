@@ -178,7 +178,24 @@ class _SearchOutcome:
     labels: tuple[int, ...]
     data: bytes
     automorphisms: list[tuple[int, ...]]
-    orbit_parent: list[int]
+
+
+def _orbit_ids(n: int, perms) -> list[int]:
+    """For each vertex, one representative of its orbit under the group generated by ``perms``."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for s in perms:
+        for v in range(n):
+            rv, rs = find(v), find(s[v])
+            if rv != rs:
+                parent[rv] = rs
+    return [find(v) for v in range(n)]
 
 
 def _search(struct) -> _SearchOutcome:
@@ -193,21 +210,8 @@ def _search(struct) -> _SearchOutcome:
     """
     n = struct.n
     if n == 0:
-        return _SearchOutcome((), io.canonical_json(struct.document([])).encode(), [], [])
+        return _SearchOutcome((), io.canonical_json(struct.document([])).encode(), [])
     identity = struct.document(list(range(1, n + 1)))
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
     best: list = [None, None]
     leaves: dict[bytes, list[int]] = {}
     automorphisms: list[tuple[int, ...]] = []
@@ -234,8 +238,6 @@ def _search(struct) -> _SearchOutcome:
             sigma = tuple(inverse_prev[labels[v] - 1] for v in range(n))
             if any(sigma[v] != v for v in range(n)) and struct.document([s + 1 for s in sigma]) == identity:
                 automorphisms.append(sigma)
-                for v in range(n):
-                    union(v, sigma[v])
         if best[0] is None or data < best[0]:
             best[0], best[1] = data, labels
 
@@ -243,21 +245,8 @@ def _search(struct) -> _SearchOutcome:
         stabilizer = [s for s in automorphisms if all(s[w] == w for w in path)]
         if not stabilizer:
             return False
-        local = list(range(n))
-
-        def lfind(x: int) -> int:
-            while local[x] != x:
-                local[x] = local[local[x]]
-                x = local[x]
-            return x
-
-        for s in stabilizer:
-            for u in range(n):
-                ru, rs = lfind(u), lfind(s[u])
-                if ru != rs:
-                    local[ru] = rs
-        rv = lfind(v)
-        return any(lfind(u) == rv for u in tried)
+        ids = _orbit_ids(n, stabilizer)
+        return any(ids[u] == ids[v] for u in tried)
 
     def descend(colors: list[int], path: tuple[int, ...]) -> None:
         nonlocal nodes
@@ -281,7 +270,7 @@ def _search(struct) -> _SearchOutcome:
             descend(child, path + (v,))
 
     descend(_ranks(struct.initial_colors()), ())
-    return _SearchOutcome(tuple(best[1]), best[0], automorphisms, parent)
+    return _SearchOutcome(tuple(best[1]), best[0], automorphisms)
 
 
 def _structure_for(obj):
@@ -300,20 +289,13 @@ def canonical_form(obj: "ProximityForest | IntersectionTensor") -> CanonicalForm
     return CanonicalForm(outcome.labels, relabeled, hashlib.sha256(outcome.data).hexdigest())
 
 
-def _orbits_from_parent(parent: list[int]) -> tuple[tuple[int, ...], ...]:
-    groups: dict[int, list[int]] = {}
-    for v in range(len(parent)):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        groups.setdefault(root, []).append(v + 1)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
-
-
 def automorphism_orbits(obj: "ProximityForest | IntersectionTensor") -> tuple[tuple[int, ...], ...]:
     """Orbits of the automorphism group on indices, as a sorted partition."""
-    outcome = _search(_structure_for(obj))
-    return _orbits_from_parent(outcome.orbit_parent)
+    struct = _structure_for(obj)
+    groups: dict[int, list[int]] = {}
+    for v, root in enumerate(_orbit_ids(struct.n, _search(struct).automorphisms)):
+        groups.setdefault(root, []).append(v + 1)
+    return tuple(tuple(g) for g in groups.values())
 
 
 def _compose(labels1: tuple[int, ...], labels2: tuple[int, ...]) -> tuple[int, ...]:

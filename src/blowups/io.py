@@ -198,9 +198,8 @@ def trace_from_dict(obj: Any) -> ContractionTrace:
     if len(raw_steps) != len(raw_maps):
         raise SchemaError("steps and index_maps must have equal length")
     steps = []
-    maps = []
     size = len(raw_steps)
-    for pos, (raw, alive) in enumerate(zip(raw_steps, raw_maps), 1):
+    for pos, raw in enumerate(raw_steps, 1):
         _require_object(raw, {"contracted", "degree", "proximate_to_current"}, f"step {pos}")
         stage = size - pos + 1
         contracted = _require_int(raw["contracted"], f"step {pos} contracted")
@@ -209,20 +208,16 @@ def trace_from_dict(obj: Any) -> ContractionTrace:
         proximities = tuple(
             _require_int(j, f"step {pos} proximity") for j in _require_list(raw["proximate_to_current"], f"step {pos}")
         )
-        renumber = {a: a if a < contracted else a - 1 for a in range(1, stage + 1) if a != contracted}
-        steps.append(
-            ContractionStep(
-                contracted=contracted,
-                degree=_require_int(raw["degree"], f"step {pos} degree"),
-                proximate_to_current=proximities,
-                index_map=tuple(renumber.get(a) for a in range(1, stage + 1)),
-            )
-        )
+        if any(not 1 <= j <= stage or j == contracted for j in proximities):
+            raise SchemaError(f"step {pos} proximities must lie in 1..{stage}, apart from {contracted}")
+        degree = _require_int(raw["degree"], f"step {pos} degree")
+        steps.append(ContractionStep.at(contracted, stage, degree, proximities))
+    trace = ContractionTrace.of(tuple(steps))
+    for pos, (alive, expected) in enumerate(zip(raw_maps, trace.index_maps), 1):
         survivors = tuple(_require_int(i, f"index map {pos}") for i in _require_list(alive, f"index map {pos}"))
-        if len(survivors) != stage - 1:
-            raise SchemaError(f"index map {pos} must list {stage - 1} survivors")
-        maps.append(survivors)
-    return ContractionTrace(tuple(steps), tuple(maps))
+        if survivors != expected:
+            raise SchemaError(f"index map {pos} must be {list(expected)}, as the steps imply")
+    return trace
 
 
 def report_to_dict(report: ValidationReport) -> dict:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -186,24 +187,20 @@ def evaluate(tensor: IntersectionTensor, vectors: Sequence[Sequence[int]]) -> in
 def quotient_tensor(tensor: IntersectionTensor, partition: MarkedPartition) -> IntersectionTensor:
     """The form induced on the blocks of a partition.
 
-    Block divisors are the sums of their components, so the entry at a
-    block multi-index is the evaluation of the form on the corresponding
-    indicator vectors.
+    Block divisors are the sums of their components.  A stored multiset
+    ``K`` lands on the block multiset ``Q`` it maps onto, once per
+    arrangement of ``K`` over the slots of ``Q``, which is
+    ``prod_b mult_Q(b)! / prod_i mult_K(i)!`` times.
     """
     partition.check(tensor.size)
-    blocks = len(partition)
-    indicators = []
-    for block in partition.blocks:
-        v = [0] * tensor.size
-        for i in block:
-            v[i - 1] = 1
-        indicators.append(v)
+    block_of = partition.index_of()
     entries: dict[tuple[int, ...], int] = {}
-    for key in itertools.combinations_with_replacement(range(1, blocks + 1), tensor.dimension):
-        value = evaluate(tensor, [indicators[b - 1] for b in key])
-        if value:
-            entries[key] = value
-    return IntersectionTensor(tensor.dimension, blocks, entries)
+    for key, value in tensor.entries.items():
+        q = tuple(sorted(block_of[i] for i in key))
+        ways = math.prod(math.factorial(c) for c in Counter(q).values())
+        ways //= math.prod(math.factorial(c) for c in Counter(key).values())
+        entries[q] = entries.get(q, 0) + value * ways
+    return IntersectionTensor(tensor.dimension, len(partition), entries)
 
 
 def diagonal(tensor: IntersectionTensor) -> list[int]:

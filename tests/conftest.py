@@ -1,8 +1,16 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from blowups import ProximityForest
+
+# ``pythonpath`` in pyproject.toml serves this process only; the CLI tests
+# start ``python -m blowups`` children, which must import this checkout too.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -184,9 +184,17 @@ class TestRecoverAllOrders:
         with pytest.raises(ValueError):
             recover_all_orders(tensor_from_forest(forest), limit=0)
 
-    def test_not_contractible_propagates(self):
+    def test_not_contractible_propagates(self, surface_chain):
         with pytest.raises(NotContractibleError):
             recover_all_orders(IntersectionTensor(2, 1, {(1, 1): 2}))
+        # A chain plus an isolated component of the wrong sign gets stuck only at stage 3.
+        stuck = IntersectionTensor(2, 3, {**tensor_from_forest(surface_chain).entries, (3, 3): 1})
+        messages = set()
+        for recover in (recover_sequence, recover_all_orders):
+            with pytest.raises(NotContractibleError) as info:
+                recover(stuck)
+            messages.add(str(info.value))
+        assert messages == {"no final component at stage 3"}
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -196,7 +204,9 @@ class TestRecoverAllOrders:
     )
     def test_all_orders_agree_up_to_isomorphism(self, seed, dimension, size):
         forest = random_forest(seed, dimension, size, 2)
-        results = recover_all_orders(tensor_from_forest(forest), limit=200)
+        tensor = tensor_from_forest(forest)
+        results = recover_all_orders(tensor, limit=200)
+        assert results[0] == recover_sequence(tensor)
         reference = results[0][0]
         for other, _ in results[1:]:
             assert brute_force_forest_isomorphic(reference, other) is not None

@@ -203,6 +203,34 @@ class TestTraceFormat:
                 "steps": [{"contracted": 1, "degree": 1, "proximate_to_current": []}],
                 "index_maps": [[1]],
             },
+            {
+                "steps": [
+                    {"contracted": 1, "degree": 1, "proximate_to_current": [9]},
+                    {"contracted": 1, "degree": 1, "proximate_to_current": []},
+                ],
+                "index_maps": [[7], []],
+            },
+            {
+                "steps": [
+                    {"contracted": 1, "degree": 1, "proximate_to_current": [3]},
+                    {"contracted": 1, "degree": 1, "proximate_to_current": []},
+                ],
+                "index_maps": [[2], []],
+            },
+            {
+                "steps": [
+                    {"contracted": 1, "degree": 1, "proximate_to_current": [1]},
+                    {"contracted": 1, "degree": 1, "proximate_to_current": []},
+                ],
+                "index_maps": [[2], []],
+            },
+            {
+                "steps": [
+                    {"contracted": 1, "degree": 1, "proximate_to_current": [2]},
+                    {"contracted": 1, "degree": 1, "proximate_to_current": []},
+                ],
+                "index_maps": [[1], []],
+            },
         ],
     )
     def test_rejects_malformed(self, doc):

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from blowups import (
     IntersectionTensor,
@@ -16,7 +17,7 @@ from blowups import (
     tensor_from_forest,
     total_transform_matrix,
 )
-from _oracles import oracle_surface_intersection, oracle_tensor
+from _oracles import oracle_surface_intersection, oracle_tensor, random_partition
 
 
 class TestTotalTransformMatrix:
@@ -223,6 +224,20 @@ class TestQuotient:
         tensor = tensor_from_forest(forest)
         quotient = quotient_tensor(tensor, MarkedPartition.singletons(5))
         assert quotient.entries == tensor.entries
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), dimension=st.integers(2, 4), size=st.integers(2, 6))
+    def test_matches_block_sum_definition(self, seed, dimension, size):
+        tensor = tensor_from_forest(random_forest(seed, dimension, size, 3))
+        partition = random_partition(size, random.Random(seed))
+        assume(len(partition) < size)
+        blocks = [sorted(block) for block in partition.blocks]
+        expected = {}
+        for key in itertools.combinations_with_replacement(range(1, len(blocks) + 1), dimension):
+            value = sum(tensor.value(k) for k in itertools.product(*(blocks[b - 1] for b in key)))
+            if value:
+                expected[key] = value
+        assert quotient_tensor(tensor, partition).entries == expected
 
 
 class TestDiagonal:
