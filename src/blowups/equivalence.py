@@ -209,8 +209,6 @@ def _search(struct) -> _SearchOutcome:
     automorphisms fixing the current individualization path, are pruned.
     """
     n = struct.n
-    if n == 0:
-        return _SearchOutcome((), io.canonical_json(struct.document([])).encode(), [])
     identity = struct.document(list(range(1, n + 1)))
     best: list = [None, None]
     leaves: dict[bytes, list[int]] = {}
@@ -285,8 +283,7 @@ def canonical_form(obj: "ProximityForest | IntersectionTensor") -> CanonicalForm
     """Canonical relabelling and hash; equal hashes characterize equivalence."""
     struct = _structure_for(obj)
     outcome = _search(struct)
-    relabeled = struct.relabel(list(outcome.labels)) if struct.n else obj
-    return CanonicalForm(outcome.labels, relabeled, hashlib.sha256(outcome.data).hexdigest())
+    return CanonicalForm(outcome.labels, struct.relabel(list(outcome.labels)), hashlib.sha256(outcome.data).hexdigest())
 
 
 def automorphism_orbits(obj: "ProximityForest | IntersectionTensor") -> tuple[tuple[int, ...], ...]:
@@ -306,20 +303,15 @@ def _compose(labels1: tuple[int, ...], labels2: tuple[int, ...]) -> tuple[int, .
     return tuple(inverse2[labels1[i] - 1] for i in range(len(labels1)))
 
 
-def _verified(s1, s2, perm: tuple[int, ...]) -> tuple[int, ...]:
-    """``perm``, after checking that it carries structure ``s1`` onto structure ``s2``."""
+def _match(s1, s2) -> tuple[int, ...] | None:
+    """The verified map carrying structure ``s1`` onto ``s2``, or ``None`` if their canonical data differ."""
+    o1, o2 = _search(s1), _search(s2)
+    if o1.data != o2.data:
+        return None
+    perm = _compose(o1.labels, o2.labels)
     if s1.document(list(perm)) != s2.document(list(range(1, s2.n + 1))):
         raise RuntimeError("canonical relabelling failed verification")
     return perm
-
-
-def _canonical_match(a, b) -> tuple[int, ...] | None:
-    """The verified map between two forests or two tensors with equal canonical hashes, or ``None``."""
-    c1 = canonical_form(a)
-    c2 = canonical_form(b)
-    if c1.hash != c2.hash:
-        return None
-    return _verified(_structure_for(a), _structure_for(b), _compose(c1.relabeling, c2.relabeling))
 
 
 def forest_isomorphic(f1: ProximityForest, f2: ProximityForest) -> tuple[int, ...] | None:
@@ -330,7 +322,7 @@ def forest_isomorphic(f1: ProximityForest, f2: ProximityForest) -> tuple[int, ..
         return None
     if sorted(p.degree for p in f1.points) != sorted(p.degree for p in f2.points):
         return None
-    return _canonical_match(f1, f2)
+    return _match(_DigraphStructure.of_forest(f1), _DigraphStructure.of_forest(f2))
 
 
 def tensor_equivalent(t1: IntersectionTensor, t2: IntersectionTensor) -> tuple[int, ...] | None:
@@ -348,7 +340,7 @@ def tensor_equivalent(t1: IntersectionTensor, t2: IntersectionTensor) -> tuple[i
         return None
     if sorted(diagonal(t1)) != sorted(diagonal(t2)):
         return None
-    return _canonical_match(t1, t2)
+    return _match(_TensorStructure(t1), _TensorStructure(t2))
 
 
 tensor_equivalent_direct = tensor_equivalent
@@ -371,11 +363,7 @@ def marked_forest_equivalent(
     g2 = _DigraphStructure.of_blocks(f2, p2)
     if sorted(g1.degrees) != sorted(g2.degrees) or len(g1.edges) != len(g2.edges):
         return None
-    o1 = _search(g1)
-    o2 = _search(g2)
-    if o1.data != o2.data:
-        return None
-    return _verified(g1, g2, _compose(o1.labels, o2.labels))
+    return _match(g1, g2)
 
 
 def marked_tensor_equivalent(

@@ -71,10 +71,6 @@ class ProximityForest:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
     def degree(self, i: int) -> int:
         return self.points[i - 1].degree
 

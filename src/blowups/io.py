@@ -210,6 +210,8 @@ def trace_from_dict(obj: Any) -> ContractionTrace:
         )
         if any(not 1 <= j <= stage or j == contracted for j in proximities):
             raise SchemaError(f"step {pos} proximities must lie in 1..{stage}, apart from {contracted}")
+        if any(a >= b for a, b in zip(proximities, proximities[1:])):
+            raise SchemaError(f"step {pos} proximities must be strictly increasing")
         degree = _require_int(raw["degree"], f"step {pos} degree")
         steps.append(ContractionStep.at(contracted, stage, degree, proximities))
     trace = ContractionTrace.of(tuple(steps))

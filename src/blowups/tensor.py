@@ -51,9 +51,6 @@ class TotalTransformMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i - 1]
-
     def inverse(self) -> tuple[tuple[int, ...], ...]:
         """Rows of the inverse matrix: total transforms in component coordinates.
 
@@ -140,47 +137,24 @@ def evaluate(tensor: IntersectionTensor, vectors: Sequence[Sequence[int]]) -> in
     """The multilinear form applied to ``dimension`` integer vectors.
 
     Each vector has one coordinate per component (position ``i-1`` is the
-    coefficient of component ``i``).  Evaluation sums over either the
-    stored entries or the support product of the vectors, whichever is
-    cheaper; both routes are exact.
+    coefficient of component ``i``).  Evaluation is the definition: a sum
+    over the product of the vectors' supports, exact in integers.
     """
     d, m = tensor.dimension, tensor.size
     if len(vectors) != d:
         raise ValueError(f"expected {d} vectors, got {len(vectors)}")
-    supports: list[dict[int, int]] = []
+    supports: list[tuple[tuple[int, int], ...]] = []
     for v in vectors:
         if len(v) != m:
             raise ValueError(f"expected vectors of length {m}")
-        s = {i: int(x) for i, x in enumerate(v, 1) if x}
-        if not s:
-            return 0
-        supports.append(s)
-    product_cost = math.prod(len(s) for s in supports)
-    if product_cost <= len(tensor.entries) * math.factorial(d):
-        total = 0
-        for combo in itertools.product(*(tuple(s.items()) for s in supports)):
-            value = tensor.entries.get(tuple(sorted(i for i, _ in combo)))
-            if value:
-                for _, x in combo:
-                    value *= x
-                total += value
-        return total
-    union = set().union(*supports)
+        supports.append(tuple((i, int(x)) for i, x in enumerate(v, 1) if x))
     total = 0
-    for key, value in tensor.entries.items():
-        if any(i not in union for i in key):
-            continue
-        spread = 0
-        for arrangement in set(itertools.permutations(key)):
-            w = 1
-            for slot, i in enumerate(arrangement):
-                x = supports[slot].get(i, 0)
-                if not x:
-                    w = 0
-                    break
-                w *= x
-            spread += w
-        total += value * spread
+    for combo in itertools.product(*supports):
+        value = tensor.entries.get(tuple(sorted(i for i, _ in combo)))
+        if value:
+            for _, x in combo:
+                value *= x
+            total += value
     return total
 
 

@@ -61,6 +61,32 @@ def apply_permutation(tensor: IntersectionTensor, perm: tuple[int, ...]) -> Inte
     return IntersectionTensor(tensor.dimension, tensor.size, entries)
 
 
+def oracle_contract(tensor: IntersectionTensor, i: int):
+    """Dense blow-down of component ``i``: entries, degree, proximities and index map.
+
+    The neighbours of ``i`` are the components with a nonzero mixed
+    product with it.  Each multiset of survivors sums ``T`` over every
+    choice of ``a`` or ``i`` in each slot holding a neighbour ``a``, and is
+    renumbered by the survivors' positions.
+    """
+    d, m = tensor.dimension, tensor.size
+
+    def t(index) -> int:
+        return tensor.entries.get(tuple(sorted(index)), 0)
+
+    neighbours = [j for j in range(1, m + 1) if j != i and any(t((i,) * (d - r) + (j,) * r) for r in range(1, d))]
+    survivors = [a for a in range(1, m + 1) if a != i]
+    index_map = tuple(None if a == i else survivors.index(a) + 1 for a in range(1, m + 1))
+    entries = {}
+    for key in itertools.combinations_with_replacement(survivors, d):
+        slots = [(a, i) if a in neighbours else (a,) for a in key]
+        value = sum(t(combo) for combo in itertools.product(*slots))
+        if value:
+            entries[tuple(index_map[a - 1] for a in key)] = value
+    pure = t((i,) * d)
+    return entries, (-1) ** (d - 1) * pure, tuple(neighbours), index_map
+
+
 def brute_force_tensor_equivalent(t1: IntersectionTensor, t2: IntersectionTensor) -> tuple[int, ...] | None:
     """All m! permutations, first match wins."""
     if t1.size != t2.size:

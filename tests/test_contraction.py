@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from blowups import (
     recover_sequence,
     tensor_from_forest,
 )
-from _oracles import apply_permutation, brute_force_forest_isomorphic
+from _oracles import apply_permutation, brute_force_forest_isomorphic, oracle_contract
 
 
 class TestEmptyIntersection:
@@ -126,6 +127,29 @@ class TestContract:
         assert smaller.entries == tensor_from_forest(truncated).entries
         assert step.degree == forest.degree(size)
         assert set(step.proximate_to_current) >= forest.targets(size)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        dimension=st.integers(2, 4),
+        size=st.integers(1, 7),
+    )
+    def test_matches_dense_oracle_at_every_final(self, seed, dimension, size):
+        # walk one random contraction order, checking every final at every stage
+        tensor = tensor_from_forest(random_forest(seed, dimension, size, 3))
+        rng = random.Random(seed)
+        while tensor.size:
+            finals = sorted(final_set(tensor))
+            assert finals
+            for i in finals:
+                smaller, step = contract(tensor, i)
+                entries, degree, proximities, index_map = oracle_contract(tensor, i)
+                assert smaller.size == tensor.size - 1
+                assert smaller.entries == entries
+                assert (step.contracted, step.degree) == (i, degree)
+                assert step.proximate_to_current == proximities
+                assert step.index_map == index_map
+            tensor, _ = contract(tensor, rng.choice(finals))
 
 
 class TestRecoverSequence:

@@ -231,6 +231,21 @@ class TestTraceFormat:
                 ],
                 "index_maps": [[1], []],
             },
+            {
+                "steps": [
+                    {"contracted": 1, "degree": 1, "proximate_to_current": [2, 2]},
+                    {"contracted": 1, "degree": 1, "proximate_to_current": []},
+                ],
+                "index_maps": [[2], []],
+            },
+            {
+                "steps": [
+                    {"contracted": 3, "degree": 1, "proximate_to_current": [2, 1]},
+                    {"contracted": 1, "degree": 1, "proximate_to_current": []},
+                    {"contracted": 1, "degree": 1, "proximate_to_current": []},
+                ],
+                "index_maps": [[1, 2], [2], []],
+            },
         ],
     )
     def test_rejects_malformed(self, doc):
