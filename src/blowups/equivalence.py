@@ -114,9 +114,6 @@ class _DigraphStructure:
         loops = {a for a, b in edges if a == b}
         return cls(degrees, edges, [(g, 1 if v in loops else 0) for v, g in enumerate(degrees)])
 
-    def initial_colors(self) -> list:
-        return self.colors
-
     def fingerprint(self, v: int, colors: list[int]):
         return (
             tuple(sorted(colors[u] for u in self.out[v])),
@@ -140,21 +137,18 @@ class _DigraphStructure:
 
 
 class _TensorStructure:
-    """Index-coloured view of a tensor for the canonical search."""
+    """Index-coloured view of a tensor for the canonical search; the initial colours are the diagonal."""
 
     def __init__(self, tensor: IntersectionTensor):
         self.tensor = tensor
         self.n = tensor.size
-        self.diag = diagonal(tensor)
+        self.colors = diagonal(tensor)
         self.incidence: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]] = [[] for _ in range(self.n)]
         for key, value in tensor.entries.items():
             counts = Counter(key)
             for i, mult in counts.items():
                 others = tuple(sorted((j - 1, c) for j, c in counts.items() if j != i))
                 self.incidence[i - 1].append((mult, value, others))
-
-    def initial_colors(self) -> list:
-        return [(self.diag[v],) for v in range(self.n)]
 
     def fingerprint(self, v: int, colors: list[int]):
         items = []
@@ -209,7 +203,8 @@ def _search(struct) -> _SearchOutcome:
     automorphisms fixing the current individualization path, are pruned.
     """
     n = struct.n
-    identity = struct.document(list(range(1, n + 1)))
+    straight = tuple(range(1, n + 1))
+    identity = struct.document(straight)
     best: list = [None, None]
     leaves: dict[bytes, list[int]] = {}
     automorphisms: list[tuple[int, ...]] = []
@@ -226,25 +221,11 @@ def _search(struct) -> _SearchOutcome:
     def handle_leaf(colors: list[int]) -> None:
         labels = [c + 1 for c in colors]
         data = io.canonical_json(struct.document(labels)).encode()
-        previous = leaves.get(data)
-        if previous is None:
-            leaves[data] = labels
-        else:
-            inverse_prev = [0] * n
-            for v, label in enumerate(previous):
-                inverse_prev[label - 1] = v
-            sigma = tuple(inverse_prev[labels[v] - 1] for v in range(n))
-            if any(sigma[v] != v for v in range(n)) and struct.document([s + 1 for s in sigma]) == identity:
-                automorphisms.append(sigma)
+        perm = _compose(labels, leaves.setdefault(data, labels))
+        if perm != straight and struct.document(perm) == identity:
+            automorphisms.append(tuple(p - 1 for p in perm))
         if best[0] is None or data < best[0]:
             best[0], best[1] = data, labels
-
-    def linked(v: int, tried: list[int], path: tuple[int, ...]) -> bool:
-        stabilizer = [s for s in automorphisms if all(s[w] == w for w in path)]
-        if not stabilizer:
-            return False
-        ids = _orbit_ids(n, stabilizer)
-        return any(ids[u] == ids[v] for u in tried)
 
     def descend(colors: list[int], path: tuple[int, ...]) -> None:
         nonlocal nodes
@@ -259,15 +240,23 @@ def _search(struct) -> _SearchOutcome:
             return
         members = sorted(v for v in range(n) if colors[v] == cell)
         tried: list[int] = []
+        # Orbit ids under the automorphisms fixing ``path``, built from the first ``seen`` found.
+        ids, seen = None, 0
         for v in members:
-            if tried and linked(v, tried, path):
+            if tried and len(automorphisms) > seen:
+                seen = len(automorphisms)
+                ids = _orbit_ids(n, [s for s in automorphisms if all(s[w] == w for w in path)])
+            if ids and any(ids[u] == ids[v] for u in tried):
                 continue
             tried.append(v)
             child = [2 * c + 1 for c in colors]
             child[v] = 2 * cell
             descend(child, path + (v,))
 
-    descend(_ranks(struct.initial_colors()), ())
+    try:
+        descend(_ranks(struct.colors), ())
+    except RecursionError:
+        raise SearchLimitError("canonical search deeper than the recursion limit") from None
     return _SearchOutcome(tuple(best[1]), best[0], automorphisms)
 
 

@@ -52,7 +52,7 @@ def load_document(path: str) -> Any:
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
 
 

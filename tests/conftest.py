@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,14 @@ def three_chain_mixed_prime() -> ProximityForest:
 def surface_chain() -> ProximityForest:
     """Two degree-1 points on a surface, the second proximate to the first."""
     return ProximityForest.make(2, (1, []), (1, [1]))
+
+
+@pytest.fixture
+def low_recursion_limit():
+    """Python's recursion limit lowered to 200 for one test, so a deep search trips it quickly."""
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(previous)

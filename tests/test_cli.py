@@ -274,6 +274,21 @@ class TestErrorHandling:
         code, doc = run(capsys, "tensor", str(tmp_path / "nope.json"))
         assert code == 2 and doc["error"]["code"] == "io"
 
+    def test_deeply_nested_document(self, capsys, monkeypatch, files):
+        path = files["dir"] / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, doc = run(capsys, "diag", str(path))
+        assert code == 2 and doc["error"]["code"] == "schema"
+        with open(path, "r", encoding="utf-8") as handle:
+            monkeypatch.setattr("sys.stdin", handle)
+            code, doc = run(capsys, "diag", "-")
+        assert code == 2 and doc["error"]["code"] == "schema"
+
+    def test_search_deeper_than_recursion_limit(self, capsys, files, low_recursion_limit):
+        isolated = files["write"]("isolated.json", forest_to_dict(ProximityForest.make(2, *[(1, [])] * 300)))
+        code, doc = run(capsys, "canon", "--kind", "forest", isolated)
+        assert code == 3 and doc["error"]["code"] == "limit"
+
     def test_stdin_input(self, capsys, monkeypatch, files, three_chain_mixed):
         with open(files["forest"], "r", encoding="utf-8") as handle:
             monkeypatch.setattr("sys.stdin", handle)

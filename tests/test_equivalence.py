@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from blowups import (
     MarkedPartition,
     NotContractibleError,
     ProximityForest,
+    SearchLimitError,
     automorphism_orbits,
     canonical_form,
     forest_isomorphic,
@@ -29,6 +31,7 @@ from _oracles import (
     brute_force_forest_orbits,
     brute_force_tensor_equivalent,
     brute_force_tensor_orbits,
+    enumerate_forests,
     random_partition,
     random_partition_inside,
     random_relabel,
@@ -146,6 +149,27 @@ class TestCanonicalForm:
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
             canonical_form([1, 2, 3])
+
+    def test_search_deeper_than_recursion_limit(self, low_recursion_limit):
+        isolated = ProximityForest.make(2, *[(1, [])] * 300)
+        with pytest.raises(SearchLimitError, match="deeper than the recursion limit"):
+            canonical_form(isolated)
+
+    @pytest.mark.parametrize(
+        "dimension, forests, classes",
+        [(2, [1, 2, 8, 64, 896], [1, 2, 7, 40, 340]), (3, [1, 2, 8, 64, 1024], [1, 2, 7, 40, 420])],
+    )
+    def test_bijection_census(self, dimension, forests, classes):
+        """Forest classes and tensor classes correspond one to one on every small forest."""
+        for size in range(5):
+            tensor_hashes = defaultdict(set)
+            count = 0
+            for forest in enumerate_forests(dimension, size, 2):
+                count += 1
+                tensor_hashes[canonical_form(forest).hash].add(canonical_form(tensor_from_forest(forest)).hash)
+            assert count == forests[size]
+            assert all(len(hashes) == 1 for hashes in tensor_hashes.values())
+            assert len(tensor_hashes) == len(set().union(*tensor_hashes.values())) == classes[size]
 
     def test_pinned_hashes(self):
         """Canonical hashes are a stable output format; a change to one must be deliberate."""
@@ -320,6 +344,23 @@ class TestOrbits:
         forest = ProximityForest.make(2, (1, []), (1, [1]), (1, []), (1, [3]))
         assert automorphism_orbits(forest) == ((1, 3), (2, 4))
         assert automorphism_orbits(tensor_from_forest(forest)) == ((1, 3), (2, 4))
+
+    @pytest.mark.parametrize(
+        "forest",
+        [
+            ProximityForest.make(2, (1, []), *[(1, [1])] * 6),
+            ProximityForest.make(2, (1, []), (1, [1]), *[(1, [2])] * 5),
+            ProximityForest.make(2, (1, []), (1, [1]), (1, [1]), (1, []), (1, [4]), (1, [4])),
+            ProximityForest.make(2, (1, []), (1, [1]), (1, []), (1, [3]), (1, []), (1, [5])),
+            ProximityForest.make(3, (1, []), (1, []), (1, []), (2, []), (2, []), (2, []), (3, [])),
+            ProximityForest.make(3, (1, []), (1, []), *[(1, [1, 2])] * 5),
+        ],
+        ids=["star 6", "broom 2+5", "two 3-stars", "three 2-chains", "isolated d3", "two roots d3"],
+    )
+    def test_pruned_shapes_match_brute_force(self, forest):
+        assert automorphism_orbits(forest) == brute_force_forest_orbits(forest)
+        tensor = tensor_from_forest(forest)
+        assert automorphism_orbits(tensor) == brute_force_tensor_orbits(tensor)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), dimension=st.integers(2, 3), size=st.integers(0, 5))

@@ -65,6 +65,16 @@ class TestLoadDocument:
         with pytest.raises(SchemaError):
             load_document(str(path))
 
+    def test_deeply_nested_json(self, monkeypatch, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(SchemaError):
+            load_document(str(path))
+        with open(path, "r", encoding="utf-8") as handle:
+            monkeypatch.setattr("sys.stdin", handle)
+            with pytest.raises(SchemaError):
+                load_document("-")
+
 
 class TestForestFormat:
     def test_round_trip(self, three_chain_mixed):
