@@ -33,13 +33,12 @@ from .tensor import diagonal, quotient_tensor, tensor_from_forest
 __all__ = ["main", "build_parser"]
 
 
-def _load_forest(path: str, require_valid: bool = True):
+def _load_forest(path: str):
     forest = io.forest_from_dict(io.load_document(path))
-    if require_valid:
-        report = validate_forest(forest)
-        if not report.ok:
-            detail = "; ".join(v.message for v in report.violations)
-            raise ValueError(f"{path}: invalid forest: {detail}")
+    report = validate_forest(forest)
+    if not report.ok:
+        detail = "; ".join(v.message for v in report.violations)
+        raise ValueError(f"{path}: invalid forest: {detail}")
     return forest
 
 
@@ -145,7 +144,7 @@ def _cmd_diag(args) -> tuple[dict, bool | None]:
 
 
 def _cmd_validate(args) -> tuple[dict, bool | None]:
-    forest = _load_forest(args.forest, require_valid=False)
+    forest = io.forest_from_dict(io.load_document(args.forest))
     report = validate_forest(forest, strict=args.strict)
     return io.report_to_dict(report), report.ok
 

@@ -13,6 +13,8 @@ Neighbourhood is decided purely numerically: components ``i`` and ``j``
 are disjoint iff every mixed product ``T(i^s j^r)`` with ``r, s >= 1``
 vanishes.  Individual mixed products of disjoint-looking supports can
 cancel, so emptiness is never inferred from the sparsity pattern alone.
+One scan over the other components gives both the verdict on finality
+and the neighbours; a vanishing pure power is never final.
 """
 
 from __future__ import annotations
@@ -99,10 +101,10 @@ def _check_index(tensor: IntersectionTensor, i: int) -> None:
         raise ValueError(f"index {i} out of range 1..{tensor.size}")
 
 
-def _mixed_key(i: int, s: int, j: int, r: int) -> tuple[int, ...]:
-    if i < j:
-        return (i,) * s + (j,) * r
-    return (j,) * r + (i,) * s
+def _mixed(tensor: IntersectionTensor, i: int, j: int) -> list[int]:
+    """The mixed products ``T(i^{d-r} j^r)`` for ``r = 1 .. d-1``."""
+    d, get = tensor.dimension, tensor.entries.get
+    return [get((i,) * (d - r) + (j,) * r if i < j else (j,) * r + (i,) * (d - r), 0) for r in range(1, d)]
 
 
 def empty_intersection(tensor: IntersectionTensor, i: int, j: int) -> bool:
@@ -111,13 +113,24 @@ def empty_intersection(tensor: IntersectionTensor, i: int, j: int) -> bool:
     _check_index(tensor, j)
     if i == j:
         raise ValueError("indices must differ")
+    return not any(_mixed(tensor, i, j))
+
+
+def _final_neighbours(tensor: IntersectionTensor, i: int) -> list[int] | None:
+    """The neighbours of ``i`` in ascending order if ``i`` is final, else ``None``."""
+    _check_index(tensor, i)
     d = tensor.dimension
-    entries = tensor.entries
-    return all(entries.get(_mixed_key(i, d - r, j, r), 0) == 0 for r in range(1, d))
-
-
-def _neighbours(tensor: IntersectionTensor, i: int) -> list[int]:
-    return [j for j in range(1, tensor.size + 1) if j != i and not empty_intersection(tensor, i, j)]
+    diag = tensor.entries.get((i,) * d, 0)
+    if not diag:
+        return None
+    neighbours = []
+    for j in range(1, tensor.size + 1):
+        mixed = _mixed(tensor, i, j) if j != i else ()
+        if any(mixed):
+            if mixed[-1] <= 0 or any(diag != (x if r % 2 == 0 else -x) for r, x in enumerate(mixed, 1)):
+                return None
+            neighbours.append(j)
+    return neighbours if neighbours or (diag if d % 2 else -diag) > 0 else None
 
 
 def is_final(tensor: IntersectionTensor, i: int) -> bool:
@@ -127,22 +140,10 @@ def is_final(tensor: IntersectionTensor, i: int) -> bool:
     ``T(i^d) = (-1)^r T(i^s j^r)`` for all ``r, s >= 1`` with
     ``r + s = d``, with ``T(i j^{d-1}) > 0``.  A component with no
     neighbours is final iff its pure power has the sign of an isolated
-    point, ``(-1)^{d-1} T(i^d) > 0``.
+    point, ``(-1)^{d-1} T(i^d) > 0``.  So a vanishing pure power is never
+    final.  The one scan that decides this also lists the neighbours.
     """
-    _check_index(tensor, i)
-    d = tensor.dimension
-    diag = tensor.entries.get((i,) * d, 0)
-    neighbours = _neighbours(tensor, i)
-    if not neighbours:
-        return (diag if d % 2 else -diag) > 0
-    for j in neighbours:
-        if tensor.entries.get(_mixed_key(i, 1, j, d - 1), 0) <= 0:
-            return False
-        for r in range(1, d):
-            mixed = tensor.entries.get(_mixed_key(i, d - r, j, r), 0)
-            if diag != (mixed if r % 2 == 0 else -mixed):
-                return False
-    return True
+    return _final_neighbours(tensor, i) is not None
 
 
 def final_set(tensor: IntersectionTensor) -> frozenset[int]:
@@ -156,12 +157,12 @@ def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, Co
     every neighbour ``j`` of ``i``; each new entry expands into at most
     ``2^d`` old entries.
     """
-    if not is_final(tensor, i):
+    proximities = _final_neighbours(tensor, i)
+    if proximities is None:
         raise ValueError(f"component {i} is not final")
     d, m = tensor.dimension, tensor.size
-    neighbours = frozenset(_neighbours(tensor, i))
-    diag = tensor.entries.get((i,) * d, 0)
-    step = ContractionStep.at(i, m, diag if d % 2 else -diag, sorted(neighbours))
+    neighbours = frozenset(proximities)
+    step = ContractionStep.at(i, m, (-1) ** (d - 1) * tensor.entries[(i,) * d], proximities)
     entries: dict[tuple[int, ...], int] = {}
     for key in itertools.combinations_with_replacement([a for a in range(1, m + 1) if a != i], d):
         options = [(a, i) if a in neighbours else (a,) for a in key]

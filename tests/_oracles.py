@@ -61,6 +61,36 @@ def apply_permutation(tensor: IntersectionTensor, perm: tuple[int, ...]) -> Inte
     return IntersectionTensor(tensor.dimension, tensor.size, entries)
 
 
+def oracle_disjoint(tensor: IntersectionTensor, i: int, j: int) -> bool:
+    """Whether every mixed product ``T(i^{d-r} j^r)``, ``0 < r < d``, vanishes."""
+    d = tensor.dimension
+    return all(tensor.entries.get(tuple(sorted((i,) * (d - r) + (j,) * r)), 0) == 0 for r in range(1, d))
+
+
+def oracle_final(tensor: IntersectionTensor, i: int) -> tuple[int, ...] | None:
+    """The neighbours of ``i`` if it is final, else ``None``, read off the definition.
+
+    Against every neighbour ``j``: ``T(i j^{d-1}) > 0`` and
+    ``T(i^d) = (-1)^r T(i^{d-r} j^r)`` for ``0 < r < d``.  With no
+    neighbour: ``(-1)^{d-1} T(i^d) > 0``.
+    """
+    d, m = tensor.dimension, tensor.size
+
+    def t(index) -> int:
+        return tensor.entries.get(tuple(sorted(index)), 0)
+
+    pure = t((i,) * d)
+    neighbours = tuple(j for j in range(1, m + 1) if j != i and not oracle_disjoint(tensor, i, j))
+    if not neighbours:
+        return () if (-1) ** (d - 1) * pure > 0 else None
+    for j in neighbours:
+        if t((i,) + (j,) * (d - 1)) <= 0:
+            return None
+        if any(pure != (-1) ** r * t((i,) * (d - r) + (j,) * r) for r in range(1, d)):
+            return None
+    return neighbours
+
+
 def oracle_contract(tensor: IntersectionTensor, i: int):
     """Dense blow-down of component ``i``: entries, degree, proximities and index map.
 
@@ -74,7 +104,7 @@ def oracle_contract(tensor: IntersectionTensor, i: int):
     def t(index) -> int:
         return tensor.entries.get(tuple(sorted(index)), 0)
 
-    neighbours = [j for j in range(1, m + 1) if j != i and any(t((i,) * (d - r) + (j,) * r) for r in range(1, d))]
+    neighbours = [j for j in range(1, m + 1) if j != i and not oracle_disjoint(tensor, i, j)]
     survivors = [a for a in range(1, m + 1) if a != i]
     index_map = tuple(None if a == i else survivors.index(a) + 1 for a in range(1, m + 1))
     entries = {}

@@ -20,7 +20,49 @@ from blowups import (
     recover_sequence,
     tensor_from_forest,
 )
-from _oracles import apply_permutation, brute_force_forest_isomorphic, oracle_contract
+from _oracles import (
+    apply_permutation,
+    brute_force_forest_isomorphic,
+    oracle_contract,
+    oracle_disjoint,
+    oracle_final,
+)
+
+
+class CountingEntries(dict):
+    """An entry dict that counts lookups, swapped into a tensor after construction."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+
+def perturb(tensor: IntersectionTensor, how: str, rng: random.Random) -> IntersectionTensor:
+    """A tensor near a blow-up form that usually is not one."""
+    d, m = tensor.dimension, tensor.size
+    entries = dict(tensor.entries)
+    if how == "entry":
+        stored = sorted(entries)
+        key = rng.choice(stored) if stored and rng.random() < 0.5 else tuple(rng.randint(1, m) for _ in range(d))
+        entries[tuple(sorted(key))] = rng.randint(-3, 3)
+    elif how == "negate":
+        entries = {key: -value for key, value in entries.items()}
+    elif how == "isolated":
+        m += 1
+        entries[(m,) * d] = rng.choice((-2, -1, 1, 2))
+    else:
+        entries.pop((rng.randint(1, m),) * d, None)
+    return IntersectionTensor(d, m, entries)
 
 
 class TestEmptyIntersection:
@@ -87,6 +129,41 @@ class TestFinality:
             if all(i not in forest.targets(k) for k in range(1, size + 1))
         }
         assert final_set(tensor) == childless
+
+    def test_final_set_reads_one_entry_per_empty_component(self):
+        # A vanishing pure power is never final, so no neighbour needs reading.
+        tensor = IntersectionTensor(2, 2000, {})
+        reading = CountingEntries(tensor.entries)
+        object.__setattr__(tensor, "entries", reading)
+        assert final_set(tensor) == frozenset()
+        assert reading.reads <= tensor.size
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        dimension=st.integers(2, 4),
+        size=st.integers(1, 6),
+        how=st.sampled_from(["entry", "negate", "isolated", "diagonal"]),
+    )
+    def test_matches_definition_off_blow_up_forms(self, seed, dimension, size, how):
+        rng = random.Random(seed)
+        tensor = perturb(tensor_from_forest(random_forest(seed, dimension, size, 3)), how, rng)
+        m = tensor.size
+        expected = {i: oracle_final(tensor, i) for i in range(1, m + 1)}
+        assert final_set(tensor) == {i for i, neighbours in expected.items() if neighbours is not None}
+        for i, neighbours in expected.items():
+            assert is_final(tensor, i) == (neighbours is not None)
+            for j in range(1, m + 1):
+                if j != i:
+                    assert empty_intersection(tensor, i, j) == oracle_disjoint(tensor, i, j)
+            if neighbours is None:
+                with pytest.raises(ValueError, match=f"component {i} is not final"):
+                    contract(tensor, i)
+            else:
+                assert contract(tensor, i)[1].proximate_to_current == neighbours
+        for outside in (0, m + 1):
+            with pytest.raises(ValueError, match=f"index {outside} out of range"):
+                contract(tensor, outside)
 
 
 class TestContract:
