@@ -11,15 +11,16 @@ targets are exactly the components it intersected when it was contracted.
 
 Neighbourhood is decided purely numerically: components ``i`` and ``j``
 are disjoint iff every mixed product ``T(i^s j^r)`` with ``r, s >= 1``
-vanishes.  Individual mixed products of disjoint-looking supports can
-cancel, so emptiness is never inferred from the sparsity pattern alone.
-One scan over the other components gives both the verdict on finality
-and the neighbours; a vanishing pure power is never final.
+vanishes.  Zero entries are never stored, so they meet iff a key made of
+``i`` and ``j`` alone is stored.  One scan over the neighbours decides
+finality; a vanishing pure power is never final.  Contraction walks the
+stored entries, so its cost follows them, not ``size^d``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -116,20 +117,18 @@ def empty_intersection(tensor: IntersectionTensor, i: int, j: int) -> bool:
     return not any(_mixed(tensor, i, j))
 
 
-def _final_neighbours(tensor: IntersectionTensor, i: int) -> list[int] | None:
+def _final_neighbours(tensor: IntersectionTensor, i: int) -> tuple[int, ...] | None:
     """The neighbours of ``i`` in ascending order if ``i`` is final, else ``None``."""
     _check_index(tensor, i)
     d = tensor.dimension
     diag = tensor.entries.get((i,) * d, 0)
     if not diag:
         return None
-    neighbours = []
-    for j in range(1, tensor.size + 1):
-        mixed = _mixed(tensor, i, j) if j != i else ()
-        if any(mixed):
-            if mixed[-1] <= 0 or any(diag != (x if r % 2 == 0 else -x) for r, x in enumerate(mixed, 1)):
-                return None
-            neighbours.append(j)
+    neighbours = tensor._meets.get(i, ())
+    for j in neighbours:
+        mixed = _mixed(tensor, i, j)
+        if mixed[-1] <= 0 or any(diag != (x if r % 2 == 0 else -x) for r, x in enumerate(mixed, 1)):
+            return None
     return neighbours if neighbours or (diag if d % 2 else -diag) > 0 else None
 
 
@@ -154,24 +153,48 @@ def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, Co
     """Blow down the final component ``i`` and renumber the survivors.
 
     The contracted form is the pull-back along ``e_j -> e_j + e_i`` at
-    every neighbour ``j`` of ``i``; each new entry expands into at most
-    ``2^d`` old entries.
+    every neighbour ``j`` of ``i``, computed from the stored entries.  A
+    stored key ``K`` holding ``k`` copies of ``i`` and survivors ``R0``
+    spreads its value over ``R0 + R`` for every multiset ``R`` of ``k``
+    neighbours, weighted by ``prod_a C(mult_{R0+R}(a), mult_R(a))``, the
+    number of slot choices of ``R0 + R`` that pull back to ``K``; a key
+    without ``i`` keeps its value.  Sums that cancel are dropped.
     """
     proximities = _final_neighbours(tensor, i)
     if proximities is None:
         raise ValueError(f"component {i} is not final")
     d, m = tensor.dimension, tensor.size
-    neighbours = frozenset(proximities)
     step = ContractionStep.at(i, m, (-1) ** (d - 1) * tensor.entries[(i,) * d], proximities)
-    entries: dict[tuple[int, ...], int] = {}
-    for key in itertools.combinations_with_replacement([a for a in range(1, m + 1) if a != i], d):
-        options = [(a, i) if a in neighbours else (a,) for a in key]
-        value = 0
-        for combo in itertools.product(*options):
-            value += tensor.entries.get(tuple(sorted(combo)), 0)
-        if value:
-            entries[tuple(step.index_map[a - 1] for a in key)] = value
-    return IntersectionTensor(d, m - 1, entries), step
+    renumber = (None,) + step.index_map
+    sums: dict[tuple[int, ...], int] = {}
+    holding: list[tuple[tuple[int, ...], int]] = []
+    for key, value in tensor.entries.items():
+        if i in key:
+            holding.append((key, value))
+        else:  # renumbering is injective on survivors, so these keys stay distinct
+            sums[key if key[-1] < i else tuple(map(renumber.__getitem__, key))] = value
+    spreads: dict[int, list] = {}  # k -> each multiset of k neighbours with its multiplicities
+    touched: set[tuple[int, ...]] = set()
+    for key, value in holding:
+        k = key.count(i)
+        if k not in spreads:
+            spreads[k] = [
+                (spread, [(a, spread.count(a)) for a in set(spread)])
+                for spread in itertools.combinations_with_replacement(proximities, k)
+            ]
+        start = key.index(i)
+        rest = key[:start] + key[start + k :]
+        for spread, counts in spreads[k]:
+            weight = value
+            for a, r in counts:
+                weight *= math.comb(rest.count(a) + r, r)
+            new = tuple(map(renumber.__getitem__, sorted(rest + spread)))
+            sums[new] = sums.get(new, 0) + weight
+            touched.add(new)
+    for key in touched:
+        if not sums[key]:
+            del sums[key]
+    return IntersectionTensor._trusted(d, m - 1, sums), step
 
 
 def _forest(dimension: int, trace: ContractionTrace) -> ProximityForest:
@@ -189,24 +212,42 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     """Every full contraction of ``tensor``, depth first by ascending final index.
 
     Yields in lexicographic order of the contracted index sequences.  Each
-    stack entry is a stage, the steps that reached it and the final index
-    to contract next; siblings are contracted only when popped, so the
-    first result costs exactly the greedy walk.
+    stack entry is a stage key, the original indices still alive, the
+    steps that reached the stage and the final index to contract next;
+    siblings are contracted only when popped, so the first result costs
+    exactly the greedy walk.
+
+    A stage is the pull-back of ``tensor`` along the composite of its
+    steps, which is fixed by the components contracted and the components
+    each one met, in original labels.  Keyed by those pairs, each stage's
+    tensor and finals and each contraction out of it are computed once.
     """
-    stack: list[tuple[IntersectionTensor, tuple[ContractionStep, ...], int | None]] = [(tensor, (), None)]
+    root: frozenset[tuple[int, tuple[int, ...]]] = frozenset()
+    tensors = {root: tensor}
+    finals: dict[frozenset, list[int]] = {}  # descending, as the stack pops them
+    edges: dict[tuple[frozenset, int], tuple[ContractionStep, frozenset]] = {}  # -> (step, key reached)
+    stack = [(root, tuple(range(1, tensor.size + 1)), (), None)]
     while stack:
-        current, steps, chosen = stack.pop()
+        key, alive, steps, chosen = stack.pop()
         if chosen is not None:
-            current, step = contract(current, chosen)
+            edge = edges.get((key, chosen))
+            if edge is None:
+                child, step = contract(tensors[key], chosen)
+                met = tuple(alive[a - 1] for a in step.proximate_to_current)
+                edge = edges[key, chosen] = step, key | {(alive[chosen - 1], met)}
+                tensors.setdefault(edge[1], child)
+            step, key = edge
             steps += (step,)
-        if not current.size:
+            alive = alive[: chosen - 1] + alive[chosen:]
+        if not alive:
             trace = ContractionTrace.of(steps)
             yield _forest(tensor.dimension, trace), trace
             continue
-        finals = final_set(current)
-        if not finals:
+        if key not in finals:
+            finals[key] = sorted(final_set(tensors[key]), reverse=True)
+        if not finals[key]:
             raise NotContractibleError(f"no final component at stage {len(steps) + 1}")
-        stack.extend((current, steps, k) for k in sorted(finals, reverse=True))
+        stack.extend((key, alive, steps, k) for k in finals[key])
 
 
 def recover_sequence(tensor: IntersectionTensor) -> tuple[ProximityForest, ContractionTrace]:

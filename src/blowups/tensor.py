@@ -21,6 +21,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .forest import MarkedPartition, ProximityForest
@@ -95,6 +96,31 @@ class IntersectionTensor:
             if value:
                 clean[tuple(sorted(key))] = value
         object.__setattr__(self, "entries", clean)
+
+    @classmethod
+    def _trusted(cls, dimension: int, size: int, entries: dict[tuple[int, ...], int]) -> "IntersectionTensor":
+        """A tensor on entries already normalized: sorted in-range keys, nonzero values."""
+        tensor = object.__new__(cls)
+        object.__setattr__(tensor, "dimension", dimension)
+        object.__setattr__(tensor, "size", size)
+        object.__setattr__(tensor, "entries", entries)
+        return tensor
+
+    @cached_property
+    def _meets(self) -> dict[int, tuple[int, ...]]:
+        """For each component, ascending, the others it shares a stored key made of the two alone.
+
+        Zero entries are never stored, so these are exactly the components
+        with a nonzero mixed product with it.  Built on first use.
+        """
+        d = self.dimension
+        meets: dict[int, set[int]] = {}
+        for key in self.entries:
+            i, j = key[0], key[-1]
+            if i != j and key.count(i) + key.count(j) == d:
+                meets.setdefault(i, set()).add(j)
+                meets.setdefault(j, set()).add(i)
+        return {a: tuple(sorted(others)) for a, others in meets.items()}
 
     def value(self, index: Iterable[int]) -> int:
         """The entry at a multi-index, in any order; zero if absent."""

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import blowups.contraction
 from blowups import (
     IntersectionTensor,
     NotContractibleError,
@@ -30,9 +31,17 @@ from _oracles import (
 
 
 class CountingEntries(dict):
-    """An entry dict that counts lookups, swapped into a tensor after construction."""
+    """An entry dict that counts lookups and entries iterated, swapped into a tensor after construction."""
 
     reads = 0
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+    def items(self):
+        self.reads += len(self)
+        return super().items()
 
     def get(self, key, default=None):
         self.reads += 1
@@ -138,6 +147,15 @@ class TestFinality:
         assert final_set(tensor) == frozenset()
         assert reading.reads <= tensor.size
 
+    def test_final_set_reads_linear_entries_on_isolated_wrong_sign(self):
+        # No two components share a stored key, so no component reads another's mixed products.
+        size = 2000
+        tensor = IntersectionTensor(2, size, {(i, i): 1 for i in range(1, size + 1)})
+        reading = CountingEntries(tensor.entries)
+        object.__setattr__(tensor, "entries", reading)
+        assert final_set(tensor) == frozenset()
+        assert reading.reads <= 2 * size
+
     @settings(max_examples=120, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
@@ -228,6 +246,42 @@ class TestContract:
                 assert step.index_map == index_map
             tensor, _ = contract(tensor, rng.choice(finals))
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        dimension=st.integers(2, 4),
+        size=st.integers(1, 6),
+        how=st.sampled_from(["entry", "negate", "isolated", "diagonal"]),
+    )
+    def test_matches_dense_oracle_off_blow_up_forms(self, seed, dimension, size, how):
+        # pull-back sums may cancel here, and finals may meet components a blow-up form would not
+        rng = random.Random(seed)
+        tensor = perturb(tensor_from_forest(random_forest(seed, dimension, size, 3)), how, rng)
+        while finals := sorted(final_set(tensor)):
+            for i in finals:
+                smaller, step = contract(tensor, i)
+                entries, degree, proximities, index_map = oracle_contract(tensor, i)
+                assert smaller.entries == entries
+                assert (step.degree, step.proximate_to_current, step.index_map) == (degree, proximities, index_map)
+            tensor, _ = contract(tensor, rng.choice(finals))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        dimension=st.integers(2, 4),
+        size=st.integers(1, 6),
+        how=st.sampled_from(["none", "entry", "negate", "isolated", "diagonal"]),
+    )
+    def test_result_is_a_normalized_tensor(self, seed, dimension, size, how):
+        # contract skips the public constructor's checks; its result must pass them unchanged
+        rng = random.Random(seed)
+        tensor = tensor_from_forest(random_forest(seed, dimension, size, 3))
+        if how != "none":
+            tensor = perturb(tensor, how, rng)
+        for i in sorted(final_set(tensor)):
+            smaller, _ = contract(tensor, i)
+            assert smaller == IntersectionTensor(smaller.dimension, tensor.size - 1, dict(smaller.entries))
+
 
 class TestRecoverSequence:
     def test_identity_on_chain(self, three_chain_mixed):
@@ -277,6 +331,21 @@ class TestRecoverAllOrders:
         assert len(results) == 6
         orders = {trace.original_order() for _, trace in results}
         assert orders == set(itertools.permutations((1, 2, 3)))
+
+    def test_shared_stages_contract_each_edge_once(self, monkeypatch):
+        # 6 disjoint points: 720 orders through 2^6 stages, with 6 * 2^5 stage-to-stage contractions
+        tensor = tensor_from_forest(ProximityForest.make(2, *[(1, [])] * 6))
+        calls = []
+
+        def counting(t, i):
+            calls.append(i)
+            return contract(t, i)
+
+        monkeypatch.setattr(blowups.contraction, "contract", counting)
+        results = recover_all_orders(tensor)
+        assert len(calls) <= 6 * 2**5
+        assert [trace.original_order() for _, trace in results] == list(itertools.permutations(range(1, 7)))
+        assert results[0] == recover_sequence(tensor)
 
     def test_limit(self):
         forest = ProximityForest.make(2, (1, []), (1, []))
