@@ -14,7 +14,15 @@ The canonical labelling follows the individualise-and-refine pattern of
 McKay & Piperno, "Practical graph isomorphism II" (2014): iterative colour
 refinement (seeded with degrees, diagonal values, and for forests the
 proximity depth) followed by lexicographically minimal relabelling, with
-discovered automorphisms pruning symmetric branches.  The search sees an
+known automorphisms pruning symmetric branches.  Before descending, the
+search seeds the known automorphisms with twin transpositions: two
+vertices of one root cell whose swap is an automorphism (equal colour and
+neighbourhoods in a digraph, entries that map onto entries in a tensor),
+chained along each class of such twins.  This is the "known automorphisms"
+pruning of McKay & Piperno and the cheap-symmetry idea of Darga, Sakallah
+& Markov, saucy (DAC 2008); on a star the search then walks one path.
+Automorphisms are kept sparse, as the map of the points they move, so a
+transposition costs two entries whatever the size.  The search sees an
 object through one of two structures, a vertex-coloured digraph (forests
 and block-proximity graphs) or an index-coloured tensor, each of which
 turns a labelling into a JSON-ready document.  Canonical hashes are
@@ -120,6 +128,20 @@ class _DigraphStructure:
             tuple(sorted(colors[u] for u in self.inn[v])),
         )
 
+    def swappable(self, u: int, v: int) -> bool:
+        """Whether the transposition ``(u v)`` is an automorphism because ``u`` and ``v`` are twins.
+
+        Exact on forests.  On block graphs it misses the swaps of adjacent
+        vertices, such as twins with loops, which are automorphisms too.
+        """
+        return (
+            self.colors[u] == self.colors[v]
+            and set(self.out[u]) == set(self.out[v])
+            and set(self.inn[u]) == set(self.inn[v])
+            and v not in self.out[u]
+            and u not in self.out[v]
+        )
+
     def relabel(self, labels: list[int]) -> ProximityForest:
         inverse = [0] * self.n
         for v, label in enumerate(labels):
@@ -156,6 +178,19 @@ class _TensorStructure:
             items.append((mult, value, tuple(sorted((colors[u], c) for u, c in others))))
         return tuple(sorted(items))
 
+    def swappable(self, u: int, v: int) -> bool:
+        """Whether the transposition ``(u v)`` carries every stored entry onto one with the same value.
+
+        An entry holding ``u`` appears in ``incidence[u]`` with its other
+        indices; swapping ``v`` for ``u`` among them gives the entry's image
+        as it appears in ``incidence[v]``.  Entries with neither are fixed.
+        """
+        images = {
+            (mult, value, tuple(sorted((u if j == v else j, c) for j, c in others)))
+            for mult, value, others in self.incidence[u]
+        }
+        return images == set(self.incidence[v])
+
     def relabel(self, labels: list[int]) -> IntersectionTensor:
         entries = {
             tuple(sorted(labels[i - 1] for i in key)): value
@@ -171,11 +206,14 @@ class _TensorStructure:
 class _SearchOutcome:
     labels: tuple[int, ...]
     data: bytes
-    automorphisms: list[tuple[int, ...]]
+    automorphisms: list[dict[int, int]]
 
 
 def _orbit_ids(n: int, perms) -> list[int]:
-    """For each vertex, one representative of its orbit under the group generated by ``perms``."""
+    """For each vertex, one representative of its orbit under the group generated by ``perms``.
+
+    Each permutation is given sparsely, as a map from each point it moves to its image.
+    """
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -185,11 +223,47 @@ def _orbit_ids(n: int, perms) -> list[int]:
         return x
 
     for s in perms:
-        for v in range(n):
-            rv, rs = find(v), find(s[v])
+        for v, w in s.items():
+            rv, rs = find(v), find(w)
             if rv != rs:
                 parent[rv] = rs
     return [find(v) for v in range(n)]
+
+
+def _refine(struct, colors: list[int]) -> list[int]:
+    """Split colour classes by their fingerprints until no class splits; colours come back as dense ranks."""
+    while True:
+        keys = [(colors[v], struct.fingerprint(v, colors)) for v in range(struct.n)]
+        refined = _ranks(keys)
+        if refined == colors:
+            return refined
+        colors = refined
+
+
+def _twin_chains(struct, colors: list[int]) -> list[dict[int, int]]:
+    """Transpositions ``(c[k] c[k+1])`` along each class ``c`` of swappable vertices in a cell of ``colors``.
+
+    Swappable vertices form classes, since two transpositions that are
+    automorphisms conjugate into a third.  A chain, unlike the star of
+    transpositions ``(c[0] c[k])``, still joins ``c[1:]`` into one orbit
+    after the search individualises ``c[0]``.
+    """
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    chains = []
+    for members in cells.values():
+        classes: list[list[int]] = []
+        for v in members:
+            for twins in classes:
+                if struct.swappable(twins[0], v):
+                    twins.append(v)
+                    break
+            else:
+                classes.append([v])
+        for twins in classes:
+            chains.extend({a: b, b: a} for a, b in zip(twins, twins[1:]))
+    return chains
 
 
 def _search(struct) -> _SearchOutcome:
@@ -197,42 +271,40 @@ def _search(struct) -> _SearchOutcome:
 
     Returns the lexicographically minimal serialization over all discrete
     refinements of the initial colouring, the relabelling achieving it,
-    and the automorphisms discovered along the way (any two labellings
-    with equal serializations differ by one).  Branches whose chosen
-    vertex is already known to lie in the orbit of a tried sibling, under
-    automorphisms fixing the current individualization path, are pruned.
+    and the automorphisms known along the way: the twin transpositions of
+    the refined root colouring, then those discovered at the leaves (any
+    two labellings with equal serializations differ by one).  Branches
+    whose chosen vertex is already known to lie in the orbit of a tried
+    sibling, under known automorphisms fixing the current
+    individualization path, are pruned.  A pruned branch is the image of
+    a tried one, so the first minimal leaf in depth-first order is always
+    reached and the outcome does not depend on which automorphisms are
+    known.
     """
     n = struct.n
     straight = tuple(range(1, n + 1))
     identity = struct.document(straight)
     best: list = [None, None]
     leaves: dict[bytes, list[int]] = {}
-    automorphisms: list[tuple[int, ...]] = []
+    root = _refine(struct, _ranks(struct.colors))
+    automorphisms = _twin_chains(struct, root)
     nodes = 0
-
-    def refine(colors: list[int]) -> list[int]:
-        while True:
-            keys = [(colors[v], struct.fingerprint(v, colors)) for v in range(n)]
-            refined = _ranks(keys)
-            if refined == colors:
-                return refined
-            colors = refined
 
     def handle_leaf(colors: list[int]) -> None:
         labels = [c + 1 for c in colors]
         data = io.canonical_json(struct.document(labels)).encode()
         perm = _compose(labels, leaves.setdefault(data, labels))
         if perm != straight and struct.document(perm) == identity:
-            automorphisms.append(tuple(p - 1 for p in perm))
+            automorphisms.append({v: p - 1 for v, p in enumerate(perm) if p - 1 != v})
         if best[0] is None or data < best[0]:
             best[0], best[1] = data, labels
 
     def descend(colors: list[int], path: tuple[int, ...]) -> None:
+        """Search below a node whose ``colors`` are already refined."""
         nonlocal nodes
         nodes += 1
         if nodes > DEFAULT_NODE_LIMIT:
             raise SearchLimitError(f"canonical search exceeded {DEFAULT_NODE_LIMIT} nodes")
-        colors = refine(colors)
         counts = Counter(colors)
         cell = min((c for c, k in counts.items() if k > 1), default=None)
         if cell is None:
@@ -240,21 +312,21 @@ def _search(struct) -> _SearchOutcome:
             return
         members = sorted(v for v in range(n) if colors[v] == cell)
         tried: list[int] = []
-        # Orbit ids under the automorphisms fixing ``path``, built from the first ``seen`` found.
+        # Orbit ids under the automorphisms fixing ``path``, built from the first ``seen`` known.
         ids, seen = None, 0
         for v in members:
             if tried and len(automorphisms) > seen:
                 seen = len(automorphisms)
-                ids = _orbit_ids(n, [s for s in automorphisms if all(s[w] == w for w in path)])
+                ids = _orbit_ids(n, [s for s in automorphisms if not any(w in s for w in path)])
             if ids and any(ids[u] == ids[v] for u in tried):
                 continue
             tried.append(v)
             child = [2 * c + 1 for c in colors]
             child[v] = 2 * cell
-            descend(child, path + (v,))
+            descend(_refine(struct, child), path + (v,))
 
     try:
-        descend(_ranks(struct.colors), ())
+        descend(root, ())
     except RecursionError:
         raise SearchLimitError("canonical search deeper than the recursion limit") from None
     return _SearchOutcome(tuple(best[1]), best[0], automorphisms)
@@ -277,7 +349,10 @@ def canonical_form(obj: "ProximityForest | IntersectionTensor") -> CanonicalForm
 
 def automorphism_orbits(obj: "ProximityForest | IntersectionTensor") -> tuple[tuple[int, ...], ...]:
     """Orbits of the automorphism group on indices, as a sorted partition."""
-    struct = _structure_for(obj)
+    return _orbits(_structure_for(obj))
+
+
+def _orbits(struct) -> tuple[tuple[int, ...], ...]:
     groups: dict[int, list[int]] = {}
     for v, root in enumerate(_orbit_ids(struct.n, _search(struct).automorphisms)):
         groups.setdefault(root, []).append(v + 1)

@@ -78,8 +78,8 @@ class IntersectionTensor:
 
     ``entries`` maps nondecreasing index tuples of length ``dimension``
     (1-based indices) to nonzero integers; missing keys are zero.  Keys are
-    normalized and zero values dropped at construction.  Instances are
-    treated as immutable.
+    normalized and zero values dropped at construction; a ``dimension``
+    below 1 is rejected.  Instances are treated as immutable.
     """
 
     dimension: int
@@ -87,6 +87,8 @@ class IntersectionTensor:
     entries: Mapping[tuple[int, ...], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.dimension < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         clean: dict[tuple[int, ...], int] = {}
         for key, value in self.entries.items():
             if len(key) != self.dimension:

@@ -180,6 +180,20 @@ def brute_force_forest_orbits(forest: ProximityForest) -> tuple[tuple[int, ...],
     return brute_force_orbits(is_automorphism, len(forest))
 
 
+def brute_force_block_orbits(forest: ProximityForest, partition: MarkedPartition) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the block permutations preserving block degrees and the edges between blocks."""
+    block_of = {i: b for b, block in enumerate(partition.blocks, 1) for i in block}
+    degrees = [sum(forest.degree(i) for i in block) for block in partition.blocks]
+    edges = {(block_of[i], block_of[j]) for i in range(1, len(forest) + 1) for j in forest.targets(i)}
+
+    def is_automorphism(perm: tuple[int, ...]) -> bool:
+        return all(degrees[perm[b] - 1] == degrees[b] for b in range(len(perm))) and {
+            (perm[a - 1], perm[b - 1]) for a, b in edges
+        } == edges
+
+    return brute_force_orbits(is_automorphism, len(partition))
+
+
 def random_relabel(forest: ProximityForest, rng: random.Random) -> tuple[ProximityForest, tuple[int, ...]]:
     """Relabel along a random linear extension of the proximity order.
 
@@ -246,3 +260,21 @@ def enumerate_forests(dimension: int, size: int, max_degree: int):
             yield ProximityForest(
                 dimension, tuple(Point(d, t) for d, t in zip(degrees, targets))
             )
+
+
+def perturb(tensor: IntersectionTensor, how: str, rng: random.Random) -> IntersectionTensor:
+    """A tensor near a blow-up form that usually is not one."""
+    d, m = tensor.dimension, tensor.size
+    entries = dict(tensor.entries)
+    if how == "entry":
+        stored = sorted(entries)
+        key = rng.choice(stored) if stored and rng.random() < 0.5 else tuple(rng.randint(1, m) for _ in range(d))
+        entries[tuple(sorted(key))] = rng.randint(-3, 3)
+    elif how == "negate":
+        entries = {key: -value for key, value in entries.items()}
+    elif how == "isolated":
+        m += 1
+        entries[(m,) * d] = rng.choice((-2, -1, 1, 2))
+    else:
+        entries.pop((rng.randint(1, m),) * d, None)
+    return IntersectionTensor(d, m, entries)

@@ -27,6 +27,7 @@ from _oracles import (
     oracle_contract,
     oracle_disjoint,
     oracle_final,
+    perturb,
 )
 
 
@@ -54,24 +55,6 @@ class CountingEntries(dict):
     def __contains__(self, key):
         self.reads += 1
         return super().__contains__(key)
-
-
-def perturb(tensor: IntersectionTensor, how: str, rng: random.Random) -> IntersectionTensor:
-    """A tensor near a blow-up form that usually is not one."""
-    d, m = tensor.dimension, tensor.size
-    entries = dict(tensor.entries)
-    if how == "entry":
-        stored = sorted(entries)
-        key = rng.choice(stored) if stored and rng.random() < 0.5 else tuple(rng.randint(1, m) for _ in range(d))
-        entries[tuple(sorted(key))] = rng.randint(-3, 3)
-    elif how == "negate":
-        entries = {key: -value for key, value in entries.items()}
-    elif how == "isolated":
-        m += 1
-        entries[(m,) * d] = rng.choice((-2, -1, 1, 2))
-    else:
-        entries.pop((rng.randint(1, m),) * d, None)
-    return IntersectionTensor(d, m, entries)
 
 
 class TestEmptyIntersection:

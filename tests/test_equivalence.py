@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from collections import defaultdict
 
@@ -19,19 +20,24 @@ from blowups import (
     marked_tensor_equivalent,
     partition_compatible_morphism,
     partition_compatible_sequence,
+    quotient_tensor,
     random_forest,
     recover_sequence,
     tensor_equivalent,
     tensor_equivalent_direct,
     tensor_from_forest,
 )
+from blowups import equivalence
+from blowups.equivalence import _DigraphStructure, _orbits, _ranks, _refine, _TensorStructure
 from _oracles import (
     apply_permutation,
+    brute_force_block_orbits,
     brute_force_forest_isomorphic,
     brute_force_forest_orbits,
     brute_force_tensor_equivalent,
     brute_force_tensor_orbits,
     enumerate_forests,
+    perturb,
     random_partition,
     random_partition_inside,
     random_relabel,
@@ -199,6 +205,73 @@ class TestCanonicalForm:
         assert marked_forest_equivalent(twins, twins_blocks, moved, moved_blocks) == (3, 1, 2)
 
 
+def star(leaves: int) -> ProximityForest:
+    return ProximityForest.make(2, (1, []), *[(1, [1])] * leaves)
+
+
+def broom(leaves: int) -> ProximityForest:
+    """A three-point chain with ``leaves`` points proximate to its last point."""
+    return ProximityForest.make(2, (1, []), (1, [1]), (1, [2]), *[(1, [3])] * leaves)
+
+
+def root_cell_pairs(struct):
+    """Every pair of vertices in one cell of the refined root colouring, where the search seeds its twins."""
+    cells = defaultdict(list)
+    for v, color in enumerate(_refine(struct, _ranks(struct.colors))):
+        cells[color].append(v)
+    for members in cells.values():
+        yield from itertools.combinations(members, 2)
+
+
+def swap_is_automorphism(struct, u: int, v: int) -> bool:
+    labels = list(range(1, struct.n + 1))
+    identity = struct.document(labels)
+    labels[u], labels[v] = v + 1, u + 1
+    return struct.document(labels) == identity
+
+
+class TestTwinSeeds:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        dimension=st.integers(2, 4),
+        size=st.integers(0, 7),
+        how=st.sampled_from(["entry", "negate", "isolated", "diagonal"]),
+    )
+    def test_swappable_is_exact_on_forests_and_tensors(self, seed, dimension, size, how):
+        forest = random_forest(seed, dimension, size, 2)
+        tensor = tensor_from_forest(forest)
+        perturbed = perturb(tensor, how, random.Random(seed)) if size else tensor
+        for struct in (_DigraphStructure.of_forest(forest), _TensorStructure(tensor), _TensorStructure(perturbed)):
+            for u, v in root_cell_pairs(struct):
+                assert struct.swappable(u, v) == swap_is_automorphism(struct, u, v)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**6), size=st.integers(1, 7), split=st.integers(0, 10**6))
+    def test_swappable_blocks_are_automorphisms(self, seed, size, split):
+        """Block graphs may have loops and 2-cycles; twins with loops are missed, never wrongly swapped."""
+        forest = random_forest(seed, 2, size, 2)
+        graph = _DigraphStructure.of_blocks(forest, random_partition(size, random.Random(split)))
+        for u, v in root_cell_pairs(graph):
+            if graph.swappable(u, v):
+                assert swap_is_automorphism(graph, u, v)
+
+    @pytest.mark.parametrize(
+        "forest, orbits",
+        [
+            (star(64), ((1,), tuple(range(2, 66)))),
+            (broom(64), ((1,), (2,), (3,), tuple(range(4, 68)))),
+        ],
+        ids=["star 64", "broom 3+64"],
+    )
+    def test_symmetric_shapes_search_one_path(self, monkeypatch, forest, orbits):
+        """With the twins seeded, 64 twin leaves need 64 search nodes, forest or tensor."""
+        monkeypatch.setattr(equivalence, "DEFAULT_NODE_LIMIT", 64)
+        for obj in (forest, tensor_from_forest(forest)):
+            assert sorted(canonical_form(obj).relabeling) == list(range(1, len(forest) + 1))
+            assert automorphism_orbits(obj) == orbits
+
+
 class TestForestIsomorphic:
     def test_identity(self, three_chain_mixed):
         assert forest_isomorphic(three_chain_mixed, three_chain_mixed) == (1, 2, 3)
@@ -346,21 +419,42 @@ class TestOrbits:
         assert automorphism_orbits(tensor_from_forest(forest)) == ((1, 3), (2, 4))
 
     @pytest.mark.parametrize(
-        "forest",
+        "forest, blocks",
         [
-            ProximityForest.make(2, (1, []), *[(1, [1])] * 6),
-            ProximityForest.make(2, (1, []), (1, [1]), *[(1, [2])] * 5),
-            ProximityForest.make(2, (1, []), (1, [1]), (1, [1]), (1, []), (1, [4]), (1, [4])),
-            ProximityForest.make(2, (1, []), (1, [1]), (1, []), (1, [3]), (1, []), (1, [5])),
-            ProximityForest.make(3, (1, []), (1, []), (1, []), (2, []), (2, []), (2, []), (3, [])),
-            ProximityForest.make(3, (1, []), (1, []), *[(1, [1, 2])] * 5),
+            (ProximityForest.make(2, (1, []), *[(1, [1])] * 6), None),
+            (ProximityForest.make(2, (1, []), (1, [1]), *[(1, [2])] * 5), None),
+            (ProximityForest.make(2, (1, []), (1, [1]), (1, [1]), (1, []), (1, [4]), (1, [4])), None),
+            (ProximityForest.make(2, (1, []), (1, [1]), (1, []), (1, [3]), (1, []), (1, [5])), None),
+            (ProximityForest.make(3, (1, []), (1, []), (1, []), (2, []), (2, []), (2, []), (3, [])), None),
+            (ProximityForest.make(3, (1, []), (1, []), *[(1, [1, 2])] * 5), None),
+            # The centres are not twins, so only a found automorphism swaps them.
+            (ProximityForest.make(2, (1, []), *[(1, [1])] * 3, (1, []), *[(1, [5])] * 3), None),
+            # Blocks {1, 2} (a loop), {3, 4} and {5, 6} (twins), {7} (proximate to both twins).
+            (
+                ProximityForest.make(2, (1, []), (1, [1]), (1, [2]), (1, [2]), (1, [2]), (1, [2]), (2, [3, 5])),
+                MarkedPartition(tuple(map(frozenset, ({1, 2}, {3, 4}, {5, 6}, {7})))),
+            ),
         ],
-        ids=["star 6", "broom 2+5", "two 3-stars", "three 2-chains", "isolated d3", "two roots d3"],
+        ids=[
+            "star 6",
+            "broom 2+5",
+            "two 3-stars",
+            "three 2-chains",
+            "isolated d3",
+            "two roots d3",
+            "two 4-stars",
+            "marked twin blocks",
+        ],
     )
-    def test_pruned_shapes_match_brute_force(self, forest):
+    def test_pruned_shapes_match_brute_force(self, forest, blocks):
+        """Forest and tensor orbits, and block-graph and quotient orbits (singleton blocks when unmarked)."""
         assert automorphism_orbits(forest) == brute_force_forest_orbits(forest)
         tensor = tensor_from_forest(forest)
         assert automorphism_orbits(tensor) == brute_force_tensor_orbits(tensor)
+        blocks = blocks or MarkedPartition.singletons(len(forest))
+        assert _orbits(_DigraphStructure.of_blocks(forest, blocks)) == brute_force_block_orbits(forest, blocks)
+        quotient = quotient_tensor(tensor, blocks)
+        assert automorphism_orbits(quotient) == brute_force_tensor_orbits(quotient)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), dimension=st.integers(2, 3), size=st.integers(0, 5))

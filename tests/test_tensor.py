@@ -133,6 +133,11 @@ class TestTensorType:
         with pytest.raises(ValueError):
             IntersectionTensor(2, 2, {(1, 3): 1})
 
+    def test_rejects_dimension_below_one(self):
+        for dimension, entries in ((0, {(): -1}), (-1, {})):
+            with pytest.raises(ValueError, match="dimension"):
+                IntersectionTensor(dimension, 1, entries)
+
 
 class TestEvaluate:
     def test_basis_vectors_read_entries(self, three_chain_mixed):
