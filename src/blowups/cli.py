@@ -46,6 +46,10 @@ def _load_tensor(path: str):
     return io.tensor_from_dict(io.load_document(path))
 
 
+def _load(kind: str, path: str):
+    return _load_forest(path) if kind == "forest" else _load_tensor(path)
+
+
 def _load_partition(path: str):
     return io.partition_from_dict(io.load_document(path))
 
@@ -86,51 +90,35 @@ def _cmd_equiv(args) -> tuple[dict, bool | None]:
     files = args.files
     if len(files) not in (2, 4):
         raise ValueError("equiv expects two inputs, or two inputs plus two partitions")
-    if args.kind == "forest":
-        a = _load_forest(files[0])
-        b = _load_forest(files[1])
-        if len(files) == 2:
-            witness = forest_isomorphic(a, b)
-        else:
-            witness = marked_forest_equivalent(a, _load_partition(files[2]), b, _load_partition(files[3]))
+    forests = args.kind == "forest"
+    a, b = (_load(args.kind, path) for path in files[:2])
+    if len(files) == 2:
+        witness = (forest_isomorphic if forests else tensor_equivalent)(a, b)
     else:
-        a = _load_tensor(files[0])
-        b = _load_tensor(files[1])
-        if len(files) == 2:
-            witness = tensor_equivalent(a, b)
-        else:
-            witness = marked_tensor_equivalent(a, _load_partition(files[2]), b, _load_partition(files[3]))
+        marked = marked_forest_equivalent if forests else marked_tensor_equivalent
+        witness = marked(a, _load_partition(files[2]), b, _load_partition(files[3]))
     return io.witness_to_dict(witness), witness is not None
 
 
 def _cmd_canon(args) -> tuple[dict, bool | None]:
-    if args.kind == "forest":
-        obj = _load_forest(args.input)
-        form = canonical_form(obj)
-        payload = io.forest_to_dict(form.relabeled)
-    else:
-        obj = _load_tensor(args.input)
-        form = canonical_form(obj)
-        payload = io.tensor_to_dict(form.relabeled)
+    form = canonical_form(_load(args.kind, args.input))
+    to_dict = io.forest_to_dict if args.kind == "forest" else io.tensor_to_dict
     return {
         "kind": args.kind,
         "hash": form.hash,
         "permutation": list(form.relabeling),
-        "canonical": payload,
+        "canonical": to_dict(form.relabeled),
     }, None
 
 
 def _cmd_orbits(args) -> tuple[dict, bool | None]:
-    obj = _load_forest(args.input) if args.kind == "forest" else _load_tensor(args.input)
-    return {"orbits": [list(orbit) for orbit in automorphism_orbits(obj)]}, None
+    return {"orbits": [list(orbit) for orbit in automorphism_orbits(_load(args.kind, args.input))]}, None
 
 
 def _cmd_compat(args) -> tuple[dict, bool | None]:
     partition = _load_partition(args.partition)
-    if args.kind == "forest":
-        compatible = partition_compatible_sequence(_load_forest(args.input), partition)
-    else:
-        compatible = partition_compatible_morphism(_load_tensor(args.input), partition)
+    compatible_with = partition_compatible_sequence if args.kind == "forest" else partition_compatible_morphism
+    compatible = compatible_with(_load(args.kind, args.input), partition)
     return {"compatible": compatible}, compatible
 
 

@@ -197,25 +197,18 @@ def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, Co
     return IntersectionTensor._trusted(d, m - 1, sums), step
 
 
-def _forest(dimension: int, trace: ContractionTrace) -> ProximityForest:
-    """The forest a full history recovers: step ``t`` of ``m`` creates point ``m + 1 - t``."""
-    creation = trace.creation_indices()
-    stages = (tuple(range(1, len(trace.steps) + 1)),) + trace.index_maps
-    points = [
-        Point(step.degree, frozenset(creation[alive[j - 1]] for j in step.proximate_to_current))
-        for step, alive in zip(trace.steps, stages)
-    ]
-    return ProximityForest(dimension, tuple(reversed(points)))
-
-
 def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, ContractionTrace]]:
     """Every full contraction of ``tensor``, depth first by ascending final index.
 
     Yields in lexicographic order of the contracted index sequences.  Each
     stack entry is a stage key, the original indices still alive, the
-    steps that reached the stage and the final index to contract next;
+    history that reached the stage and the final index to contract next;
     siblings are contracted only when popped, so the first result costs
-    exactly the greedy walk.
+    exactly the greedy walk.  The history holds, per step, the step, the
+    original indices alive after it and the pair ``(original contracted,
+    originals met)``.  A full history is the trace, and its forest follows:
+    step ``t`` of ``m`` creates point ``m + 1 - t`` with the step's degree,
+    proximate to the points created by the originals it met.
 
     A stage is the pull-back of ``tensor`` along the composite of its
     steps, which is fixed by the components contracted and the components
@@ -225,29 +218,32 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     root: frozenset[tuple[int, tuple[int, ...]]] = frozenset()
     tensors = {root: tensor}
     finals: dict[frozenset, list[int]] = {}  # descending, as the stack pops them
-    edges: dict[tuple[frozenset, int], tuple[ContractionStep, frozenset]] = {}  # -> (step, key reached)
+    edges: dict[tuple[frozenset, int], tuple[ContractionStep, tuple, frozenset]] = {}  # -> (step, pair, key reached)
     stack = [(root, tuple(range(1, tensor.size + 1)), (), None)]
     while stack:
-        key, alive, steps, chosen = stack.pop()
+        key, alive, history, chosen = stack.pop()
         if chosen is not None:
             edge = edges.get((key, chosen))
             if edge is None:
                 child, step = contract(tensors[key], chosen)
-                met = tuple(alive[a - 1] for a in step.proximate_to_current)
-                edge = edges[key, chosen] = step, key | {(alive[chosen - 1], met)}
-                tensors.setdefault(edge[1], child)
-            step, key = edge
-            steps += (step,)
+                pair = alive[chosen - 1], tuple(alive[a - 1] for a in step.proximate_to_current)
+                edge = edges[key, chosen] = step, pair, key | {pair}
+                tensors.setdefault(edge[2], child)
+            step, pair, key = edge
             alive = alive[: chosen - 1] + alive[chosen:]
+            history += ((step, alive, pair),)
         if not alive:
-            trace = ContractionTrace.of(steps)
-            yield _forest(tensor.dimension, trace), trace
+            m = len(history)
+            creation = {original: m - t for t, (_, _, (original, _)) in enumerate(history)}
+            points = [Point(s.degree, frozenset(creation[j] for j in met)) for s, _, (_, met) in reversed(history)]
+            trace = ContractionTrace(tuple(s for s, _, _ in history), tuple(a for _, a, _ in history))
+            yield ProximityForest(tensor.dimension, tuple(points)), trace
             continue
         if key not in finals:
             finals[key] = sorted(final_set(tensors[key]), reverse=True)
         if not finals[key]:
-            raise NotContractibleError(f"no final component at stage {len(steps) + 1}")
-        stack.extend((key, alive, steps, k) for k in finals[key])
+            raise NotContractibleError(f"no final component at stage {len(history) + 1}")
+        stack.extend((key, alive, history, k) for k in finals[key])
 
 
 def recover_sequence(tensor: IntersectionTensor) -> tuple[ProximityForest, ContractionTrace]:

@@ -44,7 +44,7 @@ from . import io
 # by name, and every traced benchmark run fails with AttributeError without it.
 from .contraction import recover_sequence  # noqa: F401
 from .errors import SearchLimitError
-from .forest import MarkedPartition, Point, ProximityForest, block_degree, block_proximity
+from .forest import MarkedPartition, Point, ProximityForest, block_proximity
 from .tensor import IntersectionTensor, diagonal, quotient_tensor
 
 __all__ = [
@@ -117,8 +117,10 @@ class _DigraphStructure:
 
     @classmethod
     def of_blocks(cls, forest: ProximityForest, partition: MarkedPartition) -> "_DigraphStructure":
-        degrees = [block_degree(forest, partition, b) for b in range(1, len(partition) + 1)]
         edges = [(a - 1, b - 1) for a, b in block_proximity(forest, partition)]
+        degrees = [0] * len(partition)
+        for i, b in partition.index_of().items():
+            degrees[b - 1] += forest.degree(i)
         loops = {a for a, b in edges if a == b}
         return cls(degrees, edges, [(g, 1 if v in loops else 0) for v, g in enumerate(degrees)])
 

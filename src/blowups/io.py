@@ -213,6 +213,8 @@ def trace_from_dict(obj: Any) -> ContractionTrace:
         if any(a >= b for a, b in zip(proximities, proximities[1:])):
             raise SchemaError(f"step {pos} proximities must be strictly increasing")
         degree = _require_int(raw["degree"], f"step {pos} degree")
+        if degree < 1:
+            raise SchemaError(f"step {pos} degree must be >= 1, got {degree}")
         steps.append(ContractionStep.at(contracted, stage, degree, proximities))
     trace = ContractionTrace.of(tuple(steps))
     for pos, (alive, expected) in enumerate(zip(raw_maps, trace.index_maps), 1):

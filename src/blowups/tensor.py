@@ -78,8 +78,9 @@ class IntersectionTensor:
 
     ``entries`` maps nondecreasing index tuples of length ``dimension``
     (1-based indices) to nonzero integers; missing keys are zero.  Keys are
-    normalized and zero values dropped at construction; a ``dimension``
-    below 1 is rejected.  Instances are treated as immutable.
+    normalized and zero values dropped at construction; two keys naming
+    one multiset and a ``dimension`` below 1 are rejected.  Instances are
+    treated as immutable.
     """
 
     dimension: int
@@ -93,11 +94,13 @@ class IntersectionTensor:
         for key, value in self.entries.items():
             if len(key) != self.dimension:
                 raise ValueError(f"index {key} does not have length {self.dimension}")
-            if any(not 1 <= i <= self.size for i in key):
+            index = tuple(sorted(key))
+            if index[0] < 1 or index[-1] > self.size:
                 raise ValueError(f"index {key} out of range 1..{self.size}")
-            if value:
-                clean[tuple(sorted(key))] = value
-        object.__setattr__(self, "entries", clean)
+            if index in clean:
+                raise ValueError(f"index {key} names the multiset {index} a second time")
+            clean[index] = value
+        object.__setattr__(self, "entries", {index: value for index, value in clean.items() if value})
 
     @classmethod
     def _trusted(cls, dimension: int, size: int, entries: dict[tuple[int, ...], int]) -> "IntersectionTensor":

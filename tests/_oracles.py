@@ -117,6 +117,23 @@ def oracle_contract(tensor: IntersectionTensor, i: int):
     return entries, (-1) ** (d - 1) * pure, tuple(neighbours), index_map
 
 
+def oracle_forest(dimension: int, trace) -> ProximityForest:
+    """The forest a full contraction history defines, read off its steps and index maps.
+
+    Before step ``t`` of ``m`` the components alive are, in current order,
+    the original indices ``index_maps[t - 2]`` (``1..m`` before the first
+    step).  Step ``t`` creates point ``m + 1 - t`` with the step's degree,
+    proximate to the points created by the components it met.
+    """
+    m = len(trace.steps)
+    before = [tuple(range(1, m + 1))] + list(trace.index_maps[:-1])
+    created = {alive[step.contracted - 1]: m + 1 - t for t, (step, alive) in enumerate(zip(trace.steps, before), 1)}
+    points = [None] * m
+    for t, (step, alive) in enumerate(zip(trace.steps, before), 1):
+        points[m - t] = Point(step.degree, frozenset(created[alive[j - 1]] for j in step.proximate_to_current))
+    return ProximityForest(dimension, tuple(points))
+
+
 def brute_force_tensor_equivalent(t1: IntersectionTensor, t2: IntersectionTensor) -> tuple[int, ...] | None:
     """All m! permutations, first match wins."""
     if t1.size != t2.size:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import blowups.contraction
 from blowups import (
+    ContractionTrace,
     IntersectionTensor,
     NotContractibleError,
     ProximityForest,
@@ -27,6 +28,7 @@ from _oracles import (
     oracle_contract,
     oracle_disjoint,
     oracle_final,
+    oracle_forest,
     perturb,
 )
 
@@ -363,3 +365,24 @@ class TestRecoverAllOrders:
         reference = results[0][0]
         for other, _ in results[1:]:
             assert brute_force_forest_isomorphic(reference, other) is not None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        dimension=st.integers(2, 4),
+        size=st.integers(1, 6),
+        how=st.sampled_from(["none", "entry", "negate", "isolated", "diagonal"]),
+    )
+    def test_each_order_matches_its_definition(self, seed, dimension, size, how):
+        # exact, not up to isomorphism: the trace follows from its steps, the forest from the trace
+        rng = random.Random(seed)
+        tensor = tensor_from_forest(random_forest(seed, dimension, size, 3))
+        if how != "none":
+            tensor = perturb(tensor, how, rng)
+        try:
+            results = recover_all_orders(tensor)
+        except (NotContractibleError, SearchLimitError):
+            return
+        for forest, trace in results:
+            assert trace == ContractionTrace.of(trace.steps)
+            assert forest == oracle_forest(dimension, trace)

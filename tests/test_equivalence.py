@@ -512,6 +512,21 @@ class TestMarkedEquivalence:
         p = MarkedPartition.singletons(3)
         assert marked_forest_equivalent(three_chain_mixed, p, shuffled, p) is not None
 
+    def test_block_graph_checks_each_partition_once(self, monkeypatch):
+        # block degrees come from one pass, not one checked block_degree call per block
+        forest = random_forest(5, 2, 50, 3)
+        p = MarkedPartition.singletons(50)
+        check = MarkedPartition.check
+        calls = []
+
+        def counting(self, size):
+            calls.append(size)
+            return check(self, size)
+
+        monkeypatch.setattr(MarkedPartition, "check", counting)
+        assert marked_forest_equivalent(forest, p, forest, p) is not None
+        assert len(calls) <= 4
+
     def test_dimension_mismatch(self, surface_chain, three_chain_mixed):
         p = MarkedPartition.singletons(2)
         q = MarkedPartition.singletons(3)

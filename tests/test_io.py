@@ -256,6 +256,9 @@ class TestTraceFormat:
                 ],
                 "index_maps": [[1, 2], [2], []],
             },
+            # contract writes only positive degrees: (-1)^{d-1} T(i^d) > 0 by the sign rules of finality
+            {"steps": [{"contracted": 1, "degree": 0, "proximate_to_current": []}], "index_maps": [[]]},
+            {"steps": [{"contracted": 1, "degree": -5, "proximate_to_current": []}], "index_maps": [[]]},
         ],
     )
     def test_rejects_malformed(self, doc):

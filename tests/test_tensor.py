@@ -133,6 +133,14 @@ class TestTensorType:
         with pytest.raises(ValueError):
             IntersectionTensor(2, 2, {(1, 3): 1})
 
+    def test_rejects_keys_naming_one_multiset(self):
+        # whatever the values, a zero included: the later key must not silently win
+        for value in (3, 0):
+            with pytest.raises(ValueError, match="multiset"):
+                IntersectionTensor(2, 2, {(1, 2): 5, (2, 1): value})
+        with pytest.raises(ValueError, match="multiset"):
+            IntersectionTensor(3, 2, {(2, 1, 1): 0, (1, 2, 1): 4})
+
     def test_rejects_dimension_below_one(self):
         for dimension, entries in ((0, {(): -1}), (-1, {})):
             with pytest.raises(ValueError, match="dimension"):
