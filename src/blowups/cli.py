@@ -11,6 +11,7 @@ reported as ``{"error": {"code": ..., "message": ...}}`` on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Any, Callable
 
@@ -212,12 +213,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built at its first call.
+
+    Safe to share: each parse fills a fresh namespace, no option has a
+    mutable default, and each handler looks up the library names it calls
+    when it runs.
+    """
+    return build_parser()
+
+
 def _emit(payload: Any) -> None:
     sys.stdout.write(io.canonical_json(payload) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload, decision = args.handler(args)
     except SchemaError as exc:

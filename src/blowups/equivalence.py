@@ -14,7 +14,13 @@ The canonical labelling follows the individualise-and-refine pattern of
 McKay & Piperno, "Practical graph isomorphism II" (2014): iterative colour
 refinement (seeded with degrees, diagonal values, and for forests the
 proximity depth) followed by lexicographically minimal relabelling, with
-known automorphisms pruning symmetric branches.  Before descending, the
+known automorphisms pruning symmetric branches.  Refinement is driven by
+splits, as in Paige & Tarjan (SIAM J. Comput. 1987): after the root's
+first round, and below every individualised vertex, a round fingerprints
+only the classes next to a class that has just split, so a search node
+costs what its individualisation touches rather than every vertex.  It
+reaches the colouring that fingerprinting every vertex in every round
+reaches, so labellings and hashes do not depend on it.  Before descending, the
 search seeds the known automorphisms with twin transpositions: two
 vertices of one root cell whose swap is an automorphism (equal colour and
 neighbourhoods in a digraph, entries that map onto entries in a tensor),
@@ -105,6 +111,8 @@ class _DigraphStructure:
         for a, b in edges:
             self.out[a].append(b)
             self.inn[b].append(a)
+        # The vertices whose colours ``fingerprint(v, ...)`` reads.
+        self.adjacent = [set(out) | set(inn) for out, inn in zip(self.out, self.inn)]
 
     @classmethod
     def of_forest(cls, forest: ProximityForest) -> "_DigraphStructure":
@@ -168,11 +176,13 @@ class _TensorStructure:
         self.n = tensor.size
         self.colors = diagonal(tensor)
         self.incidence: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]] = [[] for _ in range(self.n)]
+        self.adjacent: list[set[int]] = [set() for _ in range(self.n)]
         for key, value in tensor.entries.items():
             counts = Counter(key)
             for i, mult in counts.items():
                 others = tuple(sorted((j - 1, c) for j, c in counts.items() if j != i))
                 self.incidence[i - 1].append((mult, value, others))
+                self.adjacent[i - 1].update(j for j, _ in others)
 
     def fingerprint(self, v: int, colors: list[int]):
         items = []
@@ -232,13 +242,34 @@ def _orbit_ids(n: int, perms) -> list[int]:
     return [find(v) for v in range(n)]
 
 
-def _refine(struct, colors: list[int]) -> list[int]:
-    """Split colour classes by their fingerprints until no class splits; colours come back as dense ranks."""
+def _refine(struct, colors: list[int], touched=None) -> list[int]:
+    """Split colour classes by their fingerprints until no class splits; colours come back as dense ranks.
+
+    ``touched`` holds the vertices whose colour may have changed since
+    ``colors`` was last stable: members of each class had equal
+    fingerprints under an earlier colouring, and away from ``touched`` the
+    two colourings differ only by an injective renaming.  ``None`` makes no
+    such claim and fingerprints every vertex.  A round fingerprints only
+    the classes that hold a neighbour (``struct.adjacent``) of a touched
+    vertex.  Any other class sees its members' fingerprints renamed
+    injectively, so it cannot split, and one constant key keeps its rank,
+    since ranks sort by the old colour first.  The members of the classes
+    that split are the next round's ``touched``, and the loop ends when
+    none splits.  Each round thus ranks exactly as a round that
+    fingerprints every vertex would.
+    """
     while True:
-        keys = [(colors[v], struct.fingerprint(v, colors)) for v in range(struct.n)]
+        if touched is None:
+            keys = [(c, struct.fingerprint(v, colors)) for v, c in enumerate(colors)]
+        else:
+            hit = {colors[u] for t in touched for u in struct.adjacent[t]}
+            keys = [(c, struct.fingerprint(v, colors) if c in hit else ()) for v, c in enumerate(colors)]
         refined = _ranks(keys)
-        if refined == colors:
+        first: dict[int, int] = {}
+        split = {c for c, r in zip(colors, refined) if first.setdefault(c, r) != r}
+        if not split:
             return refined
+        touched = [v for v, c in enumerate(colors) if c in split]
         colors = refined
 
 
@@ -285,7 +316,7 @@ def _search(struct) -> _SearchOutcome:
     """
     n = struct.n
     straight = tuple(range(1, n + 1))
-    identity = struct.document(straight)
+    identity = None  # the document of ``straight``, built for the first leaf that repeats earlier data
     best: list = [None, None]
     leaves: dict[bytes, list[int]] = {}
     root = _refine(struct, _ranks(struct.colors))
@@ -293,11 +324,15 @@ def _search(struct) -> _SearchOutcome:
     nodes = 0
 
     def handle_leaf(colors: list[int]) -> None:
+        nonlocal identity
         labels = [c + 1 for c in colors]
         data = io.canonical_json(struct.document(labels)).encode()
         perm = _compose(labels, leaves.setdefault(data, labels))
-        if perm != straight and struct.document(perm) == identity:
-            automorphisms.append({v: p - 1 for v, p in enumerate(perm) if p - 1 != v})
+        if perm != straight:
+            if identity is None:
+                identity = struct.document(straight)
+            if struct.document(perm) == identity:
+                automorphisms.append({v: p - 1 for v, p in enumerate(perm) if p - 1 != v})
         if best[0] is None or data < best[0]:
             best[0], best[1] = data, labels
 
@@ -325,7 +360,7 @@ def _search(struct) -> _SearchOutcome:
             tried.append(v)
             child = [2 * c + 1 for c in colors]
             child[v] = 2 * cell
-            descend(_refine(struct, child), path + (v,))
+            descend(_refine(struct, child, members), path + (v,))
 
     try:
         descend(root, ())

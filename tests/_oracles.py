@@ -280,9 +280,14 @@ def enumerate_forests(dimension: int, size: int, max_degree: int):
 
 
 def perturb(tensor: IntersectionTensor, how: str, rng: random.Random) -> IntersectionTensor:
-    """A tensor near a blow-up form that usually is not one."""
+    """A tensor near a blow-up form that usually is not one.
+
+    ``"entry"`` and ``"diagonal"`` pick an index, so a size-0 tensor comes back unchanged.
+    """
     d, m = tensor.dimension, tensor.size
     entries = dict(tensor.entries)
+    if m == 0 and how in ("entry", "diagonal"):
+        return tensor
     if how == "entry":
         stored = sorted(entries)
         key = rng.choice(stored) if stored and rng.random() < 0.5 else tuple(rng.randint(1, m) for _ in range(d))

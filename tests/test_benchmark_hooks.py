@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -54,3 +56,23 @@ def test_final_set_probes_every_component_through_is_final():
         tracer.uninstall()
     assert tracer.counts["is_final"] == tensor.size
     assert tracer.counts["is_final_under_contraction.final_set"] == tensor.size
+
+
+def test_reused_parser_calls_the_patched_names(tmp_path):
+    # ``cli.main`` keeps one parser per process; its handlers must still look up ``canonical_form`` when they run.
+    tracing, lib = _load()
+    forest = lib.forest.ProximityForest.make(2, (1, []), (1, [1]), (1, [1]))
+    path = tmp_path / "forest.json"
+    path.write_text(lib.io.canonical_json(lib.io.forest_to_dict(forest)) + "\n", encoding="utf-8")
+    argv = ["canon", "--kind", "forest", str(path)]
+    with redirect_stdout(StringIO()):
+        assert lib.cli.main(argv) == 0  # the parser exists before anything is patched
+    tracer = tracing.Tracer()
+    try:
+        tracing.instrument(tracer, lib)
+        for calls in (1, 2):
+            with redirect_stdout(StringIO()):
+                assert lib.cli.main(argv) == 0
+            assert tracer.counts["equivalence.canonical.calls"] == calls
+    finally:
+        tracer.uninstall()

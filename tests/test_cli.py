@@ -21,6 +21,7 @@ from blowups import (
     trace_from_dict,
     validate_forest,
 )
+from blowups import cli
 from blowups.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -295,6 +296,69 @@ class TestErrorHandling:
             code, doc = run(capsys, "tensor", "-")
         assert code == 0
         assert doc == tensor_to_dict(tensor_from_forest(three_chain_mixed))
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and no option carries from one call to the next."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_parser_is_built_once(self, capsys, monkeypatch, files):
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for argv in (["diag", files["tensor"]], ["finals", files["tensor"]], ["canon", "--kind", "tensor", files["tensor"]]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert len(built) == 1
+
+    def test_trace_does_not_carry(self, capsys, files):
+        trace_path = files["dir"] / "trace.json"
+        assert run(capsys, "recover", files["tensor"], "--trace", str(trace_path))[0] == 0
+        trace_path.unlink()
+        assert run(capsys, "recover", files["tensor"])[0] == 0
+        assert not trace_path.exists()
+
+    def test_exit_status_does_not_carry(self, capsys, files):
+        pair = ("equiv", "--kind", "tensor", files["tensor"], files["tensor2"])
+        assert run(capsys, *pair, "--exit-status") == (1, {"equivalent": False})
+        assert run(capsys, *pair) == (0, {"equivalent": False})
+
+    def test_limit_does_not_carry(self, capsys, files):
+        two = files["write"](
+            "two.json",
+            tensor_to_dict(tensor_from_forest(ProximityForest.make(2, (1, []), (1, [])))),
+        )
+        code, doc = run(capsys, "recover-all", two, "--limit", "1")
+        assert code == 3 and doc["error"]["code"] == "limit"
+        code, doc = run(capsys, "recover-all", two)
+        assert code == 0 and doc["count"] == 2
+
+    def test_rejected_call_leaves_no_state(self, capsys, monkeypatch, files):
+        """After argparse rejects a call, the next call prints what a fresh process prints."""
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line at the terminal width
+
+        def fresh(*argv):
+            return subprocess.run([sys.executable, "-m", "blowups", *argv], capture_output=True, text=True)
+
+        rejected = ("canon", files["tensor"])
+        with pytest.raises(SystemExit) as exc:
+            main(list(rejected))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == fresh(*rejected).stderr
+        valid = ("canon", "--kind", "tensor", files["tensor"])
+        code = main(list(valid))
+        expected = fresh(*valid)
+        assert (code, capsys.readouterr().out) == (expected.returncode, expected.stdout)
 
 
 class TestInstalledEntryPoints:

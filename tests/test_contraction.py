@@ -145,7 +145,7 @@ class TestFinality:
     @given(
         seed=st.integers(0, 10**6),
         dimension=st.integers(2, 4),
-        size=st.integers(1, 6),
+        size=st.integers(0, 6),
         how=st.sampled_from(["entry", "negate", "isolated", "diagonal"]),
     )
     def test_matches_definition_off_blow_up_forms(self, seed, dimension, size, how):
@@ -235,7 +235,7 @@ class TestContract:
     @given(
         seed=st.integers(0, 10**6),
         dimension=st.integers(2, 4),
-        size=st.integers(1, 6),
+        size=st.integers(0, 6),
         how=st.sampled_from(["entry", "negate", "isolated", "diagonal"]),
     )
     def test_matches_dense_oracle_off_blow_up_forms(self, seed, dimension, size, how):
@@ -254,7 +254,7 @@ class TestContract:
     @given(
         seed=st.integers(0, 10**6),
         dimension=st.integers(2, 4),
-        size=st.integers(1, 6),
+        size=st.integers(0, 6),
         how=st.sampled_from(["none", "entry", "negate", "isolated", "diagonal"]),
     )
     def test_result_is_a_normalized_tensor(self, seed, dimension, size, how):

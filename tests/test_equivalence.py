@@ -214,12 +214,18 @@ def broom(leaves: int) -> ProximityForest:
     return ProximityForest.make(2, (1, []), (1, [1]), (1, [2]), *[(1, [3])] * leaves)
 
 
+def root_cells(struct) -> tuple[list[int], dict[int, list[int]]]:
+    """The refined root colouring and the members of each of its cells."""
+    root = _refine(struct, _ranks(struct.colors))
+    cells = defaultdict(list)
+    for v, color in enumerate(root):
+        cells[color].append(v)
+    return root, cells
+
+
 def root_cell_pairs(struct):
     """Every pair of vertices in one cell of the refined root colouring, where the search seeds its twins."""
-    cells = defaultdict(list)
-    for v, color in enumerate(_refine(struct, _ranks(struct.colors))):
-        cells[color].append(v)
-    for members in cells.values():
+    for members in root_cells(struct)[1].values():
         yield from itertools.combinations(members, 2)
 
 
@@ -241,7 +247,7 @@ class TestTwinSeeds:
     def test_swappable_is_exact_on_forests_and_tensors(self, seed, dimension, size, how):
         forest = random_forest(seed, dimension, size, 2)
         tensor = tensor_from_forest(forest)
-        perturbed = perturb(tensor, how, random.Random(seed)) if size else tensor
+        perturbed = perturb(tensor, how, random.Random(seed))
         for struct in (_DigraphStructure.of_forest(forest), _TensorStructure(tensor), _TensorStructure(perturbed)):
             for u, v in root_cell_pairs(struct):
                 assert struct.swappable(u, v) == swap_is_automorphism(struct, u, v)
@@ -270,6 +276,108 @@ class TestTwinSeeds:
         for obj in (forest, tensor_from_forest(forest)):
             assert sorted(canonical_form(obj).relabeling) == list(range(1, len(forest) + 1))
             assert automorphism_orbits(obj) == orbits
+
+
+def disjoint_copies(forest: ProximityForest, copies: int) -> ProximityForest:
+    """``copies`` disjoint copies of ``forest``, one after another."""
+    m = len(forest)
+    return ProximityForest.make(
+        forest.dimension,
+        *[(p.degree, [j + k * m for j in p.proximate_to]) for k in range(copies) for p in forest.points],
+    )
+
+
+def individualised_children(struct):
+    """Each vertex of each non-singleton cell of the refined root, individualised as the search does it.
+
+    Yields the child colouring before refinement and the members of the
+    individualised cell.
+    """
+    root, cells = root_cells(struct)
+    for cell, members in cells.items():
+        if len(members) > 1:
+            for v in members:
+                child = [2 * c + 1 for c in root]
+                child[v] = 2 * cell
+                yield child, members
+
+
+def count_calls(monkeypatch, name: str) -> list[int]:
+    """Count calls of method ``name`` on both search structures; the count is the list's one item."""
+    calls = [0]
+    for cls in (_DigraphStructure, _TensorStructure):
+        method = getattr(cls, name)
+
+        def counting(self, *args, method=method):
+            calls[0] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def assert_split_refinement_is_exact(structs) -> None:
+    """Fingerprinting only the classes next to a split gives the colouring full refinement gives."""
+    for struct in structs:
+        for child, members in individualised_children(struct):
+            assert _refine(struct, child, members) == _refine(struct, child)
+
+
+class TestRefinement:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        dimension=st.integers(2, 4),
+        size=st.integers(0, 5),
+        copies=st.integers(1, 3),
+        how=st.sampled_from(["entry", "negate", "isolated", "diagonal"]),
+    )
+    def test_refining_from_the_split_cell_is_exact(self, seed, dimension, size, copies, how):
+        # Equal disjoint trees are symmetric without twins: a split must reach the points below a root.
+        rng = random.Random(seed)
+        forest = disjoint_copies(random_forest(seed, dimension, size, 2), copies)
+        tensor = tensor_from_forest(forest)
+        structs = [_DigraphStructure.of_forest(forest), _TensorStructure(tensor), _TensorStructure(perturb(tensor, how, rng))]
+        if size:
+            structs.append(_DigraphStructure.of_blocks(forest, random_partition(len(forest), rng)))
+        assert_split_refinement_is_exact(structs)
+
+    @pytest.mark.parametrize(
+        "forest",
+        [
+            ProximityForest.make(2, (1, []), (1, [1]), (1, []), (1, [3]), (1, []), (1, [5])),
+            ProximityForest.make(2, (1, []), (1, [1]), (1, [1]), (1, []), (1, [4]), (1, [4])),
+            ProximityForest.make(3, (1, []), (1, []), *[(1, [1, 2])] * 3, (2, [3, 4])),
+        ],
+        ids=["three 2-chains", "two 3-stars", "two roots d3"],
+    )
+    def test_refining_twin_free_symmetry_is_exact(self, forest):
+        """Individualising one root of several equal trees must reach the points proximate to the others."""
+        tensor = tensor_from_forest(forest)
+        blocks = MarkedPartition.singletons(len(forest))
+        assert_split_refinement_is_exact(
+            [_DigraphStructure.of_forest(forest), _TensorStructure(tensor), _DigraphStructure.of_blocks(forest, blocks)]
+        )
+
+    @pytest.mark.parametrize("forest", [star(64), broom(64)], ids=["star 64", "broom 3+64"])
+    def test_symmetric_shapes_fingerprint_what_a_split_touches(self, monkeypatch, forest):
+        """A node of the search costs what its individualisation touches, not all n vertices."""
+        calls = count_calls(monkeypatch, "fingerprint")
+        for obj in (forest, tensor_from_forest(forest)):
+            calls[0] = 0
+            canonical_form(obj)
+            assert calls[0] <= 3 * len(forest)
+
+    @pytest.mark.parametrize("forest", [random_forest(8, 3, 8, 2), random_forest(2, 3, 10, 3)], ids=["d3 m8", "d3 m10"])
+    def test_rigid_search_builds_one_document(self, monkeypatch, forest):
+        """The identity document is built only for a leaf that repeats earlier data; a rigid object has none."""
+        calls = count_calls(monkeypatch, "document")
+        for struct in (_DigraphStructure.of_forest(forest), _TensorStructure(tensor_from_forest(forest))):
+            calls[0] = 0
+            outcome = equivalence._search(struct)
+            assert calls[0] == 1
+            assert outcome.automorphisms == []
+            assert _orbits(struct) == tuple((i,) for i in range(1, len(forest) + 1))
 
 
 class TestForestIsomorphic:
