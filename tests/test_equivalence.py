@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 from collections import defaultdict
 
@@ -684,3 +686,64 @@ class TestCompatibility:
         orbits = automorphism_orbits(forest)
         partition = random_partition_inside(orbits, random.Random(pick))
         assert partition_compatible_sequence(forest, partition)
+
+
+def corpus_forests():
+    """Random forests (d 2–4, m 0–8), stars, brooms, and k ≤ 5 disjoint 2-chains and 3-stars."""
+    for dimension in (2, 3, 4):
+        for size in range(9):
+            for seed in range(4):
+                yield random_forest(1000 * dimension + 10 * size + seed, dimension, size, 2)
+    for leaves in (1, 2, 5, 12):
+        yield star(leaves)
+        yield broom(leaves)
+    chain = ProximityForest.make(2, (1, []), (1, [1]))
+    three_star = ProximityForest.make(3, (1, []), (1, [1]), (1, [1]), (2, [1]))
+    for k in range(1, 6):
+        yield disjoint_copies(chain, k)
+        yield disjoint_copies(three_star, k)
+
+
+def corpus_records():
+    """Canonical forms, orbits and witnesses over the corpus, on relabelled copies and random partitions."""
+    for index, forest in enumerate(corpus_forests()):
+        rng = random.Random(index)
+        m = len(forest)
+        tensor = tensor_from_forest(forest)
+        shuffled, perm = random_relabel(forest, rng)
+        moved = apply_permutation(tensor, perm)
+        perturbed = perturb(tensor, rng.choice(["entry", "negate", "isolated", "diagonal"]), rng)
+        shift = list(range(1, perturbed.size + 1))
+        rng.shuffle(shift)
+        for obj in (forest, tensor, perturbed):
+            form = canonical_form(obj)
+            yield [form.relabeling, form.hash, automorphism_orbits(obj)]
+        yield [
+            forest_isomorphic(forest, shuffled),
+            tensor_equivalent(tensor, moved),
+            tensor_equivalent(perturbed, apply_permutation(perturbed, tuple(shift))),
+        ]
+        if m:
+            partition = random_partition(m, rng)
+            blocks = [frozenset(perm[i - 1] for i in block) for block in partition.blocks]
+            rng.shuffle(blocks)
+            image = MarkedPartition(tuple(blocks))
+            yield [
+                marked_forest_equivalent(forest, partition, shuffled, image),
+                marked_tensor_equivalent(tensor, partition, moved, image),
+                partition_compatible_sequence(forest, partition),
+                partition_compatible_morphism(tensor, partition),
+            ]
+
+
+# SHA-256 of ``corpus_records`` (618 records), one JSON line per record.
+CORPUS_DIGEST = "3683e47033a8ee17f84971cc96601dfca7c534e7798811fce1eefc28264a2529"
+
+
+class TestCorpusDigest:
+    def test_corpus_digest(self):
+        """Labellings, hashes, orbits and witnesses are a stable output; a change to one must be deliberate."""
+        digest = hashlib.sha256()
+        for record in corpus_records():
+            digest.update(json.dumps(record).encode() + b"\n")
+        assert digest.hexdigest() == CORPUS_DIGEST
