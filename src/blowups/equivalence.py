@@ -20,22 +20,23 @@ first round, and below every individualised vertex, a round fingerprints
 only the classes next to a class that has just split, so a search node
 costs what its individualisation touches rather than every vertex.  It
 reaches the colouring that fingerprinting every vertex in every round
-reaches, so labellings and hashes do not depend on it.  Before descending, the
-search seeds the known automorphisms with twin transpositions: two
-vertices of one root cell whose swap is an automorphism (equal colour and
-neighbourhoods in a digraph, entries that map onto entries in a tensor),
-chained along each class of such twins.  This is the "known automorphisms"
-pruning of McKay & Piperno and the cheap-symmetry idea of Darga, Sakallah
-& Markov, saucy (DAC 2008); on a star the search then walks one path.
-Automorphisms are kept sparse, as the map of the points they move, so a
-transposition costs two entries whatever the size.  The search sees an
-object through one of two structures, a vertex-coloured digraph (forests
-and block-proximity graphs) or an index-coloured tensor, each of which
-turns a labelling into a JSON-ready document.  Canonical hashes are
-SHA-256 over the canonical JSON serialization of that document; equivalent
-inputs produce byte-identical hashes.  Permutations are plain tuples ``p``
-with ``p[i-1]`` the image of index ``i``; every permutation returned by
-this module has been verified exhaustively against its inputs.
+reaches, so labellings and hashes do not depend on it.  Before descending,
+the search seeds the known automorphisms with twin transpositions: two
+vertices of one root cell whose swap is an automorphism, chained along
+each class of such twins.  One test, exact on every structure, finds them:
+a vertex fingerprinted under the discrete labelling with the two exchanged
+must read what its twin reads under the discrete labelling.  This is the
+"known automorphisms" pruning of McKay & Piperno and the cheap-symmetry
+idea of Darga, Sakallah & Markov, saucy (DAC 2008); on a star the search
+then walks one path.  Automorphisms are kept sparse, as the map of the
+points they move, so a transposition costs two entries whatever the size.
+The search sees an object through one of two structures, a vertex-coloured
+digraph (forests and block-proximity graphs) or an index-coloured tensor,
+each of which turns a labelling into a JSON-ready document.  Canonical
+hashes are SHA-256 over the canonical JSON serialization of that document;
+equivalent inputs produce byte-identical hashes.  Permutations are plain
+tuples ``p`` with ``p[i-1]`` the image of index ``i``; every permutation
+returned by this module has been verified exhaustively against its inputs.
 """
 
 from __future__ import annotations
@@ -95,7 +96,9 @@ class _DigraphStructure:
     may have loops and 2-cycles.  Forest colours carry the proximity depth
     first, so every refinement stays compatible with creation order and the
     canonical relabelling is itself a valid forest.  Block colours are the
-    block degree and whether the block is proximate to itself.  A forest
+    block degree and whether the block is proximate to itself.  The one
+    twin test, through ``fingerprint``, is exact here as on a tensor, for
+    twins with loops or edges between them too.  A forest
     keeps its ``dimension``; a block graph has none and its document is
     ``{"degrees": ..., "edges": ...}``.
     """
@@ -138,20 +141,6 @@ class _DigraphStructure:
             tuple(sorted(colors[u] for u in self.inn[v])),
         )
 
-    def swappable(self, u: int, v: int) -> bool:
-        """Whether the transposition ``(u v)`` is an automorphism because ``u`` and ``v`` are twins.
-
-        Exact on forests.  On block graphs it misses the swaps of adjacent
-        vertices, such as twins with loops, which are automorphisms too.
-        """
-        return (
-            self.colors[u] == self.colors[v]
-            and set(self.out[u]) == set(self.out[v])
-            and set(self.inn[u]) == set(self.inn[v])
-            and v not in self.out[u]
-            and u not in self.out[v]
-        )
-
     def relabel(self, labels: list[int]) -> ProximityForest:
         inverse = [0] * self.n
         for v, label in enumerate(labels):
@@ -190,25 +179,13 @@ class _TensorStructure:
             items.append((mult, value, tuple(sorted((colors[u], c) for u, c in others))))
         return tuple(sorted(items))
 
-    def swappable(self, u: int, v: int) -> bool:
-        """Whether the transposition ``(u v)`` carries every stored entry onto one with the same value.
-
-        An entry holding ``u`` appears in ``incidence[u]`` with its other
-        indices; swapping ``v`` for ``u`` among them gives the entry's image
-        as it appears in ``incidence[v]``.  Entries with neither are fixed.
-        """
-        images = {
-            (mult, value, tuple(sorted((u if j == v else j, c) for j, c in others)))
-            for mult, value, others in self.incidence[u]
-        }
-        return images == set(self.incidence[v])
-
     def relabel(self, labels: list[int]) -> IntersectionTensor:
+        # A permutation keeps keys distinct and in range, and values stay nonzero.
         entries = {
             tuple(sorted(labels[i - 1] for i in key)): value
             for key, value in self.tensor.entries.items()
         }
-        return IntersectionTensor(self.tensor.dimension, self.n, entries)
+        return IntersectionTensor._trusted(self.tensor.dimension, self.n, entries)
 
     def document(self, labels: list[int]) -> dict:
         return io.tensor_to_dict(self.relabel(labels))
@@ -274,27 +251,41 @@ def _refine(struct, colors: list[int], touched=None) -> list[int]:
 
 
 def _twin_chains(struct, colors: list[int]) -> list[dict[int, int]]:
-    """Transpositions ``(c[k] c[k+1])`` along each class ``c`` of swappable vertices in a cell of ``colors``.
+    """Transpositions ``(c[k] c[k+1])`` along each class ``c`` of twins in a cell of ``colors``.
 
-    Swappable vertices form classes, since two transpositions that are
-    automorphisms conjugate into a third.  A chain, unlike the star of
-    transpositions ``(c[0] c[k])``, still joins ``c[1:]`` into one orbit
-    after the search individualises ``c[0]``.
+    ``colors`` refines ``struct.colors``, so ``u`` and ``v`` of one cell
+    are twins, and ``(u v)`` an automorphism, exactly when ``v``
+    fingerprinted under the discrete labelling with ``u`` and ``v``
+    exchanged reads what ``u`` reads under the discrete labelling.  For a
+    digraph, which has no multi-edges, that says the swap carries the out-
+    and in-neighbours of ``v`` onto those of ``u``, loops and edges
+    between the two included; for a tensor, that it carries the entries
+    holding ``v`` onto those holding ``u``.  Twins form classes, since two
+    transpositions that are automorphisms conjugate into a third.  A
+    chain, unlike the star of transpositions ``(c[0] c[k])``, still joins
+    ``c[1:]`` into one orbit after the search individualises ``c[0]``.
     """
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
+    labels = list(range(struct.n))
     chains = []
     for members in cells.values():
-        classes: list[list[int]] = []
+        if len(members) < 2:
+            continue
+        classes: list[tuple[tuple, list[int]]] = []
         for v in members:
-            for twins in classes:
-                if struct.swappable(twins[0], v):
+            for key, twins in classes:
+                u = twins[0]
+                labels[u], labels[v] = v, u
+                twin = struct.fingerprint(v, labels) == key
+                labels[u], labels[v] = u, v
+                if twin:
                     twins.append(v)
                     break
             else:
-                classes.append([v])
-        for twins in classes:
+                classes.append((struct.fingerprint(v, labels), [v]))
+        for _, twins in classes:
             chains.extend({a: b, b: a} for a, b in zip(twins, twins[1:]))
     return chains
 

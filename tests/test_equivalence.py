@@ -7,7 +7,7 @@ import random
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blowups import (
     IntersectionTensor,
@@ -30,7 +30,7 @@ from blowups import (
     tensor_from_forest,
 )
 from blowups import equivalence
-from blowups.equivalence import _DigraphStructure, _orbits, _ranks, _refine, _TensorStructure
+from blowups.equivalence import _DigraphStructure, _orbit_ids, _orbits, _ranks, _refine, _TensorStructure, _twin_chains
 from _oracles import (
     apply_permutation,
     brute_force_block_orbits,
@@ -158,6 +158,20 @@ class TestCanonicalForm:
         with pytest.raises(TypeError):
             canonical_form([1, 2, 3])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        dimension=st.integers(2, 4),
+        size=st.integers(0, 7),
+        how=st.sampled_from(["entry", "negate", "isolated", "diagonal"]),
+    )
+    def test_relabelled_tensor_is_normalized(self, seed, dimension, size, how):
+        """The canonical tensor, built without the checking constructor, is what that constructor builds."""
+        tensor = tensor_from_forest(random_forest(seed, dimension, size, 2))
+        for t in (tensor, perturb(tensor, how, random.Random(seed))):
+            relabeled = canonical_form(t).relabeled
+            assert relabeled == IntersectionTensor(dimension, t.size, dict(relabeled.entries))
+
     def test_search_deeper_than_recursion_limit(self, low_recursion_limit):
         isolated = ProximityForest.make(2, *[(1, [])] * 300)
         with pytest.raises(SearchLimitError, match="deeper than the recursion limit"):
@@ -245,24 +259,26 @@ class TestTwinSeeds:
         dimension=st.integers(2, 4),
         size=st.integers(0, 7),
         how=st.sampled_from(["entry", "negate", "isolated", "diagonal"]),
+        split=st.integers(0, 10**6),
     )
-    def test_swappable_is_exact_on_forests_and_tensors(self, seed, dimension, size, how):
+    # Block graphs with twin blocks that each carry a loop, and with twin blocks proximate to each other.
+    @example(seed=183, dimension=3, size=6, how="entry", split=1282)
+    @example(seed=3, dimension=2, size=3, how="entry", split=22)
+    def test_twin_classes_are_exactly_the_swaps_that_are_automorphisms(self, seed, dimension, size, how, split):
+        """Forests, tensors, perturbed tensors, and block graphs, whose twins may carry loops or meet each other."""
         forest = random_forest(seed, dimension, size, 2)
         tensor = tensor_from_forest(forest)
-        perturbed = perturb(tensor, how, random.Random(seed))
-        for struct in (_DigraphStructure.of_forest(forest), _TensorStructure(tensor), _TensorStructure(perturbed)):
+        structs = [
+            _DigraphStructure.of_forest(forest),
+            _TensorStructure(tensor),
+            _TensorStructure(perturb(tensor, how, random.Random(seed))),
+            _DigraphStructure.of_blocks(forest, random_partition(size, random.Random(split))),
+        ]
+        for struct in structs:
+            root, _ = root_cells(struct)
+            twins = _orbit_ids(struct.n, _twin_chains(struct, root))
             for u, v in root_cell_pairs(struct):
-                assert struct.swappable(u, v) == swap_is_automorphism(struct, u, v)
-
-    @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 10**6), size=st.integers(1, 7), split=st.integers(0, 10**6))
-    def test_swappable_blocks_are_automorphisms(self, seed, size, split):
-        """Block graphs may have loops and 2-cycles; twins with loops are missed, never wrongly swapped."""
-        forest = random_forest(seed, 2, size, 2)
-        graph = _DigraphStructure.of_blocks(forest, random_partition(size, random.Random(split)))
-        for u, v in root_cell_pairs(graph):
-            if graph.swappable(u, v):
-                assert swap_is_automorphism(graph, u, v)
+                assert (twins[u] == twins[v]) == swap_is_automorphism(struct, u, v)
 
     @pytest.mark.parametrize(
         "forest, orbits",
@@ -278,6 +294,14 @@ class TestTwinSeeds:
         for obj in (forest, tensor_from_forest(forest)):
             assert sorted(canonical_form(obj).relabeling) == list(range(1, len(forest) + 1))
             assert automorphism_orbits(obj) == orbits
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_roots_sharing_a_child_search_one_path(self, monkeypatch, d):
+        """Twins that share a stored entry are seeded too: ``d`` roots with one common child."""
+        forest = ProximityForest.make(d, *[(1, [])] * d, (1, list(range(1, d + 1))))
+        monkeypatch.setattr(equivalence, "DEFAULT_NODE_LIMIT", len(forest) - 1)
+        for obj in (forest, tensor_from_forest(forest)):
+            assert automorphism_orbits(obj) == (tuple(range(1, d + 1)), (d + 1,))
 
 
 def disjoint_copies(forest: ProximityForest, copies: int) -> ProximityForest:
