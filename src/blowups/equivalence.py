@@ -15,9 +15,9 @@ McKay & Piperno, "Practical graph isomorphism II" (2014): iterative colour
 refinement (seeded with degrees, diagonal values, and for forests the
 proximity depth) followed by lexicographically minimal relabelling, with
 known automorphisms pruning symmetric branches.  Refinement is driven by
-splits, as in Paige & Tarjan (SIAM J. Comput. 1987): after the root's
-first round, and below every individualised vertex, a round fingerprints
-only the classes next to a class that has just split, so a search node
+splits, as in Paige & Tarjan (SIAM J. Comput. 1987): a round fingerprints
+only the classes next to a vertex touched since the colouring was last
+stable, where at the root every vertex counts as touched, so a search node
 costs what its individualisation touches rather than every vertex.  It
 reaches the colouring that fingerprinting every vertex in every round
 reaches, so labellings and hashes do not depend on it.  Before descending,
@@ -219,28 +219,26 @@ def _orbit_ids(n: int, perms) -> list[int]:
     return [find(v) for v in range(n)]
 
 
-def _refine(struct, colors: list[int], touched=None) -> list[int]:
+def _refine(struct, colors: list[int], touched) -> list[int]:
     """Split colour classes by their fingerprints until no class splits; colours come back as dense ranks.
 
     ``touched`` holds the vertices whose colour may have changed since
     ``colors`` was last stable: members of each class had equal
     fingerprints under an earlier colouring, and away from ``touched`` the
-    two colourings differ only by an injective renaming.  ``None`` makes no
-    such claim and fingerprints every vertex.  A round fingerprints only
-    the classes that hold a neighbour (``struct.adjacent``) of a touched
-    vertex.  Any other class sees its members' fingerprints renamed
-    injectively, so it cannot split, and one constant key keeps its rank,
-    since ranks sort by the old colour first.  The members of the classes
-    that split are the next round's ``touched``, and the loop ends when
-    none splits.  Each round thus ranks exactly as a round that
+    two colourings differ only by an injective renaming.  At the root every
+    vertex counts as touched.  A round fingerprints only the classes that
+    hold a neighbour (``struct.adjacent``) of a touched vertex.  Any other
+    class sees its members' fingerprints renamed injectively, or at the
+    root has only members without neighbours, whose fingerprints their
+    initial colour fixes.  So it cannot split, and one constant key keeps
+    its rank, since ranks sort by the old colour first.  The members of
+    the classes that split are the next round's ``touched``, and the loop
+    ends when none splits.  Each round thus ranks exactly as a round that
     fingerprints every vertex would.
     """
     while True:
-        if touched is None:
-            keys = [(c, struct.fingerprint(v, colors)) for v, c in enumerate(colors)]
-        else:
-            hit = {colors[u] for t in touched for u in struct.adjacent[t]}
-            keys = [(c, struct.fingerprint(v, colors) if c in hit else ()) for v, c in enumerate(colors)]
+        hit = {colors[u] for t in touched for u in struct.adjacent[t]}
+        keys = [(c, struct.fingerprint(v, colors) if c in hit else ()) for v, c in enumerate(colors)]
         refined = _ranks(keys)
         first: dict[int, int] = {}
         split = {c for c, r in zip(colors, refined) if first.setdefault(c, r) != r}
@@ -310,7 +308,7 @@ def _search(struct) -> _SearchOutcome:
     identity = None  # the document of ``straight``, built for the first leaf that repeats earlier data
     best: list = [None, None]
     leaves: dict[bytes, list[int]] = {}
-    root = _refine(struct, _ranks(struct.colors))
+    root = _refine(struct, _ranks(struct.colors), range(n))
     automorphisms = _twin_chains(struct, root)
     nodes = 0
 
@@ -410,28 +408,19 @@ def forest_isomorphic(f1: ProximityForest, f2: ProximityForest) -> tuple[int, ..
     """A degree- and proximity-preserving bijection of points, or ``None``."""
     if f1.dimension != f2.dimension:
         raise ValueError(f"dimension mismatch: {f1.dimension} vs {f2.dimension}")
-    if len(f1) != len(f2):
-        return None
-    if sorted(p.degree for p in f1.points) != sorted(p.degree for p in f2.points):
-        return None
     return _match(_DigraphStructure.of_forest(f1), _DigraphStructure.of_forest(f2))
 
 
 def tensor_equivalent(t1: IntersectionTensor, t2: IntersectionTensor) -> tuple[int, ...] | None:
     """An index permutation carrying ``t1`` onto ``t2``, or ``None``.
 
-    Decided by canonical search on the tensors themselves, after cheap
-    checks on size, entry count and the diagonal multiset; the composed
+    Decided by canonical search on the tensors themselves; the composed
     canonical labellings are verified on every stored entry.  This works
     for any symmetric form, whether or not it comes from a blow-up
     sequence.  ``tensor_equivalent_direct`` is the same function.
     """
     if t1.dimension != t2.dimension:
         raise ValueError(f"dimension mismatch: {t1.dimension} vs {t2.dimension}")
-    if t1.size != t2.size or len(t1.entries) != len(t2.entries):
-        return None
-    if sorted(diagonal(t1)) != sorted(diagonal(t2)):
-        return None
     return _match(_TensorStructure(t1), _TensorStructure(t2))
 
 
@@ -447,14 +436,10 @@ def marked_forest_equivalent(
     """A block bijection preserving block degrees and block proximity, or ``None``."""
     if f1.dimension != f2.dimension:
         raise ValueError(f"dimension mismatch: {f1.dimension} vs {f2.dimension}")
-    p1.check(len(f1))
-    p2.check(len(f2))
-    if len(p1) != len(p2):
-        raise ValueError(f"block count mismatch: {len(p1)} vs {len(p2)}")
     g1 = _DigraphStructure.of_blocks(f1, p1)
     g2 = _DigraphStructure.of_blocks(f2, p2)
-    if sorted(g1.degrees) != sorted(g2.degrees) or len(g1.edges) != len(g2.edges):
-        return None
+    if len(p1) != len(p2):
+        raise ValueError(f"block count mismatch: {len(p1)} vs {len(p2)}")
     return _match(g1, g2)
 
 
@@ -467,11 +452,10 @@ def marked_tensor_equivalent(
     """Equivalence of the forms induced on blocks, as a block permutation."""
     if t1.dimension != t2.dimension:
         raise ValueError(f"dimension mismatch: {t1.dimension} vs {t2.dimension}")
-    p1.check(t1.size)
-    p2.check(t2.size)
+    q1, q2 = quotient_tensor(t1, p1), quotient_tensor(t2, p2)
     if len(p1) != len(p2):
         raise ValueError(f"block count mismatch: {len(p1)} vs {len(p2)}")
-    return tensor_equivalent(quotient_tensor(t1, p1), quotient_tensor(t2, p2))
+    return tensor_equivalent(q1, q2)
 
 
 def partition_compatible_morphism(tensor: IntersectionTensor, partition: MarkedPartition) -> bool:

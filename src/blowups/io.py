@@ -174,7 +174,8 @@ def tensor_from_dict(obj: Any) -> IntersectionTensor:
         if value == 0:
             raise SchemaError(f"entry {pos} has value 0; zero entries must be omitted")
         entries[index] = value
-    return IntersectionTensor(dimension, size, entries)
+    # The checks above cover everything the checking constructor does.
+    return IntersectionTensor._trusted(dimension, size, entries)
 
 
 def trace_to_dict(trace: ContractionTrace) -> dict:

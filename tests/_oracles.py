@@ -3,7 +3,8 @@
 Everything here is deliberately naive: brute-force sums over all index
 tuples, all-permutations searches, and direct surface intersection counts.
 None of it shares code with the package beyond the public data types, so
-agreement is meaningful.
+agreement is meaningful.  The one exception is ``oracle_refine``, which
+reads a canonical-search structure's ``fingerprint`` and nothing else.
 """
 
 from __future__ import annotations
@@ -300,3 +301,19 @@ def perturb(tensor: IntersectionTensor, how: str, rng: random.Random) -> Interse
     else:
         entries.pop((rng.randint(1, m),) * d, None)
     return IntersectionTensor(d, m, entries)
+
+
+def oracle_refine(struct, colors: list[int]) -> list[int]:
+    """Colour refinement that fingerprints every vertex in every round, as dense ranks.
+
+    ``struct`` is a canonical-search structure; only ``struct.fingerprint``
+    is read.  Each round ranks ``(colour, fingerprint)`` pairs, so ranks sort
+    by the old colour first, and the loop ends when no class splits.
+    """
+    while True:
+        keys = [(c, struct.fingerprint(v, colors)) for v, c in enumerate(colors)]
+        order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+        refined = [order[key] for key in keys]
+        if len(order) == len(set(colors)):
+            return refined
+        colors = refined

@@ -39,6 +39,7 @@ from _oracles import (
     brute_force_tensor_equivalent,
     brute_force_tensor_orbits,
     enumerate_forests,
+    oracle_refine,
     perturb,
     random_partition,
     random_partition_inside,
@@ -46,7 +47,7 @@ from _oracles import (
 )
 
 # Size, entry count and diagonal multiset agree with those of the surface
-# chain's tensor, but no component contracts.
+# chain's tensor, so only the search tells them apart; no component contracts.
 STUCK = IntersectionTensor(2, 2, {(1, 1): -1, (2, 2): -2, (1, 2): -1})
 
 
@@ -232,7 +233,7 @@ def broom(leaves: int) -> ProximityForest:
 
 def root_cells(struct) -> tuple[list[int], dict[int, list[int]]]:
     """The refined root colouring and the members of each of its cells."""
-    root = _refine(struct, _ranks(struct.colors))
+    root = _refine(struct, _ranks(struct.colors), range(struct.n))
     cells = defaultdict(list)
     for v, color in enumerate(root):
         cells[color].append(v)
@@ -353,10 +354,12 @@ def count_calls(monkeypatch, name: str) -> list[int]:
 
 
 def assert_split_refinement_is_exact(structs) -> None:
-    """Fingerprinting only the classes next to a split gives the colouring full refinement gives."""
+    """At the root and below each individualised vertex, refinement gives the colouring full refinement gives."""
     for struct in structs:
+        colors = _ranks(struct.colors)
+        assert _refine(struct, colors, range(struct.n)) == oracle_refine(struct, colors)
         for child, members in individualised_children(struct):
-            assert _refine(struct, child, members) == _refine(struct, child)
+            assert _refine(struct, child, members) == oracle_refine(struct, child)
 
 
 class TestRefinement:
@@ -368,6 +371,8 @@ class TestRefinement:
         copies=st.integers(1, 3),
         how=st.sampled_from(["entry", "negate", "isolated", "diagonal"]),
     )
+    # Points without neighbours: the root round fingerprints none of them.
+    @example(seed=0, dimension=2, size=1, copies=3, how="isolated")
     def test_refining_from_the_split_cell_is_exact(self, seed, dimension, size, copies, how):
         # Equal disjoint trees are symmetric without twins: a split must reach the points below a root.
         rng = random.Random(seed)
@@ -492,7 +497,7 @@ class TestTensorEquivalent:
 
     def test_one_side_not_contractible(self, surface_chain):
         contractible = tensor_from_forest(surface_chain)
-        # size, entry count, and diagonal multiset all agree, so no prefilter decides
+        # size, entry count and diagonal multiset all agree; only the entries differ
         assert sorted(STUCK.entries[(i, i)] for i in (1, 2)) == sorted(
             contractible.entries[(i, i)] for i in (1, 2)
         )
@@ -660,16 +665,33 @@ class TestMarkedEquivalence:
         # block degrees come from one pass, not one checked block_degree call per block
         forest = random_forest(5, 2, 50, 3)
         p = MarkedPartition.singletons(50)
-        check = MarkedPartition.check
-        calls = []
-
-        def counting(self, size):
-            calls.append(size)
-            return check(self, size)
-
-        monkeypatch.setattr(MarkedPartition, "check", counting)
+        calls = count_checks(monkeypatch)
         assert marked_forest_equivalent(forest, p, forest, p) is not None
-        assert len(calls) <= 4
+        assert len(calls) == 2
+
+    def test_quotients_check_each_partition_once(self, monkeypatch):
+        tensor = tensor_from_forest(random_forest(5, 2, 20, 3))
+        p = MarkedPartition.singletons(20)
+        calls = count_checks(monkeypatch)
+        assert marked_tensor_equivalent(tensor, p, tensor, p) is not None
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("kind", ["forest", "tensor"])
+    def test_partition_errors_keep_their_order(self, kind):
+        """``p1``'s error comes first, then ``p2``'s, then a block count mismatch."""
+        forest = ProximityForest.make(2, (1, []), (1, [1]), (1, []))
+        obj = forest if kind == "forest" else tensor_from_forest(forest)
+        marked = marked_forest_equivalent if kind == "forest" else marked_tensor_equivalent
+        three = MarkedPartition.singletons(3)
+        missing = MarkedPartition((frozenset({1}), frozenset({2})))
+        overlapping = MarkedPartition((frozenset({1, 2}), frozenset({2, 3})))
+        empty = MarkedPartition((frozenset(),))
+        with pytest.raises(ValueError, match=r"^blocks do not partition 1\.\.3$"):
+            marked(obj, missing, obj, empty)
+        with pytest.raises(ValueError, match="^block 2 overlaps an earlier block$"):
+            marked(obj, three, obj, overlapping)
+        with pytest.raises(ValueError, match="^block count mismatch: 3 vs 1$"):
+            marked(obj, three, obj, MarkedPartition((frozenset({1, 2, 3}),)))
 
     def test_dimension_mismatch(self, surface_chain, three_chain_mixed):
         p = MarkedPartition.singletons(2)
@@ -688,6 +710,84 @@ class TestMarkedEquivalence:
             tuple(frozenset(perm[i - 1] for i in block) for block in partition.blocks)
         )
         assert marked_forest_equivalent(forest, partition, shuffled, moved) is not None
+
+
+def count_checks(monkeypatch) -> list[int]:
+    """Record the size of every ``MarkedPartition.check`` call."""
+    check = MarkedPartition.check
+    calls = []
+
+    def counting(self, size):
+        calls.append(size)
+        return check(self, size)
+
+    monkeypatch.setattr(MarkedPartition, "check", counting)
+    return calls
+
+
+APART = ProximityForest.make(2, (1, []), (1, []))
+LOOSE = ProximityForest.make(2, (1, []), (1, []), (2, []))
+SPLITS = (MarkedPartition(tuple(map(frozenset, ({1, 2}, {3})))), MarkedPartition(tuple(map(frozenset, ({1}, {2, 3})))))
+
+
+def on_singletons(marked):
+    return lambda a, b: marked(a, MarkedPartition.singletons(len(a)), b, MarkedPartition.singletons(len(b)))
+
+
+def on_splits(marked):
+    return lambda a, b: marked(a, SPLITS[0], b, SPLITS[1])
+
+
+class TestSearchDecidesAlone:
+    @pytest.mark.parametrize(
+        "decide, a, b",
+        [
+            (forest_isomorphic, APART, ProximityForest.make(2, (1, []), (1, []), (1, []))),
+            (forest_isomorphic, APART, ProximityForest.make(2, (1, []), (2, []))),
+            (tensor_equivalent, IntersectionTensor(2, 1, {(1, 1): -1}), IntersectionTensor(2, 2, {(1, 1): -1})),
+            (
+                tensor_equivalent,
+                IntersectionTensor(2, 2, {(1, 1): -1, (2, 2): -1}),
+                IntersectionTensor(2, 2, {(1, 1): -1, (1, 2): 1, (2, 2): -1}),
+            ),
+            (
+                tensor_equivalent,
+                IntersectionTensor(2, 2, {(1, 1): -1, (2, 2): -1}),
+                IntersectionTensor(2, 2, {(1, 1): -1, (2, 2): -2}),
+            ),
+            (on_splits(marked_forest_equivalent), LOOSE, LOOSE),
+            (on_splits(marked_tensor_equivalent), tensor_from_forest(LOOSE), tensor_from_forest(LOOSE)),
+            (on_singletons(marked_forest_equivalent), APART, ProximityForest.make(2, (1, []), (1, [1]))),
+        ],
+        ids=[
+            "forest length",
+            "forest degrees",
+            "tensor size",
+            "tensor entry count",
+            "tensor diagonal",
+            "block degrees",
+            "quotient diagonal",
+            "block edges",
+        ],
+    )
+    def test_pairs_an_invariant_tells_apart(self, monkeypatch, decide, a, b):
+        """Both searches run and answer ``None``; no labellings of unequal length are ever composed."""
+        compose, search = equivalence._compose, equivalence._search
+        searched = []
+
+        def same_length(labels1, labels2):
+            assert len(labels1) == len(labels2)
+            return compose(labels1, labels2)
+
+        def counting(struct):
+            searched.append(struct.n)
+            return search(struct)
+
+        monkeypatch.setattr(equivalence, "_compose", same_length)
+        monkeypatch.setattr(equivalence, "_search", counting)
+        assert decide(a, b) is None
+        assert decide(b, a) is None
+        assert len(searched) == 4
 
 
 class TestCompatibility:

@@ -37,6 +37,28 @@ GOOD_FOREST = {
 }
 
 
+@st.composite
+def tensor_documents(draw):
+    """Tensor documents near valid ones: an entry is well formed unless a drawn defect spoils it."""
+    dimension = draw(st.integers(2, 3))
+    size = draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 5]))
+    entries = []
+    for _ in range(draw(st.integers(0, 5))):
+        index = sorted(draw(st.lists(st.integers(1, max(size, 1)), min_size=dimension, max_size=dimension)))
+        value = draw(st.integers(1, 3)) * draw(st.sampled_from([-1, 1]))
+        defect = draw(st.sampled_from([None] * 10 + ["unsorted", "length", "range", "zero"]))
+        if defect == "unsorted":
+            index.reverse()
+        elif defect == "length":
+            index.append(index[-1])
+        elif defect == "range":
+            index[-1] = size + 1
+        elif defect == "zero":
+            value = 0
+        entries.append({"index": index, "value": value})
+    return {"dimension": dimension, "size": size, "entries": entries}
+
+
 class TestCanonicalJson:
     def test_sorted_keys_no_whitespace(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
@@ -182,6 +204,19 @@ class TestTensorFormat:
     def test_rejects_malformed(self, doc):
         with pytest.raises(SchemaError):
             tensor_from_dict(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=tensor_documents())
+    def test_loads_what_the_checking_constructor_builds(self, doc):
+        """Every accepted document loads to the tensor the checking constructor builds from it."""
+        try:
+            loaded = tensor_from_dict(doc)
+        except SchemaError:
+            return
+        entries = {tuple(e["index"]): e["value"] for e in doc["entries"]}
+        expected = IntersectionTensor(doc["dimension"], doc["size"], entries)
+        assert loaded == expected
+        assert list(loaded.entries.items()) == list(expected.entries.items())
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), dimension=st.integers(2, 3))

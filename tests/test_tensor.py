@@ -58,6 +58,11 @@ class TestTensorFromForest:
             sign = 1 if d % 2 else -1
             assert tensor.entries == {(1,) * d: sign * 7}
 
+    def test_rejects_a_target_outside_the_forest(self):
+        """The checking constructor is the only guard against a proximity target beyond the last point."""
+        with pytest.raises(ValueError, match=r"^index \(1, 5\) out of range 1\.\.1$"):
+            tensor_from_forest(ProximityForest.make(2, (1, [5])))
+
     def test_disjoint_points_have_no_mixed_entries(self):
         tensor = tensor_from_forest(ProximityForest.make(3, (1, []), (2, [])))
         assert tensor.entries == {(1, 1, 1): 1, (2, 2, 2): 2}
