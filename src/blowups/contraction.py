@@ -13,12 +13,18 @@ Neighbourhood is decided purely numerically: components ``i`` and ``j``
 are disjoint iff every mixed product ``T(i^s j^r)`` with ``r, s >= 1``
 vanishes.  Zero entries are never stored, so they meet iff a key made of
 ``i`` and ``j`` alone is stored.  One scan over the neighbours decides
-finality; a vanishing pure power is never final.  Contraction walks the
-stored entries, so its cost follows them, not ``size^d``.
+finality; a vanishing pure power is never final.  Contraction rewrites
+only the stored keys that hold ``i``, so its cost follows the stored
+entries, not ``size^d``.  Recovery keeps each stage in original labels,
+derived from its parent: every rewritten key lies in ``near``, the
+components sharing a stored key with ``i``, so only their keys, neighbours
+and finality change, and only they are decided again.  Current labels
+appear only in the steps.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -102,10 +108,9 @@ def _check_index(tensor: IntersectionTensor, i: int) -> None:
         raise ValueError(f"index {i} out of range 1..{tensor.size}")
 
 
-def _mixed(tensor: IntersectionTensor, i: int, j: int) -> list[int]:
+def _mixed(d: int, entries: dict, i: int, j: int) -> list[int]:
     """The mixed products ``T(i^{d-r} j^r)`` for ``r = 1 .. d-1``."""
-    d, get = tensor.dimension, tensor.entries.get
-    return [get((i,) * (d - r) + (j,) * r if i < j else (j,) * r + (i,) * (d - r), 0) for r in range(1, d)]
+    return [entries.get((i,) * (d - r) + (j,) * r if i < j else (j,) * r + (i,) * (d - r), 0) for r in range(1, d)]
 
 
 def empty_intersection(tensor: IntersectionTensor, i: int, j: int) -> bool:
@@ -114,22 +119,21 @@ def empty_intersection(tensor: IntersectionTensor, i: int, j: int) -> bool:
     _check_index(tensor, j)
     if i == j:
         raise ValueError("indices must differ")
-    return not any(_mixed(tensor, i, j))
+    return not any(_mixed(tensor.dimension, tensor.entries, i, j))
 
 
-def _final_neighbours(tensor: IntersectionTensor, i: int) -> tuple[int, ...] | None:
-    """The neighbours of ``i`` in ascending order if ``i`` is final, else ``None``."""
-    _check_index(tensor, i)
-    d = tensor.dimension
-    diag = tensor.entries.get((i,) * d, 0)
+def _final_neighbours(d: int, entries: dict, holding: dict, i: int) -> tuple[int, ...] | None:
+    """The ascending neighbours of ``i`` if it is final, else ``None``; ``holding[i]`` are the keys holding ``i``."""
+    diag = entries.get((i,) * d, 0)
     if not diag:
         return None
-    neighbours = tensor._meets.get(i, ())
+    keys = holding.get(i, ())  # a neighbour shares a key made of the two alone
+    neighbours = sorted({k[-1] if k[0] == i else k[0] for k in keys if k.count(k[0]) + k.count(k[-1]) == d})
     for j in neighbours:
-        mixed = _mixed(tensor, i, j)
+        mixed = _mixed(d, entries, i, j)
         if mixed[-1] <= 0 or any(diag != (x if r % 2 == 0 else -x) for r, x in enumerate(mixed, 1)):
             return None
-    return neighbours if neighbours or (diag if d % 2 else -diag) > 0 else None
+    return tuple(neighbours) if neighbours or (diag if d % 2 else -diag) > 0 else None
 
 
 def is_final(tensor: IntersectionTensor, i: int) -> bool:
@@ -142,45 +146,33 @@ def is_final(tensor: IntersectionTensor, i: int) -> bool:
     point, ``(-1)^{d-1} T(i^d) > 0``.  So a vanishing pure power is never
     final.  The one scan that decides this also lists the neighbours.
     """
-    return _final_neighbours(tensor, i) is not None
+    _check_index(tensor, i)
+    return _final_neighbours(tensor.dimension, tensor.entries, tensor._holding, i) is not None
 
 
 def final_set(tensor: IntersectionTensor) -> frozenset[int]:
     return frozenset(i for i in range(1, tensor.size + 1) if is_final(tensor, i))
 
 
-def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, ContractionStep]:
-    """Blow down the final component ``i`` and renumber the survivors.
+def _spread(d: int, entries: dict, holding: dict, i: int, neighbours: tuple[int, ...]) -> tuple[dict, set]:
+    """``entries`` blown down at the final ``i``, in the same labels, and the keys written.
 
-    The contracted form is the pull-back along ``e_j -> e_j + e_i`` at
-    every neighbour ``j`` of ``i``, computed from the stored entries.  A
-    stored key ``K`` holding ``k`` copies of ``i`` and survivors ``R0``
+    A stored key ``K`` holding ``k`` copies of ``i`` and others ``R0``
     spreads its value over ``R0 + R`` for every multiset ``R`` of ``k``
     neighbours, weighted by ``prod_a C(mult_{R0+R}(a), mult_R(a))``, the
     number of slot choices of ``R0 + R`` that pull back to ``K``; a key
     without ``i`` keeps its value.  Sums that cancel are dropped.
     """
-    proximities = _final_neighbours(tensor, i)
-    if proximities is None:
-        raise ValueError(f"component {i} is not final")
-    d, m = tensor.dimension, tensor.size
-    step = ContractionStep.at(i, m, (-1) ** (d - 1) * tensor.entries[(i,) * d], proximities)
-    renumber = (None,) + step.index_map
-    sums: dict[tuple[int, ...], int] = {}
-    holding: list[tuple[tuple[int, ...], int]] = []
-    for key, value in tensor.entries.items():
-        if i in key:
-            holding.append((key, value))
-        else:  # renumbering is injective on survivors, so these keys stay distinct
-            sums[key if key[-1] < i else tuple(map(renumber.__getitem__, key))] = value
+    sums = dict(entries)
     spreads: dict[int, list] = {}  # k -> each multiset of k neighbours with its multiplicities
     touched: set[tuple[int, ...]] = set()
-    for key, value in holding:
+    for key in holding[i]:
+        value = sums.pop(key)
         k = key.count(i)
         if k not in spreads:
             spreads[k] = [
                 (spread, [(a, spread.count(a)) for a in set(spread)])
-                for spread in itertools.combinations_with_replacement(proximities, k)
+                for spread in itertools.combinations_with_replacement(neighbours, k)
             ]
         start = key.index(i)
         rest = key[:start] + key[start + k :]
@@ -188,13 +180,48 @@ def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, Co
             weight = value
             for a, r in counts:
                 weight *= math.comb(rest.count(a) + r, r)
-            new = tuple(map(renumber.__getitem__, sorted(rest + spread)))
+            new = tuple(sorted(rest + spread))
             sums[new] = sums.get(new, 0) + weight
             touched.add(new)
     for key in touched:
         if not sums[key]:
             del sums[key]
-    return IntersectionTensor._trusted(d, m - 1, sums), step
+    return sums, touched
+
+
+def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, ContractionStep]:
+    """Blow down the final component ``i`` and renumber the survivors.
+
+    The contracted form is the pull-back along ``e_j -> e_j + e_i`` at
+    every neighbour ``j`` of ``i``, computed by :func:`_spread` from the
+    stored keys that hold ``i``.
+    """
+    _check_index(tensor, i)
+    d, m, entries = tensor.dimension, tensor.size, tensor.entries
+    proximities = _final_neighbours(d, entries, tensor._holding, i)
+    if proximities is None:
+        raise ValueError(f"component {i} is not final")
+    step = ContractionStep.at(i, m, (-1) ** (d - 1) * entries[(i,) * d], proximities)
+    renumber = (None,) + step.index_map  # injective on survivors, so the keys stay distinct
+    sums, _ = _spread(d, entries, tensor._holding, i, proximities)
+    entries = {key if key[-1] < i else tuple(map(renumber.__getitem__, key)): value for key, value in sums.items()}
+    return IntersectionTensor._trusted(d, m - 1, entries), step
+
+
+def _blow_down(d: int, stage: tuple, i: int) -> tuple:
+    """The stage after blowing down its final ``i``: entries, keys holding each component, finals with neighbours."""
+    entries, holding, finals = stage
+    near = {a for key in holding[i] for a in key} - {i}
+    entries, touched = _spread(d, entries, holding, i, finals[i])
+    holding, finals = dict(holding), dict(finals)
+    del holding[i], finals[i]
+    for a in near:
+        holding[a] = {key for key in itertools.chain(holding[a], touched) if a in key and key in entries}
+        if (neighbours := _final_neighbours(d, entries, holding, a)) is None:
+            finals.pop(a, None)
+        else:
+            finals[a] = neighbours
+    return entries, holding, finals
 
 
 def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, ContractionTrace]]:
@@ -202,48 +229,53 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
 
     Yields in lexicographic order of the contracted index sequences.  Each
     stack entry is a stage key, the original indices still alive, the
-    history that reached the stage and the final index to contract next;
-    siblings are contracted only when popped, so the first result costs
-    exactly the greedy walk.  The history holds, per step, the step, the
-    original indices alive after it and the pair ``(original contracted,
-    originals met)``.  A full history is the trace, and its forest follows:
-    step ``t`` of ``m`` creates point ``m + 1 - t`` with the step's degree,
-    proximate to the points created by the originals it met.
+    history that reached the stage and the final to contract next, as an
+    original index; siblings are contracted only when popped, so the first
+    result costs exactly the greedy walk.  The history holds, per step,
+    the step, the original indices alive after it and the pair ``(original
+    contracted, originals met)``.  A full history is the trace, and its
+    forest follows: step ``t`` of ``m`` creates point ``m + 1 - t`` with
+    the step's degree, proximate to the points created by the originals it
+    met.  Only steps use current labels: renumbering keeps order, so a
+    current label is a position in the ascending ``alive``.
 
     A stage is the pull-back of ``tensor`` along the composite of its
     steps, which is fixed by the components contracted and the components
-    each one met, in original labels.  Keyed by those pairs, each stage's
-    tensor and finals and each contraction out of it are computed once.
+    each one met, in original labels.  Keyed by those pairs, each stage is
+    derived once by :func:`_blow_down`, from its parent's record, and each
+    step out of it is made once.
     """
+    d, m = tensor.dimension, tensor.size
     root: frozenset[tuple[int, tuple[int, ...]]] = frozenset()
-    tensors = {root: tensor}
-    finals: dict[frozenset, list[int]] = {}  # descending, as the stack pops them
+    entries, holding = tensor.entries, tensor._holding
+    finals = {a: n for a in range(1, m + 1) if (n := _final_neighbours(d, entries, holding, a)) is not None}
+    stages = {root: (entries, holding, finals)}
     edges: dict[tuple[frozenset, int], tuple[ContractionStep, tuple, frozenset]] = {}  # -> (step, pair, key reached)
-    stack = [(root, tuple(range(1, tensor.size + 1)), (), None)]
+    stack = [(root, tuple(range(1, m + 1)), (), None)]
     while stack:
         key, alive, history, chosen = stack.pop()
         if chosen is not None:
             edge = edges.get((key, chosen))
             if edge is None:
-                child, step = contract(tensors[key], chosen)
-                pair = alive[chosen - 1], tuple(alive[a - 1] for a in step.proximate_to_current)
+                entries, _, finals = stage = stages[key]
+                c, *met = (bisect.bisect_left(alive, a) + 1 for a in (chosen, *finals[chosen]))
+                step = ContractionStep.at(c, len(alive), (-1) ** (d - 1) * entries[(chosen,) * d], met)
+                pair = chosen, finals[chosen]
                 edge = edges[key, chosen] = step, pair, key | {pair}
-                tensors.setdefault(edge[2], child)
+                if edge[2] not in stages:
+                    stages[edge[2]] = _blow_down(d, stage, chosen)
             step, pair, key = edge
-            alive = alive[: chosen - 1] + alive[chosen:]
+            alive = alive[: step.contracted - 1] + alive[step.contracted :]
             history += ((step, alive, pair),)
         if not alive:
-            m = len(history)
             creation = {original: m - t for t, (_, _, (original, _)) in enumerate(history)}
             points = [Point(s.degree, frozenset(creation[j] for j in met)) for s, _, (_, met) in reversed(history)]
             trace = ContractionTrace(tuple(s for s, _, _ in history), tuple(a for _, a, _ in history))
-            yield ProximityForest(tensor.dimension, tuple(points)), trace
+            yield ProximityForest(d, tuple(points)), trace
             continue
-        if key not in finals:
-            finals[key] = sorted(final_set(tensors[key]), reverse=True)
-        if not finals[key]:
+        if not stages[key][2]:
             raise NotContractibleError(f"no final component at stage {len(history) + 1}")
-        stack.extend((key, alive, history, k) for k in finals[key])
+        stack.extend((key, alive, history, k) for k in sorted(stages[key][2], reverse=True))
 
 
 def recover_sequence(tensor: IntersectionTensor) -> tuple[ProximityForest, ContractionTrace]:

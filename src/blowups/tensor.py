@@ -112,20 +112,16 @@ class IntersectionTensor:
         return tensor
 
     @cached_property
-    def _meets(self) -> dict[int, tuple[int, ...]]:
-        """For each component, ascending, the others it shares a stored key made of the two alone.
+    def _holding(self) -> dict[int, list[tuple[int, ...]]]:
+        """For each component in a stored key, the stored keys that hold it, in entry order.
 
-        Zero entries are never stored, so these are exactly the components
-        with a nonzero mixed product with it.  Built on first use.
+        Built on first use, in one pass over the entries.
         """
-        d = self.dimension
-        meets: dict[int, set[int]] = {}
+        holding: dict[int, list[tuple[int, ...]]] = {}
         for key in self.entries:
-            i, j = key[0], key[-1]
-            if i != j and key.count(i) + key.count(j) == d:
-                meets.setdefault(i, set()).add(j)
-                meets.setdefault(j, set()).add(i)
-        return {a: tuple(sorted(others)) for a, others in meets.items()}
+            for a in set(key):
+                holding.setdefault(a, []).append(key)
+        return holding
 
     def value(self, index: Iterable[int]) -> int:
         """The entry at a multi-index, in any order; zero if absent."""

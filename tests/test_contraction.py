@@ -4,10 +4,11 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import blowups.contraction
 from blowups import (
+    ContractionStep,
     ContractionTrace,
     IntersectionTensor,
     NotContractibleError,
@@ -318,17 +319,25 @@ class TestRecoverAllOrders:
         assert orders == set(itertools.permutations((1, 2, 3)))
 
     def test_shared_stages_contract_each_edge_once(self, monkeypatch):
-        # 6 disjoint points: 720 orders through 2^6 stages, with 6 * 2^5 stage-to-stage contractions
+        # 6 disjoint points: 720 orders through 2^6 stages joined by 6 * 2^5 edges.
+        # Each stage below the root is derived once, from its first parent; each edge makes its step once.
         tensor = tensor_from_forest(ProximityForest.make(2, *[(1, [])] * 6))
-        calls = []
+        derived, steps = [], []
+        blow_down, at = blowups.contraction._blow_down, ContractionStep.at
 
-        def counting(t, i):
-            calls.append(i)
-            return contract(t, i)
+        def counting_blow_down(d, stage, i):
+            derived.append(i)
+            return blow_down(d, stage, i)
 
-        monkeypatch.setattr(blowups.contraction, "contract", counting)
+        def counting_at(cls, *args):
+            steps.append(args)
+            return at(*args)
+
+        monkeypatch.setattr(blowups.contraction, "_blow_down", counting_blow_down)
+        monkeypatch.setattr(ContractionStep, "at", classmethod(counting_at))
         results = recover_all_orders(tensor)
-        assert len(calls) <= 6 * 2**5
+        assert len(derived) == 2**6 - 1
+        assert len(steps) == 6 * 2**5
         assert [trace.original_order() for _, trace in results] == list(itertools.permutations(range(1, 7)))
         assert results[0] == recover_sequence(tensor)
 
@@ -386,3 +395,70 @@ class TestRecoverAllOrders:
         for forest, trace in results:
             assert trace == ContractionTrace.of(trace.steps)
             assert forest == oracle_forest(dimension, trace)
+
+
+def chained_orders(tensor):
+    """Every contraction order by chaining the public ``final_set`` and ``contract``, as the walk lists them."""
+    def walk(tensor, steps):
+        if not tensor.size:
+            yield ContractionTrace.of(steps)
+            return
+        finals = sorted(final_set(tensor))
+        if not finals:
+            raise NotContractibleError(f"no final component at stage {len(steps) + 1}")
+        for i in finals:
+            smaller, step = contract(tensor, i)
+            yield from walk(smaller, steps + (step,))
+
+    return walk(tensor, ())
+
+
+@st.composite
+def near_blow_up_tensors(draw):
+    seed = draw(st.integers(0, 10**6))
+    tensor = tensor_from_forest(random_forest(seed, draw(st.integers(2, 4)), draw(st.integers(1, 7)), 3))
+    how = draw(st.sampled_from(["none", "entry", "negate", "isolated", "diagonal"]))
+    return tensor if how == "none" else perturb(tensor, how, random.Random(seed))
+
+
+class TestLocalStages:
+    """The walk keeps each stage in original labels and re-decides only what a blow-down touches."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tensor=near_blow_up_tensors())
+    # Blowing down 2 turns (1, 2, 3) into (1, 1, 3): 3 starts to meet 1 though it never met 2.
+    @example(tensor=IntersectionTensor(3, 3, {(1, 1, 2): 3, (1, 2, 2): -3, (2, 2, 2): 3, (3, 3, 3): 1, (1, 2, 3): -3}))
+    def test_walk_matches_chained_public_steps(self, tensor):
+        try:
+            walked = [trace for _, trace in recover_all_orders(tensor, limit=200)]
+        except (NotContractibleError, SearchLimitError) as exc:
+            walked = str(exc)
+        try:
+            chained = list(itertools.islice(chained_orders(tensor), 201))
+        except NotContractibleError as exc:
+            chained = str(exc)
+        assert walked == ("more than 200 contraction orders" if isinstance(chained, list) and len(chained) > 200 else chained)
+
+    @pytest.mark.parametrize(
+        "forest",
+        [
+            ProximityForest.make(2, *[(1, [])] * 64),
+            ProximityForest.make(2, (1, []), *[(1, [k]) for k in range(1, 64)]),
+            ProximityForest.make(3, (1, []), *[(1, [1])] * 64),
+        ],
+        ids=["64-disjoint", "64-chain", "64-leaf-star"],
+    )
+    def test_finality_is_decided_next_to_each_blow_down(self, forest, monkeypatch):
+        # Every component once at the root, then only those sharing a stored key with the contracted one.
+        tensor = tensor_from_forest(forest)
+        calls = []
+        final_neighbours = blowups.contraction._final_neighbours
+
+        def counting(*args):
+            calls.append(args[-1])
+            return final_neighbours(*args)
+
+        monkeypatch.setattr(blowups.contraction, "_final_neighbours", counting)
+        recovered, _ = recover_sequence(tensor)
+        assert len(recovered) == len(forest)
+        assert len(calls) <= 2 * len(forest)
