@@ -31,11 +31,12 @@ current = tensor
 while current.size:
     finals = sorted(final_set(current))
     chosen = finals[0]
-    current, step = contract(current, chosen)
+    smaller, step = contract(current, chosen)
     print(
-        f"stage with {len(step.index_map)} components: finals {finals}, "
+        f"stage with {current.size} components: finals {finals}, "
         f"contracted {chosen} (degree {step.degree}, was proximate to {list(step.proximate_to_current)})"
     )
+    current = smaller
 
 # recover_sequence packages the same loop and rebuilds the forest.
 recovered, trace = recover_sequence(tensor)

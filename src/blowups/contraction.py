@@ -28,7 +28,8 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterator
 
 from .errors import NotContractibleError, SearchLimitError
 from .forest import Point, ProximityForest
@@ -50,46 +51,28 @@ DEFAULT_ORDER_LIMIT = 1000
 
 @dataclass(frozen=True)
 class ContractionStep:
-    """One numerical blow-down, in the index labels current at its stage.
-
-    ``index_map[old - 1]`` is the renumbered index of a surviving
-    component (``None`` at the contracted one); survivors keep their
-    relative order.
-    """
+    """One numerical blow-down, in the labels current at its stage; survivor ``a`` becomes ``a - (a > contracted)``."""
 
     contracted: int
     degree: int
     proximate_to_current: tuple[int, ...]
-    index_map: tuple[int | None, ...]
-
-    @classmethod
-    def at(cls, contracted: int, stage: int, degree: int, proximities: Iterable[int]) -> "ContractionStep":
-        """The step blowing down ``contracted`` at a stage of ``stage`` components."""
-        index_map = tuple(None if a == contracted else a if a < contracted else a - 1 for a in range(1, stage + 1))
-        return cls(contracted, degree, tuple(proximities), index_map)
 
 
 @dataclass(frozen=True)
 class ContractionTrace:
-    """A full contraction history.
-
-    ``index_maps[t]`` lists, after ``t + 1`` steps, the original indices
-    of the surviving components in their current order; the last entry is
-    empty.
-    """
+    """A full contraction history: its steps, which contract all ``len(steps)`` components and fix the rest."""
 
     steps: tuple[ContractionStep, ...]
-    index_maps: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def of(cls, steps: tuple[ContractionStep, ...]) -> "ContractionTrace":
-        """The history of ``steps``, contracting all of ``len(steps)`` components."""
-        alive = tuple(range(1, len(steps) + 1))
+    @cached_property
+    def index_maps(self) -> tuple[tuple[int, ...], ...]:
+        """``index_maps[t]`` lists, after ``t + 1`` steps, the survivors' original indices in current order."""
+        alive = tuple(range(1, len(self.steps) + 1))
         maps = []
-        for step in steps:
+        for step in self.steps:
             alive = alive[: step.contracted - 1] + alive[step.contracted :]
             maps.append(alive)
-        return cls(tuple(steps), tuple(maps))
+        return tuple(maps)
 
     def original_order(self) -> tuple[int, ...]:
         """Original indices in the order they were contracted."""
@@ -201,10 +184,10 @@ def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, Co
     proximities = _final_neighbours(d, entries, tensor._holding, i)
     if proximities is None:
         raise ValueError(f"component {i} is not final")
-    step = ContractionStep.at(i, m, (-1) ** (d - 1) * entries[(i,) * d], proximities)
-    renumber = (None,) + step.index_map  # injective on survivors, so the keys stay distinct
+    step = ContractionStep(i, (-1) ** (d - 1) * entries[(i,) * d], proximities)
     sums, _ = _spread(d, entries, tensor._holding, i, proximities)
-    entries = {key if key[-1] < i else tuple(map(renumber.__getitem__, key)): value for key, value in sums.items()}
+    # No key holds ``i`` any more, so renumbering keeps the keys distinct and sorted.
+    entries = {key if key[-1] < i else tuple(a - (a > i) for a in key): value for key, value in sums.items()}
     return IntersectionTensor._trusted(d, m - 1, entries), step
 
 
@@ -232,12 +215,12 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     history that reached the stage and the final to contract next, as an
     original index; siblings are contracted only when popped, so the first
     result costs exactly the greedy walk.  The history holds, per step,
-    the step, the original indices alive after it and the pair ``(original
-    contracted, originals met)``.  A full history is the trace, and its
-    forest follows: step ``t`` of ``m`` creates point ``m + 1 - t`` with
-    the step's degree, proximate to the points created by the originals it
-    met.  Only steps use current labels: renumbering keeps order, so a
-    current label is a position in the ascending ``alive``.
+    the step and the pair ``(original contracted, originals met)``.  Its
+    steps are the trace, and its forest follows from the pairs: step ``t``
+    of ``m`` creates point ``m + 1 - t`` with the step's degree, proximate
+    to the points created by the originals it met.  Only steps use current
+    labels: renumbering keeps order, so a current label is a position in
+    the ascending ``alive``.
 
     A stage is the pull-back of ``tensor`` along the composite of its
     steps, which is fixed by the components contracted and the components
@@ -259,19 +242,18 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
             if edge is None:
                 entries, _, finals = stage = stages[key]
                 c, *met = (bisect.bisect_left(alive, a) + 1 for a in (chosen, *finals[chosen]))
-                step = ContractionStep.at(c, len(alive), (-1) ** (d - 1) * entries[(chosen,) * d], met)
+                step = ContractionStep(c, (-1) ** (d - 1) * entries[(chosen,) * d], tuple(met))
                 pair = chosen, finals[chosen]
                 edge = edges[key, chosen] = step, pair, key | {pair}
                 if edge[2] not in stages:
                     stages[edge[2]] = _blow_down(d, stage, chosen)
             step, pair, key = edge
             alive = alive[: step.contracted - 1] + alive[step.contracted :]
-            history += ((step, alive, pair),)
+            history += ((step, pair),)
         if not alive:
-            creation = {original: m - t for t, (_, _, (original, _)) in enumerate(history)}
-            points = [Point(s.degree, frozenset(creation[j] for j in met)) for s, _, (_, met) in reversed(history)]
-            trace = ContractionTrace(tuple(s for s, _, _ in history), tuple(a for _, a, _ in history))
-            yield ProximityForest(d, tuple(points)), trace
+            creation = {original: m - t for t, (_, (original, _)) in enumerate(history)}
+            points = [Point(s.degree, frozenset(creation[j] for j in met)) for s, (_, met) in reversed(history)]
+            yield ProximityForest(d, tuple(points)), ContractionTrace(tuple(s for s, _ in history))
             continue
         if not stages[key][2]:
             raise NotContractibleError(f"no final component at stage {len(history) + 1}")

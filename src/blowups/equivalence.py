@@ -30,6 +30,8 @@ must read what its twin reads under the discrete labelling.  This is the
 idea of Darga, Sakallah & Markov, saucy (DAC 2008); on a star the search
 then walks one path.  Automorphisms are kept sparse, as the map of the
 points they move, so a transposition costs two entries whatever the size.
+The search's table of leaves is its outcome: the canonical labelling and
+every automorphism found at a leaf are read off it.
 The search sees an object through one of two structures, a vertex-coloured
 digraph (forests and block-proximity graphs) or an index-coloured tensor,
 each of which turns a labelling into a JSON-ready document.  Canonical
@@ -294,36 +296,31 @@ def _search(struct) -> _SearchOutcome:
     Returns the lexicographically minimal serialization over all discrete
     refinements of the initial colouring, the relabelling achieving it,
     and the automorphisms known along the way: the twin transpositions of
-    the refined root colouring, then those discovered at the leaves (any
-    two labellings with equal serializations differ by one).  Branches
-    whose chosen vertex is already known to lie in the orbit of a tried
-    sibling, under known automorphisms fixing the current
+    the refined root colouring, then one per leaf that repeats earlier
+    data.  ``leaves`` maps each serialization to the first labelling, in
+    depth-first order, that reached it, so the canonical one is
+    ``leaves[min(leaves)]``.  A document depends only on the structure
+    pushed forward along the labelling, so a later labelling ``L2`` with
+    the data of ``L1`` is the automorphism ``L1^-1 L2`` without a check.
+    Branches whose chosen vertex is already known to lie in the orbit of a
+    tried sibling, under known automorphisms fixing the current
     individualization path, are pruned.  A pruned branch is the image of
     a tried one, so the first minimal leaf in depth-first order is always
     reached and the outcome does not depend on which automorphisms are
     known.
     """
     n = struct.n
-    straight = tuple(range(1, n + 1))
-    identity = None  # the document of ``straight``, built for the first leaf that repeats earlier data
-    best: list = [None, None]
     leaves: dict[bytes, list[int]] = {}
     root = _refine(struct, _ranks(struct.colors), range(n))
     automorphisms = _twin_chains(struct, root)
     nodes = 0
 
     def handle_leaf(colors: list[int]) -> None:
-        nonlocal identity
         labels = [c + 1 for c in colors]
-        data = io.canonical_json(struct.document(labels)).encode()
-        perm = _compose(labels, leaves.setdefault(data, labels))
-        if perm != straight:
-            if identity is None:
-                identity = struct.document(straight)
-            if struct.document(perm) == identity:
-                automorphisms.append({v: p - 1 for v, p in enumerate(perm) if p - 1 != v})
-        if best[0] is None or data < best[0]:
-            best[0], best[1] = data, labels
+        first = leaves.setdefault(io.canonical_json(struct.document(labels)).encode(), labels)
+        if first is not labels:
+            perm = _compose(labels, first)
+            automorphisms.append({v: p - 1 for v, p in enumerate(perm) if p - 1 != v})
 
     def descend(colors: list[int], path: tuple[int, ...]) -> None:
         """Search below a node whose ``colors`` are already refined."""
@@ -355,7 +352,8 @@ def _search(struct) -> _SearchOutcome:
         descend(root, ())
     except RecursionError:
         raise SearchLimitError("canonical search deeper than the recursion limit") from None
-    return _SearchOutcome(tuple(best[1]), best[0], automorphisms)
+    data = min(leaves)
+    return _SearchOutcome(tuple(leaves[data]), data, automorphisms)
 
 
 def _structure_for(obj):

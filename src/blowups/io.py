@@ -216,8 +216,8 @@ def trace_from_dict(obj: Any) -> ContractionTrace:
         degree = _require_int(raw["degree"], f"step {pos} degree")
         if degree < 1:
             raise SchemaError(f"step {pos} degree must be >= 1, got {degree}")
-        steps.append(ContractionStep.at(contracted, stage, degree, proximities))
-    trace = ContractionTrace.of(tuple(steps))
+        steps.append(ContractionStep(contracted, degree, proximities))
+    trace = ContractionTrace(tuple(steps))
     for pos, (alive, expected) in enumerate(zip(raw_maps, trace.index_maps), 1):
         survivors = tuple(_require_int(i, f"index map {pos}") for i in _require_list(alive, f"index map {pos}"))
         if survivors != expected:

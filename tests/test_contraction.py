@@ -175,9 +175,7 @@ class TestContract:
         tensor = tensor_from_forest(surface_chain)
         smaller, step = contract(tensor, 2)
         assert smaller.entries == {(1, 1): -1}
-        assert step.degree == 1
-        assert step.proximate_to_current == (1,)
-        assert step.index_map == (1, None)
+        assert step == ContractionStep(2, 1, (1,))
 
     def test_rejects_non_final(self, surface_chain):
         tensor = tensor_from_forest(surface_chain)
@@ -224,12 +222,11 @@ class TestContract:
             assert finals
             for i in finals:
                 smaller, step = contract(tensor, i)
-                entries, degree, proximities, index_map = oracle_contract(tensor, i)
+                entries, degree, proximities, _ = oracle_contract(tensor, i)
                 assert smaller.size == tensor.size - 1
                 assert smaller.entries == entries
                 assert (step.contracted, step.degree) == (i, degree)
                 assert step.proximate_to_current == proximities
-                assert step.index_map == index_map
             tensor, _ = contract(tensor, rng.choice(finals))
 
     @settings(max_examples=120, deadline=None)
@@ -246,9 +243,9 @@ class TestContract:
         while finals := sorted(final_set(tensor)):
             for i in finals:
                 smaller, step = contract(tensor, i)
-                entries, degree, proximities, index_map = oracle_contract(tensor, i)
+                entries, degree, proximities, _ = oracle_contract(tensor, i)
                 assert smaller.entries == entries
-                assert (step.degree, step.proximate_to_current, step.index_map) == (degree, proximities, index_map)
+                assert (step.degree, step.proximate_to_current) == (degree, proximities)
             tensor, _ = contract(tensor, rng.choice(finals))
 
     @settings(max_examples=60, deadline=None)
@@ -323,18 +320,18 @@ class TestRecoverAllOrders:
         # Each stage below the root is derived once, from its first parent; each edge makes its step once.
         tensor = tensor_from_forest(ProximityForest.make(2, *[(1, [])] * 6))
         derived, steps = [], []
-        blow_down, at = blowups.contraction._blow_down, ContractionStep.at
+        blow_down, init = blowups.contraction._blow_down, ContractionStep.__init__
 
         def counting_blow_down(d, stage, i):
             derived.append(i)
             return blow_down(d, stage, i)
 
-        def counting_at(cls, *args):
+        def counting_init(self, *args):
             steps.append(args)
-            return at(*args)
+            init(self, *args)
 
         monkeypatch.setattr(blowups.contraction, "_blow_down", counting_blow_down)
-        monkeypatch.setattr(ContractionStep, "at", classmethod(counting_at))
+        monkeypatch.setattr(ContractionStep, "__init__", counting_init)
         results = recover_all_orders(tensor)
         assert len(derived) == 2**6 - 1
         assert len(steps) == 6 * 2**5
@@ -383,7 +380,7 @@ class TestRecoverAllOrders:
         how=st.sampled_from(["none", "entry", "negate", "isolated", "diagonal"]),
     )
     def test_each_order_matches_its_definition(self, seed, dimension, size, how):
-        # exact, not up to isomorphism: the trace follows from its steps, the forest from the trace
+        # exact, not up to isomorphism: the forest follows from the trace
         rng = random.Random(seed)
         tensor = tensor_from_forest(random_forest(seed, dimension, size, 3))
         if how != "none":
@@ -393,7 +390,6 @@ class TestRecoverAllOrders:
         except (NotContractibleError, SearchLimitError):
             return
         for forest, trace in results:
-            assert trace == ContractionTrace.of(trace.steps)
             assert forest == oracle_forest(dimension, trace)
 
 
@@ -401,7 +397,7 @@ def chained_orders(tensor):
     """Every contraction order by chaining the public ``final_set`` and ``contract``, as the walk lists them."""
     def walk(tensor, steps):
         if not tensor.size:
-            yield ContractionTrace.of(steps)
+            yield ContractionTrace(steps)
             return
         finals = sorted(final_set(tensor))
         if not finals:

@@ -29,7 +29,7 @@ from blowups import (
     tensor_equivalent_direct,
     tensor_from_forest,
 )
-from blowups import equivalence
+from blowups import equivalence, io
 from blowups.equivalence import _DigraphStructure, _orbit_ids, _orbits, _ranks, _refine, _TensorStructure, _twin_chains
 from _oracles import (
     apply_permutation,
@@ -411,7 +411,7 @@ class TestRefinement:
 
     @pytest.mark.parametrize("forest", [random_forest(8, 3, 8, 2), random_forest(2, 3, 10, 3)], ids=["d3 m8", "d3 m10"])
     def test_rigid_search_builds_one_document(self, monkeypatch, forest):
-        """The identity document is built only for a leaf that repeats earlier data; a rigid object has none."""
+        """Each leaf builds one document, and a rigid object's search has one leaf."""
         calls = count_calls(monkeypatch, "document")
         for struct in (_DigraphStructure.of_forest(forest), _TensorStructure(tensor_from_forest(forest))):
             calls[0] = 0
@@ -419,6 +419,73 @@ class TestRefinement:
             assert calls[0] == 1
             assert outcome.automorphisms == []
             assert _orbits(struct) == tuple((i,) for i in range(1, len(forest) + 1))
+
+
+def disjoint_chains(k: int) -> ProximityForest:
+    return disjoint_copies(ProximityForest.make(2, (1, []), (1, [1])), k)
+
+
+def cycles(*lengths: int) -> ProximityForest:
+    """Disjoint cycles of roots, each cycle edge a point proximate to its two ends.
+
+    Refinement cannot tell one root from another, but ``cycles(6, 3, 3)``
+    has no automorphism taking a root of the 6-cycle into a 3-cycle, so its
+    search reaches leaves whose structures differ.
+    """
+    roots = [list(range(sum(lengths[:c]) + 1, sum(lengths[: c + 1]) + 1)) for c in range(len(lengths))]
+    edges = [(1, [cycle[k], cycle[k - 1]]) for cycle in roots for k in range(len(cycle))]
+    return ProximityForest.make(2, *[(1, [])] * sum(lengths), *edges)
+
+
+class TestLeafTable:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        forest=st.builds(
+            lambda seed, dimension, size, copies: disjoint_copies(random_forest(seed, dimension, size, 2), copies),
+            st.integers(0, 10**6),
+            st.integers(2, 4),
+            st.integers(0, 5),
+            st.integers(1, 3),
+        ),
+        how=st.sampled_from(["entry", "negate", "isolated", "diagonal"]),
+        split=st.integers(0, 10**6),
+    )
+    # Symmetry without twins: every automorphism past the first leaf comes from a repeated leaf.
+    @example(forest=disjoint_chains(5), how="isolated", split=0)
+    # Leaves of unequal structure: data that lost the proximities would call them automorphic.
+    @example(forest=cycles(6, 3, 3), how="entry", split=0)
+    def test_repeated_leaves_are_automorphisms(self, forest, how, split):
+        """Equal leaf data under two labellings is taken as an automorphism unchecked; check it here."""
+        rng = random.Random(split)
+        tensor = tensor_from_forest(forest)
+        structs = [_DigraphStructure.of_forest(forest), _TensorStructure(tensor), _TensorStructure(perturb(tensor, how, rng))]
+        if len(forest):
+            structs.append(_DigraphStructure.of_blocks(forest, random_partition(len(forest), rng)))
+        for struct in structs:
+            identity = list(range(1, struct.n + 1))
+            for automorphism in equivalence._search(struct).automorphisms:
+                labels = identity.copy()
+                for v, w in automorphism.items():
+                    labels[v] = w + 1
+                assert struct.document(labels) == struct.document(identity)
+
+    def test_one_document_per_leaf(self, monkeypatch):
+        """Six disjoint 2-chains search many leaves; each builds one document, serialised once."""
+        documents = count_calls(monkeypatch, "document")
+        leaves = [0]
+        canonical_json = io.canonical_json
+
+        def counting(data):
+            leaves[0] += 1
+            return canonical_json(data)
+
+        monkeypatch.setattr(io, "canonical_json", counting)
+        forest = disjoint_chains(6)
+        for struct in (_DigraphStructure.of_forest(forest), _TensorStructure(tensor_from_forest(forest))):
+            documents[0] = leaves[0] = 0
+            equivalence._search(struct)
+            assert leaves[0] > 1
+            assert documents[0] == leaves[0]
 
 
 class TestForestIsomorphic:
