@@ -3,120 +3,20 @@
 Compute the d-ary intersection form of the exceptional components from
 proximity data, recover the blow-up sequence from the form by iterated
 numerical contraction, and decide combinatorial equivalence of marked
-sequences and morphisms.
+sequences and morphisms.  The package exports exactly the names each
+module lists in its own ``__all__``.
 """
 
 from __future__ import annotations
 
-from .contraction import (
-    ContractionStep,
-    ContractionTrace,
-    contract,
-    empty_intersection,
-    final_set,
-    is_final,
-    recover_all_orders,
-    recover_sequence,
-)
-from .equivalence import (
-    CanonicalForm,
-    automorphism_orbits,
-    canonical_form,
-    forest_isomorphic,
-    marked_forest_equivalent,
-    marked_tensor_equivalent,
-    partition_compatible_morphism,
-    partition_compatible_sequence,
-    tensor_equivalent,
-    tensor_equivalent_direct,
-)
-from .errors import BlowupsError, NotContractibleError, SchemaError, SearchLimitError
-from .io import (
-    canonical_json,
-    forest_from_dict,
-    forest_to_dict,
-    load_document,
-    partition_from_dict,
-    partition_to_dict,
-    report_to_dict,
-    tensor_from_dict,
-    tensor_to_dict,
-    trace_from_dict,
-    trace_to_dict,
-    witness_to_dict,
-)
-from .forest import (
-    MarkedPartition,
-    Point,
-    ProximityForest,
-    ValidationReport,
-    Violation,
-    block_degree,
-    block_proximity,
-    random_forest,
-    validate_forest,
-)
-from .tensor import (
-    IntersectionTensor,
-    TotalTransformMatrix,
-    diagonal,
-    evaluate,
-    quotient_tensor,
-    tensor_from_forest,
-    total_transform_matrix,
-)
+from . import contraction, equivalence, errors, forest, io, tensor
+from .contraction import *  # noqa: F403
+from .equivalence import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .forest import *  # noqa: F403
+from .io import *  # noqa: F403
+from .tensor import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlowupsError",
-    "CanonicalForm",
-    "ContractionStep",
-    "ContractionTrace",
-    "IntersectionTensor",
-    "MarkedPartition",
-    "NotContractibleError",
-    "Point",
-    "ProximityForest",
-    "SchemaError",
-    "SearchLimitError",
-    "TotalTransformMatrix",
-    "ValidationReport",
-    "Violation",
-    "automorphism_orbits",
-    "block_degree",
-    "block_proximity",
-    "canonical_form",
-    "canonical_json",
-    "contract",
-    "diagonal",
-    "empty_intersection",
-    "evaluate",
-    "final_set",
-    "forest_from_dict",
-    "forest_isomorphic",
-    "forest_to_dict",
-    "is_final",
-    "load_document",
-    "marked_forest_equivalent",
-    "marked_tensor_equivalent",
-    "partition_compatible_morphism",
-    "partition_compatible_sequence",
-    "partition_from_dict",
-    "partition_to_dict",
-    "quotient_tensor",
-    "random_forest",
-    "recover_all_orders",
-    "recover_sequence",
-    "report_to_dict",
-    "tensor_equivalent",
-    "tensor_equivalent_direct",
-    "tensor_from_dict",
-    "tensor_from_forest",
-    "tensor_to_dict",
-    "total_transform_matrix",
-    "trace_from_dict",
-    "trace_to_dict",
-    "validate_forest",
-    "witness_to_dict",
-]
+__all__ = sorted({*contraction.__all__, *equivalence.__all__, *errors.__all__, *forest.__all__, *io.__all__, *tensor.__all__})

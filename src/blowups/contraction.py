@@ -231,7 +231,8 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     d, m = tensor.dimension, tensor.size
     root: frozenset[tuple[int, tuple[int, ...]]] = frozenset()
     entries, holding = tensor.entries, tensor._holding
-    finals = {a: n for a in range(1, m + 1) if (n := _final_neighbours(d, entries, holding, a)) is not None}
+    # A component in no stored key has a zero pure power, so it is never final.
+    finals = {a: n for a in holding if (n := _final_neighbours(d, entries, holding, a)) is not None}
     stages = {root: (entries, holding, finals)}
     edges: dict[tuple[frozenset, int], tuple[ContractionStep, tuple, frozenset]] = {}  # -> (step, pair, key reached)
     stack = [(root, tuple(range(1, m + 1)), (), None)]

@@ -61,7 +61,6 @@ __all__ = [
     "canonical_form",
     "forest_isomorphic",
     "tensor_equivalent",
-    "tensor_equivalent_direct",
     "marked_forest_equivalent",
     "marked_tensor_equivalent",
     "automorphism_orbits",
@@ -298,32 +297,41 @@ def _search(struct) -> _SearchOutcome:
     and the automorphisms known along the way: the twin transpositions of
     the refined root colouring, then one per leaf that repeats earlier
     data.  ``leaves`` maps each serialization to the first labelling, in
-    depth-first order, that reached it, so the canonical one is
-    ``leaves[min(leaves)]``.  A document depends only on the structure
-    pushed forward along the labelling, so a later labelling ``L2`` with
-    the data of ``L1`` is the automorphism ``L1^-1 L2`` without a check.
+    depth-first order, that reached it, and to its path, so the canonical
+    labelling is ``leaves[min(leaves)][0]``.  A document depends only on
+    the structure pushed forward along the labelling, so a later labelling
+    ``L2`` with the data of ``L1`` is the automorphism ``L1^-1 L2``
+    without a check.
     Branches whose chosen vertex is already known to lie in the orbit of a
     tried sibling, under known automorphisms fixing the current
     individualization path, are pruned.  A pruned branch is the image of
     a tried one, so the first minimal leaf in depth-first order is always
-    reached and the outcome does not depend on which automorphisms are
-    known.
+    reached and the labelling and data do not depend on which
+    automorphisms are known.  A repeated leaf also backjumps, as in McKay,
+    "Practical graph isomorphism" (1981): its automorphism carries the
+    earlier leaf's path onto its own, since a labelling determines its
+    path, so it fixes the two paths' common prefix and maps the subtree
+    where the new path leaves it onto a subtree searched before.  The
+    search returns to that depth and goes on with the next sibling there.
     """
     n = struct.n
-    leaves: dict[bytes, list[int]] = {}
+    leaves: dict[bytes, tuple[list[int], tuple[int, ...]]] = {}
     root = _refine(struct, _ranks(struct.colors), range(n))
     automorphisms = _twin_chains(struct, root)
     nodes = 0
 
-    def handle_leaf(colors: list[int]) -> None:
+    def handle_leaf(colors: list[int], path: tuple[int, ...]) -> int:
+        """The depth to return to: where ``path`` leaves an earlier path to the same data, else its own."""
         labels = [c + 1 for c in colors]
-        first = leaves.setdefault(io.canonical_json(struct.document(labels)).encode(), labels)
-        if first is not labels:
-            perm = _compose(labels, first)
-            automorphisms.append({v: p - 1 for v, p in enumerate(perm) if p - 1 != v})
+        first, first_path = leaves.setdefault(io.canonical_json(struct.document(labels)).encode(), (labels, path))
+        if first is labels:
+            return len(path)
+        perm = _compose(labels, first)
+        automorphisms.append({v: p - 1 for v, p in enumerate(perm) if p - 1 != v})
+        return next(k for k, (v, w) in enumerate(zip(path, first_path)) if v != w)
 
-    def descend(colors: list[int], path: tuple[int, ...]) -> None:
-        """Search below a node whose ``colors`` are already refined."""
+    def descend(colors: list[int], path: tuple[int, ...]) -> int:
+        """Search below a node whose ``colors`` are already refined; return the depth to go back to."""
         nonlocal nodes
         nodes += 1
         if nodes > DEFAULT_NODE_LIMIT:
@@ -331,8 +339,7 @@ def _search(struct) -> _SearchOutcome:
         counts = Counter(colors)
         cell = min((c for c, k in counts.items() if k > 1), default=None)
         if cell is None:
-            handle_leaf(colors)
-            return
+            return handle_leaf(colors, path)
         members = sorted(v for v in range(n) if colors[v] == cell)
         tried: list[int] = []
         # Orbit ids under the automorphisms fixing ``path``, built from the first ``seen`` known.
@@ -346,14 +353,16 @@ def _search(struct) -> _SearchOutcome:
             tried.append(v)
             child = [2 * c + 1 for c in colors]
             child[v] = 2 * cell
-            descend(_refine(struct, child, members), path + (v,))
+            if (depth := descend(_refine(struct, child, members), path + (v,))) < len(path):
+                return depth
+        return len(path)
 
     try:
         descend(root, ())
     except RecursionError:
         raise SearchLimitError("canonical search deeper than the recursion limit") from None
     data = min(leaves)
-    return _SearchOutcome(tuple(leaves[data]), data, automorphisms)
+    return _SearchOutcome(tuple(leaves[data][0]), data, automorphisms)
 
 
 def _structure_for(obj):
@@ -415,13 +424,15 @@ def tensor_equivalent(t1: IntersectionTensor, t2: IntersectionTensor) -> tuple[i
     Decided by canonical search on the tensors themselves; the composed
     canonical labellings are verified on every stored entry.  This works
     for any symmetric form, whether or not it comes from a blow-up
-    sequence.  ``tensor_equivalent_direct`` is the same function.
+    sequence.
     """
     if t1.dimension != t2.dimension:
         raise ValueError(f"dimension mismatch: {t1.dimension} vs {t2.dimension}")
     return _match(_TensorStructure(t1), _TensorStructure(t2))
 
 
+# Not public: ``perfbench/tracer.py`` wraps ``blowups.equivalence.tensor_equivalent_direct``
+# by name, and every traced benchmark run fails with AttributeError without it.
 tensor_equivalent_direct = tensor_equivalent
 
 

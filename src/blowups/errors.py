@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["BlowupsError", "SchemaError", "NotContractibleError", "SearchLimitError"]
+
 
 class BlowupsError(Exception):
     """Base class for domain errors raised by this package."""

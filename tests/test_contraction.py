@@ -458,3 +458,19 @@ class TestLocalStages:
         recovered, _ = recover_sequence(tensor)
         assert len(recovered) == len(forest)
         assert len(calls) <= 2 * len(forest)
+
+    @pytest.mark.parametrize("recover", [recover_sequence, recover_all_orders])
+    def test_root_finality_reads_only_stored_components(self, recover, monkeypatch):
+        # Components 2..size are in no stored key, so their pure powers vanish and none is final.
+        tensor = IntersectionTensor(2, 100_000, {(1, 1): -1})
+        calls = []
+        final_neighbours = blowups.contraction._final_neighbours
+
+        def counting(*args):
+            calls.append(args[-1])
+            return final_neighbours(*args)
+
+        monkeypatch.setattr(blowups.contraction, "_final_neighbours", counting)
+        with pytest.raises(NotContractibleError, match="no final component at stage 2"):
+            recover(tensor)
+        assert calls == [1]

@@ -26,11 +26,19 @@ from blowups import (
     random_forest,
     recover_sequence,
     tensor_equivalent,
-    tensor_equivalent_direct,
     tensor_from_forest,
 )
 from blowups import equivalence, io
-from blowups.equivalence import _DigraphStructure, _orbit_ids, _orbits, _ranks, _refine, _TensorStructure, _twin_chains
+from blowups.equivalence import (
+    _DigraphStructure,
+    _orbit_ids,
+    _orbits,
+    _ranks,
+    _refine,
+    _TensorStructure,
+    _twin_chains,
+    tensor_equivalent_direct,
+)
 from _oracles import (
     apply_permutation,
     brute_force_block_orbits,
@@ -486,6 +494,16 @@ class TestLeafTable:
             equivalence._search(struct)
             assert leaves[0] > 1
             assert documents[0] == leaves[0]
+
+    def test_repeated_leaf_backjumps(self, monkeypatch):
+        """Each repeated leaf returns to where its path left the earlier one, so k 2-chains reach at most k leaves."""
+        documents = count_calls(monkeypatch, "document")
+        k = 10
+        forest = disjoint_chains(k)
+        for struct in (_DigraphStructure.of_forest(forest), _TensorStructure(tensor_from_forest(forest))):
+            documents[0] = 0
+            equivalence._search(struct)
+            assert documents[0] <= k
 
 
 class TestForestIsomorphic:
