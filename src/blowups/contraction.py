@@ -134,7 +134,12 @@ def is_final(tensor: IntersectionTensor, i: int) -> bool:
 
 
 def final_set(tensor: IntersectionTensor) -> frozenset[int]:
-    return frozenset(i for i in range(1, tensor.size + 1) if is_final(tensor, i))
+    """The components :func:`is_final` accepts, probing only those in a stored key.
+
+    Any other component has a zero pure power, so it is never final, and
+    the cost follows the stored entries, not ``size``.
+    """
+    return frozenset(i for i in tensor._holding if is_final(tensor, i))
 
 
 def _spread(d: int, entries: dict, holding: dict, i: int, neighbours: tuple[int, ...]) -> tuple[dict, set]:
@@ -211,7 +216,7 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     """Every full contraction of ``tensor``, depth first by ascending final index.
 
     Yields in lexicographic order of the contracted index sequences.  Each
-    stack entry is a stage key, the original indices still alive, the
+    stack entry is a stage key, the sorted originals contracted so far, the
     history that reached the stage and the final to contract next, as an
     original index; siblings are contracted only when popped, so the first
     result costs exactly the greedy walk.  The history holds, per step,
@@ -219,8 +224,8 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     steps are the trace, and its forest follows from the pairs: step ``t``
     of ``m`` creates point ``m + 1 - t`` with the step's degree, proximate
     to the points created by the originals it met.  Only steps use current
-    labels: renumbering keeps order, so a current label is a position in
-    the ascending ``alive``.
+    labels: renumbering keeps order, so original ``a`` has current label
+    ``a`` less the number of contracted originals below it.
 
     A stage is the pull-back of ``tensor`` along the composite of its
     steps, which is fixed by the components contracted and the components
@@ -235,30 +240,30 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     finals = {a: n for a in holding if (n := _final_neighbours(d, entries, holding, a)) is not None}
     stages = {root: (entries, holding, finals)}
     edges: dict[tuple[frozenset, int], tuple[ContractionStep, tuple, frozenset]] = {}  # -> (step, pair, key reached)
-    stack = [(root, tuple(range(1, m + 1)), (), None)]
+    stack = [(root, (), (), None)]
     while stack:
-        key, alive, history, chosen = stack.pop()
+        key, contracted, history, chosen = stack.pop()
         if chosen is not None:
             edge = edges.get((key, chosen))
             if edge is None:
                 entries, _, finals = stage = stages[key]
-                c, *met = (bisect.bisect_left(alive, a) + 1 for a in (chosen, *finals[chosen]))
+                c, *met = (a - bisect.bisect_left(contracted, a) for a in (chosen, *finals[chosen]))
                 step = ContractionStep(c, (-1) ** (d - 1) * entries[(chosen,) * d], tuple(met))
                 pair = chosen, finals[chosen]
                 edge = edges[key, chosen] = step, pair, key | {pair}
                 if edge[2] not in stages:
                     stages[edge[2]] = _blow_down(d, stage, chosen)
             step, pair, key = edge
-            alive = alive[: step.contracted - 1] + alive[step.contracted :]
+            contracted = tuple(sorted((*contracted, chosen)))
             history += ((step, pair),)
-        if not alive:
+        if len(history) == m:
             creation = {original: m - t for t, (_, (original, _)) in enumerate(history)}
             points = [Point(s.degree, frozenset(creation[j] for j in met)) for s, (_, met) in reversed(history)]
             yield ProximityForest(d, tuple(points)), ContractionTrace(tuple(s for s, _ in history))
             continue
         if not stages[key][2]:
             raise NotContractibleError(f"no final component at stage {len(history) + 1}")
-        stack.extend((key, alive, history, k) for k in sorted(stages[key][2], reverse=True))
+        stack.extend((key, contracted, history, k) for k in sorted(stages[key][2], reverse=True))
 
 
 def recover_sequence(tensor: IntersectionTensor) -> tuple[ProximityForest, ContractionTrace]:

@@ -30,11 +30,11 @@ must read what its twin reads under the discrete labelling.  This is the
 idea of Darga, Sakallah & Markov, saucy (DAC 2008); on a star the search
 then walks one path.  Automorphisms are kept sparse, as the map of the
 points they move, so a transposition costs two entries whatever the size.
-The search's table of leaves is its outcome: the canonical labelling and
-every automorphism found at a leaf are read off it.
-The search sees an object through one of two structures, a vertex-coloured
-digraph (forests and block-proximity graphs) or an index-coloured tensor,
-each of which turns a labelling into a JSON-ready document.  Canonical
+The search's table of leaves is its outcome: the canonical labelling, its
+relabelled object and every automorphism found are read off it.  It sees an
+object through one of two structures, a vertex-coloured digraph (forests and
+block-proximity graphs) or an index-coloured tensor, whose ``relabel`` alone
+applies a labelling and whose ``document`` renders the result.  Canonical
 hashes are SHA-256 over the canonical JSON serialization of that document;
 equivalent inputs produce byte-identical hashes.  Permutations are plain
 tuples ``p`` with ``p[i-1]`` the image of index ``i``; every permutation
@@ -93,48 +93,48 @@ def _ranks(keys: list) -> list[int]:
 class _DigraphStructure:
     """Vertex-coloured digraph: a forest's proximity DAG or a block-proximity graph.
 
-    Each vertex has an edge to every vertex it is proximate to; block graphs
-    may have loops and 2-cycles.  Forest colours carry the proximity depth
+    ``out[v]`` lists the vertices ``v`` is proximate to; block graphs may
+    have loops and 2-cycles.  Forest colours carry the proximity depth
     first, so every refinement stays compatible with creation order and the
     canonical relabelling is itself a valid forest.  Block colours are the
     block degree and whether the block is proximate to itself.  The one
     twin test, through ``fingerprint``, is exact here as on a tensor, for
-    twins with loops or edges between them too.  A forest
-    keeps its ``dimension``; a block graph has none and its document is
-    ``{"degrees": ..., "edges": ...}``.
+    twins with loops or edges between them too.  ``relabel`` gives a forest
+    with this ``dimension``, ``None`` for a block graph, whose document is
+    ``{"degrees": ..., "edges": ...}`` read off the relabelled points.
     """
 
-    def __init__(self, degrees: list[int], edges: list[tuple[int, int]], colors: list, dimension: int | None = None):
+    def __init__(self, degrees: list[int], out: list[list[int]], colors: list, dimension: int | None = None):
         self.degrees = degrees
-        self.edges = edges
+        self.out = out
         self.colors = colors
         self.dimension = dimension
         self.n = len(degrees)
-        self.out: list[list[int]] = [[] for _ in range(self.n)]
         self.inn: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in edges:
-            self.out[a].append(b)
-            self.inn[b].append(a)
+        for a, targets in enumerate(out):
+            for b in targets:
+                self.inn[b].append(a)
         # The vertices whose colours ``fingerprint(v, ...)`` reads.
-        self.adjacent = [set(out) | set(inn) for out, inn in zip(self.out, self.inn)]
+        self.adjacent = [set(targets) | set(sources) for targets, sources in zip(out, self.inn)]
 
     @classmethod
     def of_forest(cls, forest: ProximityForest) -> "_DigraphStructure":
         degrees = [p.degree for p in forest.points]
-        edges = [(v, j - 1) for v, p in enumerate(forest.points) for j in p.proximate_to]
         depth = [0] * len(degrees)
         for v, p in enumerate(forest.points):
             depth[v] = 1 + max((depth[j - 1] for j in p.proximate_to), default=-1)
-        return cls(degrees, edges, list(zip(depth, degrees)), forest.dimension)
+        out = [[j - 1 for j in p.proximate_to] for p in forest.points]
+        return cls(degrees, out, list(zip(depth, degrees)), forest.dimension)
 
     @classmethod
     def of_blocks(cls, forest: ProximityForest, partition: MarkedPartition) -> "_DigraphStructure":
-        edges = [(a - 1, b - 1) for a, b in block_proximity(forest, partition)]
+        out: list[list[int]] = [[] for _ in partition.blocks]
+        for a, b in block_proximity(forest, partition):
+            out[a - 1].append(b - 1)
         degrees = [0] * len(partition)
         for i, b in partition.index_of().items():
             degrees[b - 1] += forest.degree(i)
-        loops = {a for a, b in edges if a == b}
-        return cls(degrees, edges, [(g, 1 if v in loops else 0) for v, g in enumerate(degrees)])
+        return cls(degrees, out, [(g, int(v in out[v])) for v, g in enumerate(degrees)])
 
     def fingerprint(self, v: int, colors: list[int]):
         return (
@@ -149,13 +149,10 @@ class _DigraphStructure:
         points = tuple(Point(self.degrees[old], frozenset(labels[u] for u in self.out[old])) for old in inverse)
         return ProximityForest(self.dimension, points)
 
-    def document(self, labels: list[int]) -> dict:
+    def document(self, relabeled: ProximityForest) -> dict:
         if self.dimension is not None:
-            return io.forest_to_dict(self.relabel(labels))
-        degrees = [0] * self.n
-        for v in range(self.n):
-            degrees[labels[v] - 1] = self.degrees[v]
-        return {"degrees": degrees, "edges": sorted([labels[a], labels[b]] for a, b in self.edges)}
+            return io.forest_to_dict(relabeled)
+        return {"degrees": [p.degree for p in relabeled.points], "edges": sorted(map(list, relabeled.edges()))}
 
 
 class _TensorStructure:
@@ -188,13 +185,14 @@ class _TensorStructure:
         }
         return IntersectionTensor._trusted(self.tensor.dimension, self.n, entries)
 
-    def document(self, labels: list[int]) -> dict:
-        return io.tensor_to_dict(self.relabel(labels))
+    def document(self, relabeled: IntersectionTensor) -> dict:
+        return io.tensor_to_dict(relabeled)
 
 
 @dataclass
 class _SearchOutcome:
     labels: tuple[int, ...]
+    relabeled: "ProximityForest | IntersectionTensor"
     data: bytes
     automorphisms: list[dict[int, int]]
 
@@ -297,11 +295,11 @@ def _search(struct) -> _SearchOutcome:
     and the automorphisms known along the way: the twin transpositions of
     the refined root colouring, then one per leaf that repeats earlier
     data.  ``leaves`` maps each serialization to the first labelling, in
-    depth-first order, that reached it, and to its path, so the canonical
-    labelling is ``leaves[min(leaves)][0]``.  A document depends only on
-    the structure pushed forward along the labelling, so a later labelling
-    ``L2`` with the data of ``L1`` is the automorphism ``L1^-1 L2``
-    without a check.
+    depth-first order, that reached it, its path and the object it relabels
+    to, so the canonical form is read off ``leaves[min(leaves)]``.  A
+    document depends only on the structure pushed forward along the
+    labelling, so a later labelling ``L2`` with the data of ``L1`` is the
+    automorphism ``L1^-1 L2`` without a check.
     Branches whose chosen vertex is already known to lie in the orbit of a
     tried sibling, under known automorphisms fixing the current
     individualization path, are pruned.  A pruned branch is the image of
@@ -315,7 +313,7 @@ def _search(struct) -> _SearchOutcome:
     search returns to that depth and goes on with the next sibling there.
     """
     n = struct.n
-    leaves: dict[bytes, tuple[list[int], tuple[int, ...]]] = {}
+    leaves: dict[bytes, tuple[list[int], tuple[int, ...], "ProximityForest | IntersectionTensor"]] = {}
     root = _refine(struct, _ranks(struct.colors), range(n))
     automorphisms = _twin_chains(struct, root)
     nodes = 0
@@ -323,7 +321,9 @@ def _search(struct) -> _SearchOutcome:
     def handle_leaf(colors: list[int], path: tuple[int, ...]) -> int:
         """The depth to return to: where ``path`` leaves an earlier path to the same data, else its own."""
         labels = [c + 1 for c in colors]
-        first, first_path = leaves.setdefault(io.canonical_json(struct.document(labels)).encode(), (labels, path))
+        relabeled = struct.relabel(labels)
+        data = io.canonical_json(struct.document(relabeled)).encode()
+        first, first_path, _ = leaves.setdefault(data, (labels, path, relabeled))
         if first is labels:
             return len(path)
         perm = _compose(labels, first)
@@ -362,7 +362,7 @@ def _search(struct) -> _SearchOutcome:
     except RecursionError:
         raise SearchLimitError("canonical search deeper than the recursion limit") from None
     data = min(leaves)
-    return _SearchOutcome(tuple(leaves[data][0]), data, automorphisms)
+    return _SearchOutcome(tuple(leaves[data][0]), leaves[data][2], data, automorphisms)
 
 
 def _structure_for(obj):
@@ -375,9 +375,8 @@ def _structure_for(obj):
 
 def canonical_form(obj: "ProximityForest | IntersectionTensor") -> CanonicalForm:
     """Canonical relabelling and hash; equal hashes characterize equivalence."""
-    struct = _structure_for(obj)
-    outcome = _search(struct)
-    return CanonicalForm(outcome.labels, struct.relabel(list(outcome.labels)), hashlib.sha256(outcome.data).hexdigest())
+    outcome = _search(_structure_for(obj))
+    return CanonicalForm(outcome.labels, outcome.relabeled, hashlib.sha256(outcome.data).hexdigest())
 
 
 def automorphism_orbits(obj: "ProximityForest | IntersectionTensor") -> tuple[tuple[int, ...], ...]:
@@ -406,7 +405,7 @@ def _match(s1, s2) -> tuple[int, ...] | None:
     if o1.data != o2.data:
         return None
     perm = _compose(o1.labels, o2.labels)
-    if s1.document(list(perm)) != s2.document(list(range(1, s2.n + 1))):
+    if s1.relabel(list(perm)) != s2.relabel(list(range(1, s2.n + 1))):
         raise RuntimeError("canonical relabelling failed verification")
     return perm
 

@@ -190,35 +190,35 @@ def validate_forest(forest: ProximityForest, strict: bool = False) -> Validation
                             )
                         )
         if d == 2:
+            # For each edge ``b -> a`` with ``a < b``, the total degree so far of the points proximate to both.
+            through: dict[tuple[int, int], int] = {}
             for k, p in enumerate(forest.points, 1):
-                pair = sorted(j for j in p.proximate_to if 1 <= j < k)
-                if len(pair) != 2:
-                    continue
-                i, j = pair
-                if i not in forest.targets(j):
-                    found.append(
-                        Violation(
-                            "targets-not-proximate",
-                            (k, i, j),
-                            f"point {k} proximate to both {i} and {j}, but {j} is not proximate to {i}",
+                near = {b: forest.targets(b) for b in p.proximate_to if 1 <= b <= len(forest)}
+                pair = sorted(j for j in near if j < k)
+                if len(pair) == 2:
+                    i, j = pair
+                    if i not in near[j]:
+                        found.append(
+                            Violation(
+                                "targets-not-proximate",
+                                (k, i, j),
+                                f"point {k} proximate to both {i} and {j}, but {j} is not proximate to {i}",
+                            )
                         )
-                    )
-                    continue
-                # Intersection degree of components i and j just before k is created.
-                remaining = forest.degree(j) - sum(
-                    forest.degree(k2)
-                    for k2 in range(1, k)
-                    if {i, j} <= forest.targets(k2)
-                )
-                if remaining <= 0:
-                    found.append(
-                        Violation(
-                            "targets-separated",
-                            (k, i, j),
-                            f"point {k}'s targets {{{i},{j}}} are already separated "
-                            f"(remaining intersection degree {remaining})",
+                    # Intersection degree of components i and j just before k is created.
+                    elif (remaining := forest.degree(j) - through.get((i, j), 0)) <= 0:
+                        found.append(
+                            Violation(
+                                "targets-separated",
+                                (k, i, j),
+                                f"point {k}'s targets {{{i},{j}}} are already separated "
+                                f"(remaining intersection degree {remaining})",
+                            )
                         )
-                    )
+                for b, targets in near.items():
+                    for a in targets & p.proximate_to:
+                        if a < b:
+                            through[a, b] = through.get((a, b), 0) + p.degree
     return ValidationReport(tuple(found))
 
 

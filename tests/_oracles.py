@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from blowups import IntersectionTensor, MarkedPartition, Point, ProximityForest
+from blowups import IntersectionTensor, MarkedPartition, Point, ProximityForest, Violation
 
 
 def oracle_tensor(forest: ProximityForest) -> IntersectionTensor:
@@ -317,3 +317,29 @@ def oracle_refine(struct, colors: list[int]) -> list[int]:
         if len(order) == len(set(colors)):
             return refined
         colors = refined
+
+
+def oracle_separation(forest: ProximityForest) -> list[Violation]:
+    """The surface rules of strict validation, rescanning every earlier point for each pair of targets.
+
+    A point ``k`` proximate to exactly two earlier points ``i < j`` needs
+    ``j`` proximate to ``i`` and ``deg(j)`` above the total degree of the
+    earlier points proximate to both.
+    """
+    found = []
+    for k, p in enumerate(forest.points, 1):
+        pair = sorted(j for j in p.proximate_to if 1 <= j < k)
+        if len(pair) != 2:
+            continue
+        i, j = pair
+        if i not in forest.targets(j):
+            message = f"point {k} proximate to both {i} and {j}, but {j} is not proximate to {i}"
+            found.append(Violation("targets-not-proximate", (k, i, j), message))
+            continue
+        remaining = forest.degree(j) - sum(forest.degree(k2) for k2 in range(1, k) if {i, j} <= forest.targets(k2))
+        if remaining <= 0:
+            message = (
+                f"point {k}'s targets {{{i},{j}}} are already separated (remaining intersection degree {remaining})"
+            )
+            found.append(Violation("targets-separated", (k, i, j), message))
+    return found

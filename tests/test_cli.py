@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from blowups import (
     trace_from_dict,
     validate_forest,
 )
-from blowups import cli
+from blowups import cli, contraction
 from blowups.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -133,6 +134,41 @@ class TestContractRecover:
         assert code == 0 and doc["count"] == 2
         code, doc = run(capsys, "recover-all", two, "--limit", "1")
         assert code == 3 and doc["error"]["code"] == "limit"
+
+
+class TestLargeSizeFewEntries:
+    """A 69-byte document with ``size`` 10^6: the cost follows the one stored entry, not ``size``."""
+
+    DOC = {"dimension": 2, "entries": [{"index": [1, 1], "value": -1}], "size": 1_000_000}
+
+    def test_finals_probes_stored_components(self, capsys, monkeypatch, files):
+        path = files["write"]("sparse.json", self.DOC)
+        calls = []
+        final_neighbours = contraction._final_neighbours
+
+        def counting(*args):
+            calls.append(args[-1])
+            return final_neighbours(*args)
+
+        monkeypatch.setattr(contraction, "_final_neighbours", counting)
+        assert run(capsys, "finals", path) == (0, {"finals": [1]})
+        assert calls == [1]
+
+    @pytest.mark.parametrize("command", ["recover", "recover-all"])
+    def test_recovery_stops_in_little_memory(self, capsys, files, command):
+        path = files["write"]("sparse.json", self.DOC)
+        tracemalloc.start()
+        try:
+            code, doc = run(capsys, command, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and doc["error"] == {"code": "not-contractible", "message": "no final component at stage 2"}
+        assert peak < 1_000_000
+
+    def test_contract_keeps_the_other_components(self, capsys, files):
+        path = files["write"]("sparse.json", self.DOC)
+        assert run(capsys, "contract", path, "1") == (0, {"dimension": 2, "entries": [], "size": 999_999})
 
 
 class TestDecisions:

@@ -35,6 +35,7 @@ from blowups.equivalence import (
     _orbits,
     _ranks,
     _refine,
+    _structure_for,
     _TensorStructure,
     _twin_chains,
     tensor_equivalent_direct,
@@ -256,9 +257,9 @@ def root_cell_pairs(struct):
 
 def swap_is_automorphism(struct, u: int, v: int) -> bool:
     labels = list(range(1, struct.n + 1))
-    identity = struct.document(labels)
+    identity = struct.relabel(labels)
     labels[u], labels[v] = v + 1, u + 1
-    return struct.document(labels) == identity
+    return struct.relabel(labels) == identity
 
 
 def assert_twin_classes_exact(struct) -> None:
@@ -429,6 +430,27 @@ class TestRefinement:
             assert _orbits(struct) == tuple((i,) for i in range(1, len(forest) + 1))
 
 
+class TestOneRelabelling:
+    """``relabel`` is the one place a labelling is applied, once per labelling."""
+
+    forest = random_forest(8, 3, 8, 2)
+
+    def test_canonical_form_relabels_once(self, monkeypatch):
+        """A rigid search has one leaf, and the canonical form keeps that leaf's object."""
+        calls = count_calls(monkeypatch, "relabel")
+        for obj in (self.forest, tensor_from_forest(self.forest)):
+            calls[0] = 0
+            form = canonical_form(obj)
+            assert calls[0] == 1
+            assert form.relabeled == _structure_for(obj).relabel(list(form.relabeling))
+
+    def test_match_builds_no_document(self, monkeypatch):
+        """Each search relabels its one leaf and documents it; the verification relabels each input once more."""
+        relabels, documents = count_calls(monkeypatch, "relabel"), count_calls(monkeypatch, "document")
+        assert forest_isomorphic(self.forest, self.forest) == tuple(range(1, len(self.forest) + 1))
+        assert (relabels[0], documents[0]) == (4, 2)
+
+
 def disjoint_chains(k: int) -> ProximityForest:
     return disjoint_copies(ProximityForest.make(2, (1, []), (1, [1])), k)
 
@@ -475,7 +497,7 @@ class TestLeafTable:
                 labels = identity.copy()
                 for v, w in automorphism.items():
                     labels[v] = w + 1
-                assert struct.document(labels) == struct.document(identity)
+                assert struct.relabel(labels) == struct.relabel(identity)
 
     def test_one_document_per_leaf(self, monkeypatch):
         """Six disjoint 2-chains search many leaves; each builds one document, serialised once."""

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blowups import (
     MarkedPartition,
@@ -12,6 +12,7 @@ from blowups import (
     random_forest,
     validate_forest,
 )
+from _oracles import oracle_separation
 
 
 def rules(report):
@@ -78,6 +79,43 @@ class TestValidate:
         forest = ProximityForest(1, (Point(0, frozenset({3})),))
         report = validate_forest(forest)
         assert set(rules(report)) == {"dimension", "degree-positive", "target-range"}
+
+
+@st.composite
+def loose_surface_forests(draw) -> ProximityForest:
+    """Surface forests that often break the rules: degrees -1..4, up to four targets in -1..m+1."""
+    m = draw(st.integers(0, 8))
+    targets = st.lists(st.integers(-1, m + 1), max_size=4)
+    return ProximityForest(2, tuple(Point(draw(st.integers(-1, 4)), frozenset(draw(targets))) for _ in range(m)))
+
+
+class TestStrictSeparation:
+    @settings(max_examples=300, deadline=None)
+    @given(forest=loose_surface_forests())
+    @example(forest=ProximityForest.make(2, (1, []), (2, [1]), (2, [1, 2]), (2, [1, 2])))
+    @example(forest=ProximityForest.make(2, (1, [2]), (1, [1]), (1, [1, 2]), (1, [1, 2])))
+    # A point with three targets, one of them itself, still uses up the intersection of 1 and 2.
+    @example(forest=ProximityForest.make(2, (1, []), (1, [1]), (1, [1, 2, 3]), (1, [1, 2])))
+    def test_matches_the_rescanning_rule(self, forest):
+        """The running totals report what rescanning every earlier point reports."""
+        surface_rules = {"targets-not-proximate", "targets-separated"}
+        report = validate_forest(forest, strict=True)
+        assert [v for v in report.violations if v.rule in surface_rules] == oracle_separation(forest)
+
+    def test_scan_is_linear(self, monkeypatch):
+        """Each point proximate to its two predecessors: the scan reads each point's targets a bounded number of times."""
+        m = 2000
+        forest = ProximityForest.make(2, (1, []), (1, [1]), *[(1, [k - 2, k - 1]) for k in range(3, m + 1)])
+        calls = [0]
+        targets = ProximityForest.targets
+
+        def counting(self, i):
+            calls[0] += 1
+            return targets(self, i)
+
+        monkeypatch.setattr(ProximityForest, "targets", counting)
+        assert validate_forest(forest, strict=True).ok
+        assert calls[0] <= 2 * m
 
 
 class TestPartition:
