@@ -201,10 +201,16 @@ def _blow_down(d: int, stage: tuple, i: int) -> tuple:
     entries, holding, finals = stage
     near = {a for key in holding[i] for a in key} - {i}
     entries, touched = _spread(d, entries, holding, i, finals[i])
+    # Every component of a written key is in ``near``; bucket the keys that survive once.
+    written: dict[int, set] = {}
+    for key in touched:
+        if key in entries:
+            for a in dict.fromkeys(key):
+                written.setdefault(a, set()).add(key)
     holding, finals = dict(holding), dict(finals)
     del holding[i], finals[i]
     for a in near:
-        holding[a] = {key for key in itertools.chain(holding[a], touched) if a in key and key in entries}
+        holding[a] = {key for key in holding[a] if key in entries} | written.get(a, set())
         if (neighbours := _final_neighbours(d, entries, holding, a)) is None:
             finals.pop(a, None)
         else:

@@ -165,17 +165,18 @@ class _TensorStructure:
         self.incidence: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]] = [[] for _ in range(self.n)]
         self.adjacent: list[set[int]] = [set() for _ in range(self.n)]
         for key, value in tensor.entries.items():
-            counts = Counter(key)
-            for i, mult in counts.items():
-                others = tuple(sorted((j - 1, c) for j, c in counts.items() if j != i))
-                self.incidence[i - 1].append((mult, value, others))
-                self.adjacent[i - 1].update(j for j, _ in others)
+            # A key is sorted, so its distinct components come out ascending.
+            counts = [(j - 1, key.count(j)) for j in dict.fromkeys(key)]
+            for i, mult in counts:
+                others = tuple(other for other in counts if other[0] != i)
+                self.incidence[i].append((mult, value, others))
+                self.adjacent[i].update(j for j, _ in others)
 
     def fingerprint(self, v: int, colors: list[int]):
-        items = []
-        for mult, value, others in self.incidence[v]:
-            items.append((mult, value, tuple(sorted((colors[u], c) for u, c in others))))
-        return tuple(sorted(items))
+        return tuple(sorted([
+            (mult, value, tuple(sorted([(colors[u], c) for u, c in others])))
+            for mult, value, others in self.incidence[v]
+        ]))
 
     def relabel(self, labels: list[int]) -> IntersectionTensor:
         # A permutation keeps keys distinct and in range, and values stay nonzero.

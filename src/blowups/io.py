@@ -7,6 +7,11 @@ explicit zero entries, and integers outside the signed 64-bit range are
 all rejected with :class:`SchemaError`.  The 64-bit bound exists purely to
 catch corrupted files; in-memory arithmetic is arbitrary precision.
 
+A tensor document is checked in bulk: a few passes over its whole entry
+list, each made by builtins, so loading costs a small constant per stored
+entry.  Only a document that fails one of them is read again entry by
+entry, which names its first defect.
+
 ``canonical_json`` fixes the byte-level encoding used everywhere output
 must be deterministic: UTF-8, keys sorted, separators ``","`` and ``":"``,
 no whitespace.
@@ -14,7 +19,9 @@ no whitespace.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import sys
 from typing import Any
 
@@ -158,8 +165,51 @@ def tensor_from_dict(obj: Any) -> IntersectionTensor:
     size = _require_int(obj["size"], "size")
     if size < 0:
         raise SchemaError(f"tensor size must be >= 0, got {size}")
+    items = _require_list(obj["entries"], "entries")
+    entries = _checked_entries(items, dimension, size)
+    if entries is None:
+        entries = _read_entries(items, dimension, size)
+    # Either check covers everything the checking constructor does.
+    return IntersectionTensor._trusted(dimension, size, entries)
+
+
+def _checked_entries(items: list, dimension: int, size: int) -> dict[tuple[int, ...], int] | None:
+    """The entries of a well-formed entry list, in document order, or ``None`` if a check fails.
+
+    Each check is one pass over the whole list.  Only exact ``dict``,
+    ``list`` and ``int`` types pass, so a subclass, which the per-entry
+    reading accepts, falls through to it.  Indices in ``1..size`` lie in
+    the 64-bit range, since ``size`` does.
+    """
+    if not items:  # also keeps a huge ``dimension`` from sizing the columns below
+        return {}
+    if set(map(type, items)) != {dict} or set(map(len, items)) != {2}:
+        return None
+    try:
+        indices = list(map(operator.itemgetter("index"), items))
+        values = list(map(operator.itemgetter("value"), items))
+    except KeyError:
+        return None
+    if set(map(type, indices)) != {list} or set(map(len, indices)) != {dimension}:
+        return None
+    flat = list(itertools.chain.from_iterable(indices))
+    if set(map(type, flat)) != {int} or set(map(type, values)) != {int}:
+        return None
+    if min(flat) < 1 or max(flat) > size or not all(values):
+        return None
+    if min(values) < -INT64_MAX or max(values) > INT64_MAX:
+        return None
+    columns = [flat[c::dimension] for c in range(dimension)]
+    if not all(all(map(operator.le, low, high)) for low, high in zip(columns, columns[1:])):
+        return None
+    entries = dict(zip(map(tuple, indices), values))
+    return entries if len(entries) == len(items) else None
+
+
+def _read_entries(items: list, dimension: int, size: int) -> dict[tuple[int, ...], int]:
+    """The entries read one by one: a :class:`SchemaError` naming the first defect, if there is one."""
     entries: dict[tuple[int, ...], int] = {}
-    for pos, raw in enumerate(_require_list(obj["entries"], "entries"), 1):
+    for pos, raw in enumerate(items, 1):
         _require_object(raw, {"index", "value"}, f"entry {pos}")
         index = tuple(_require_int(i, f"entry {pos} index") for i in _require_list(raw["index"], f"entry {pos} index"))
         if len(index) != dimension:
@@ -174,8 +224,7 @@ def tensor_from_dict(obj: Any) -> IntersectionTensor:
         if value == 0:
             raise SchemaError(f"entry {pos} has value 0; zero entries must be omitted")
         entries[index] = value
-    # The checks above cover everything the checking constructor does.
-    return IntersectionTensor._trusted(dimension, size, entries)
+    return entries
 
 
 def trace_to_dict(trace: ContractionTrace) -> dict:

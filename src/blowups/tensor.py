@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -198,8 +197,8 @@ def quotient_tensor(tensor: IntersectionTensor, partition: MarkedPartition) -> I
     entries: dict[tuple[int, ...], int] = {}
     for key, value in tensor.entries.items():
         q = tuple(sorted(block_of[i] for i in key))
-        ways = math.prod(math.factorial(c) for c in Counter(q).values())
-        ways //= math.prod(math.factorial(c) for c in Counter(key).values())
+        ways = math.prod(math.factorial(q.count(b)) for b in dict.fromkeys(q))
+        ways //= math.prod(math.factorial(key.count(i)) for i in dict.fromkeys(key))
         entries[q] = entries.get(q, 0) + value * ways
     return IntersectionTensor(tensor.dimension, len(partition), entries)
 

@@ -1,0 +1,163 @@
+"""One SHA-256 over the command line's output bytes on a fixed corpus.
+
+Run it from the root of a checkout:
+
+    PYTHONPATH=src python tests/_cli_digest.py
+
+It prints the digest, the number of calls and a histogram of their exit
+codes.  Two checkouts that print the same line wrote the same bytes on
+every call, so a change meant to keep outputs can be checked by running
+this script before and after it.  Each call runs ``blowups.cli.main`` in
+this process, inside a temporary directory, so file names in messages do
+not depend on where the checkout lives.  The digest covers each call's
+arguments, exit code and stdout, and the trace file that ``recover
+--trace`` writes.  The corpus:
+
+- random forests, d 2-4 and m 0-8, with their tensors, relabelled copies,
+  ``perturb``ed tensors and random partitions, through ``canon``,
+  ``orbits``, ``equiv`` (plain, marked and ``--exit-status``),
+  ``recover --trace``, ``recover-all --limit 200``, ``finals`` and
+  ``contract``;
+- k disjoint 2-chains, k 1-8, through the same search commands;
+- tensor documents spoilt by one or two of ``TENSOR_DEFECTS``, through
+  ``finals`` and ``canon``, so that error messages are pinned too.
+
+The file name starts with an underscore, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import collections
+import contextlib
+import hashlib
+import io
+import os
+import random
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+from _oracles import TENSOR_DEFECTS, perturb, random_partition, random_relabel, spoil_tensor_entry  # noqa: E402
+
+from blowups import (  # noqa: E402
+    MarkedPartition,
+    ProximityForest,
+    canonical_json,
+    final_set,
+    forest_to_dict,
+    partition_to_dict,
+    random_forest,
+    tensor_from_forest,
+    tensor_to_dict,
+)
+from blowups.cli import main  # noqa: E402
+
+FORESTS_PER_SHAPE = 25
+SPOILT_DOCUMENTS = 1000
+
+
+class Digest:
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.codes: collections.Counter[int] = collections.Counter()
+
+    def run(self, *argv: str) -> None:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+        trace = ""
+        if "--trace" in argv and os.path.exists("trace.json"):
+            with open("trace.json", encoding="utf-8") as handle:
+                trace = handle.read()
+            os.remove("trace.json")
+        self.sha.update((canonical_json([list(argv), code, out.getvalue(), trace]) + "\n").encode())
+        self.codes[code] += 1
+
+
+def write(name: str, doc) -> str:
+    with open(name, "w", encoding="utf-8") as handle:
+        handle.write(canonical_json(doc))
+    return name
+
+
+def relabel_partition(partition: MarkedPartition, perm: tuple[int, ...]) -> MarkedPartition:
+    return MarkedPartition(tuple(frozenset(perm[i - 1] for i in block) for block in partition.blocks))
+
+
+def search_commands(digest: Digest, forest: ProximityForest, rng: random.Random) -> None:
+    """The search commands on a forest, its tensor and a relabelled copy of each, plain and marked."""
+    relabeled, perm = random_relabel(forest, rng)
+    partition = random_partition(len(forest), rng)
+    write("f.json", forest_to_dict(forest))
+    write("g.json", forest_to_dict(relabeled))
+    write("t.json", tensor_to_dict(tensor_from_forest(forest)))
+    write("u.json", tensor_to_dict(tensor_from_forest(relabeled)))
+    write("p.json", partition_to_dict(partition))
+    write("q.json", partition_to_dict(relabel_partition(partition, perm)))
+    digest.run("canon", "--kind", "forest", "f.json")
+    digest.run("canon", "--kind", "tensor", "u.json")
+    digest.run("orbits", "--kind", "forest", "g.json")
+    digest.run("orbits", "--kind", "tensor", "t.json")
+    digest.run("equiv", "--kind", "forest", "f.json", "g.json")
+    digest.run("equiv", "--kind", "tensor", "t.json", "u.json")
+    digest.run("equiv", "--kind", "forest", "f.json", "g.json", "p.json", "q.json")
+    digest.run("equiv", "--kind", "tensor", "t.json", "u.json", "p.json", "q.json", "--exit-status")
+    digest.run("equiv", "--kind", "tensor", "t.json", "u.json", "p.json", "p.json", "--exit-status")
+
+
+def contraction_commands(digest: Digest, forest: ProximityForest, rng: random.Random) -> None:
+    """Recovery and contraction on a forest's tensor and on a ``perturb``ed copy, which usually is no blow-up form."""
+    tensor = tensor_from_forest(forest)
+    perturbed = perturb(tensor, rng.choice(["entry", "negate", "isolated", "diagonal"]), rng)
+    write("t.json", tensor_to_dict(tensor))
+    write("v.json", tensor_to_dict(perturbed))
+    digest.run("equiv", "--kind", "tensor", "t.json", "v.json", "--exit-status")
+    digest.run("canon", "--kind", "tensor", "v.json")
+    for name, stage in (("t.json", tensor), ("v.json", perturbed)):
+        digest.run("recover", name, "--trace", "trace.json")
+        digest.run("recover-all", name, "--limit", "200")
+        digest.run("finals", name)
+        digest.run("contract", name, str(min(final_set(stage), default=1)))
+
+
+def spoilt_documents(digest: Digest, rng: random.Random) -> None:
+    for n in range(SPOILT_DOCUMENTS):
+        forest = random_forest(n, rng.randint(2, 3), rng.randint(1, 5), 3)
+        doc = tensor_to_dict(tensor_from_forest(forest))
+        for defect in rng.sample(TENSOR_DEFECTS, rng.randint(1, 2)):
+            spoil_tensor_entry(doc, rng.randrange(len(doc["entries"])), defect, rng.choice)
+        write("x.json", doc)
+        digest.run("finals", "x.json")
+        digest.run("canon", "--kind", "tensor", "x.json")
+
+
+def build(digest: Digest) -> None:
+    rng = random.Random(20261019)
+    for d in (2, 3, 4):
+        for m in range(9):
+            for n in range(FORESTS_PER_SHAPE):
+                forest = random_forest(1000 * d + 100 * m + n, d, m, 3)
+                search_commands(digest, forest, rng)
+                contraction_commands(digest, forest, rng)
+    for k in range(1, 9):
+        chains = ProximityForest.make(2, *[point for c in range(k) for point in ((1, []), (1, [2 * c + 1]))])
+        search_commands(digest, chains, rng)
+    spoilt_documents(digest, rng)
+
+
+def run() -> None:
+    digest = Digest()
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            build(digest)
+        finally:
+            os.chdir(here)
+    histogram = {str(code): count for code, count in sorted(digest.codes.items())}
+    print(digest.sha.hexdigest(), sum(digest.codes.values()), canonical_json(histogram))
+
+
+if __name__ == "__main__":
+    run()

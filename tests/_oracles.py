@@ -5,14 +5,19 @@ tuples, all-permutations searches, and direct surface intersection counts.
 None of it shares code with the package beyond the public data types, so
 agreement is meaningful.  The one exception is ``oracle_refine``, which
 reads a canonical-search structure's ``fingerprint`` and nothing else.
+``oracle_tensor_from_dict`` is the tensor reader before its bulk check:
+every entry read and checked in turn, naming the first defect.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Any
 
-from blowups import IntersectionTensor, MarkedPartition, Point, ProximityForest, Violation
+from blowups import IntersectionTensor, MarkedPartition, Point, ProximityForest, SchemaError, Violation
+
+INT64_MAX = 2**63 - 1
 
 
 def oracle_tensor(forest: ProximityForest) -> IntersectionTensor:
@@ -303,6 +308,62 @@ def perturb(tensor: IntersectionTensor, how: str, rng: random.Random) -> Interse
     return IntersectionTensor(d, m, entries)
 
 
+TENSOR_DEFECTS = (
+    "unsorted", "length", "range", "zero", "duplicate", "bool index", "bool value", "not an object",
+    "missing field", "unknown field", "index not an array", "float element", "string element",
+    "big element", "big value", "edge value",
+)
+
+
+def spoil_tensor_entry(doc: dict, pos: int, defect: str, choose) -> None:
+    """Spoil entry ``pos`` of a tensor document in place with one of ``TENSOR_DEFECTS``.
+
+    ``choose`` picks one item of a sequence.  An entry whose shape an
+    earlier defect spoilt already is left as it is.  ``"edge value"`` is
+    no defect: it sets the value to exactly ``±(2**63 - 1)``.
+    """
+    entries = doc["entries"]
+    entry = entries[pos]
+    if not isinstance(entry, dict) or not isinstance(entry.get("index"), list) or "value" not in entry:
+        return
+    index, sign = entry["index"], choose([-1, 1])
+    if defect == "unsorted":
+        index.reverse()
+    elif defect == "length":
+        index.append(index[-1])
+    elif defect == "range":
+        index[-1] = doc["size"] + 1
+    elif defect == "zero":
+        entry["value"] = 0
+    elif defect == "duplicate":
+        others = [e["index"] for e in entries if e is not entry and isinstance(e, dict) and isinstance(e.get("index"), list)]
+        entry["index"] = list(choose(others)) if others else index
+    elif defect == "bool index":
+        index[0] = True
+    elif defect == "bool value":
+        entry["value"] = True
+    elif defect == "not an object":
+        entries[pos] = choose([[index, entry["value"]], None, entry["value"]])
+    elif defect == "missing field":
+        del entry[choose(["index", "value"])]
+    elif defect == "unknown field":
+        entry["weight"] = entry["value"]
+    elif defect == "index not an array":
+        entry["index"] = choose([tuple(index), index[0], {"0": index[0]}])
+    elif defect == "float element":
+        index[-1] = float(index[-1])
+    elif defect == "string element":
+        index[-1] = str(index[-1])
+    elif defect == "big element":
+        index[choose(range(len(index)))] = sign * 2**63
+    elif defect == "big value":
+        entry["value"] = sign * 2**63
+    elif defect == "edge value":
+        entry["value"] = sign * (2**63 - 1)
+    else:
+        raise ValueError(f"unknown defect {defect!r}")
+
+
 def oracle_refine(struct, colors: list[int]) -> list[int]:
     """Colour refinement that fingerprints every vertex in every round, as dense ranks.
 
@@ -343,3 +404,57 @@ def oracle_separation(forest: ProximityForest) -> list[Violation]:
             )
             found.append(Violation("targets-separated", (k, i, j), message))
     return found
+
+
+def _require_object(obj: Any, keys: set[str], what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} must be a JSON object")
+    unknown = set(obj) - keys
+    if unknown:
+        raise SchemaError(f"{what} has unknown fields: {sorted(unknown)}")
+    missing = keys - set(obj)
+    if missing:
+        raise SchemaError(f"{what} is missing fields: {sorted(missing)}")
+    return obj
+
+
+def _require_int(value: Any, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be an integer")
+    if not -INT64_MAX <= value <= INT64_MAX:
+        raise SchemaError(f"{what} outside 64-bit range")
+    return value
+
+
+def _require_list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be an array")
+    return value
+
+
+def oracle_tensor_from_dict(obj: Any) -> IntersectionTensor:
+    """A tensor document read entry by entry, each entry checked in turn."""
+    _require_object(obj, {"dimension", "size", "entries"}, "tensor")
+    dimension = _require_int(obj["dimension"], "dimension")
+    if dimension < 2:
+        raise SchemaError(f"tensor dimension must be >= 2, got {dimension}")
+    size = _require_int(obj["size"], "size")
+    if size < 0:
+        raise SchemaError(f"tensor size must be >= 0, got {size}")
+    entries: dict[tuple[int, ...], int] = {}
+    for pos, raw in enumerate(_require_list(obj["entries"], "entries"), 1):
+        _require_object(raw, {"index", "value"}, f"entry {pos}")
+        index = tuple(_require_int(i, f"entry {pos} index") for i in _require_list(raw["index"], f"entry {pos} index"))
+        if len(index) != dimension:
+            raise SchemaError(f"entry {pos} index must have length {dimension}")
+        if any(not 1 <= i <= size for i in index):
+            raise SchemaError(f"entry {pos} index out of range 1..{size}")
+        if any(a > b for a, b in zip(index, index[1:])):
+            raise SchemaError(f"entry {pos} index must be sorted nondecreasing")
+        if index in entries:
+            raise SchemaError(f"entry {pos} duplicates index {list(index)}")
+        value = _require_int(raw["value"], f"entry {pos} value")
+        if value == 0:
+            raise SchemaError(f"entry {pos} has value 0; zero entries must be omitted")
+        entries[index] = value
+    return IntersectionTensor(dimension, size, entries)

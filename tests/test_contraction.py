@@ -474,3 +474,28 @@ class TestLocalStages:
         with pytest.raises(NotContractibleError, match="no final component at stage 2"):
             recover(tensor)
         assert calls == [1]
+
+    def test_fan_out_blow_down_reads_its_written_keys_once(self, monkeypatch):
+        # 1 is final with 40 neighbours: T(1^2) = -1 and T(1 j) = 1, so its blow-down writes C(41, 2) keys.
+        k = 40
+        tensor = IntersectionTensor(2, k + 1, {(1, 1): -1, **{(1, j): 1 for j in range(2, k + 2)}})
+        written = []
+        spread = blowups.contraction._spread
+
+        class CountingKeys(set):
+            passes = 0
+
+            def __iter__(self):
+                self.passes += 1
+                return super().__iter__()
+
+        def counting(*args):
+            sums, touched = spread(*args)
+            written.append(CountingKeys(touched))
+            return sums, written[-1]
+
+        monkeypatch.setattr(blowups.contraction, "_spread", counting)
+        with pytest.raises(NotContractibleError, match="no final component at stage 2"):
+            recover_sequence(tensor)
+        assert len(written) == 1 and len(written[0]) == k * (k + 1) // 2
+        assert [keys.passes for keys in written] == [1]

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import enum
+import itertools
 import json
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import blowups.io
 
 from blowups import (
     IntersectionTensor,
@@ -27,6 +32,8 @@ from blowups import (
     witness_to_dict,
 )
 
+from _oracles import TENSOR_DEFECTS, oracle_tensor_from_dict, spoil_tensor_entry
+
 GOOD_FOREST = {
     "dimension": 4,
     "points": [
@@ -39,24 +46,25 @@ GOOD_FOREST = {
 
 @st.composite
 def tensor_documents(draw):
-    """Tensor documents near valid ones: an entry is well formed unless a drawn defect spoils it."""
+    """Tensor documents near valid ones: a valid entry list spoilt by up to two drawn defects."""
     dimension = draw(st.integers(2, 3))
-    size = draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 5]))
-    entries = []
-    for _ in range(draw(st.integers(0, 5))):
-        index = sorted(draw(st.lists(st.integers(1, max(size, 1)), min_size=dimension, max_size=dimension)))
-        value = draw(st.integers(1, 3)) * draw(st.sampled_from([-1, 1]))
-        defect = draw(st.sampled_from([None] * 10 + ["unsorted", "length", "range", "zero"]))
-        if defect == "unsorted":
-            index.reverse()
-        elif defect == "length":
-            index.append(index[-1])
-        elif defect == "range":
-            index[-1] = size + 1
-        elif defect == "zero":
-            value = 0
-        entries.append({"index": index, "value": value})
-    return {"dimension": dimension, "size": size, "entries": entries}
+    size = draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 5, 9]))
+    index = st.lists(st.integers(1, max(size, 1)), min_size=dimension, max_size=dimension).map(sorted)
+    keys = draw(st.lists(index, max_size=5, unique_by=tuple))
+    doc = {
+        "dimension": dimension,
+        "size": size,
+        "entries": [{"index": list(key), "value": draw(st.integers(-3, 3).filter(bool))} for key in keys],
+    }
+    for defect in draw(st.lists(st.sampled_from(TENSOR_DEFECTS), max_size=2)) if keys else ():
+        pos = draw(st.integers(0, len(keys) - 1))
+        spoil_tensor_entry(doc, pos, defect, lambda options: draw(st.sampled_from(options)))
+    return doc
+
+
+class Sign(enum.IntEnum):
+    PLUS = 1
+    MINUS = -1
 
 
 class TestCanonicalJson:
@@ -218,12 +226,61 @@ class TestTensorFormat:
         assert loaded == expected
         assert list(loaded.entries.items()) == list(expected.entries.items())
 
+    @settings(max_examples=400, deadline=None)
+    @given(doc=tensor_documents())
+    @example(doc={"dimension": 2, "size": 2, "entries": [{"index": [1, 2], "value": Sign.MINUS}]})
+    def test_bulk_check_decides_as_the_entry_loop(self, doc):
+        """The same tensor in the same entry order, or a ``SchemaError`` with the same text."""
+        try:
+            expected = oracle_tensor_from_dict(doc)
+        except SchemaError as exc:
+            with pytest.raises(SchemaError) as caught:
+                tensor_from_dict(doc)
+            assert str(caught.value) == str(exc)
+            return
+        loaded = tensor_from_dict(doc)
+        assert loaded == expected
+        assert list(loaded.entries.items()) == list(expected.entries.items())
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), dimension=st.integers(2, 3))
     def test_round_trip_random(self, seed, dimension):
         tensor = tensor_from_forest(random_forest(seed, dimension, 6, 3))
         recoded = tensor_from_dict(json.loads(canonical_json(tensor_to_dict(tensor))))
         assert recoded.entries == tensor.entries
+
+
+class TestLoadingCost:
+    """Loading a tensor costs what its entries hold, and nothing per index element beyond that."""
+
+    def test_valid_document_is_checked_in_bulk(self, monkeypatch):
+        keys = list(itertools.islice(itertools.combinations_with_replacement(range(1, 31), 3), 2000))
+        doc = {
+            "dimension": 3,
+            "size": 30,
+            "entries": [{"index": list(key), "value": (-1) ** n * (1 + n % 7)} for n, key in enumerate(keys)],
+        }
+        calls = []
+        require_int = blowups.io._require_int
+
+        def counting(value, what):
+            calls.append(what)
+            return require_int(value, what)
+
+        monkeypatch.setattr(blowups.io, "_require_int", counting)
+        tensor = tensor_from_dict(doc)
+        assert list(tensor.entries) == keys
+        assert len(calls) <= 2
+
+    def test_huge_dimension_without_entries_allocates_nothing(self):
+        tracemalloc.start()
+        try:
+            tensor = tensor_from_dict({"dimension": 2**62, "size": 0, "entries": []})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tensor.dimension == 2**62 and tensor.size == 0 and tensor.entries == {}
+        assert peak < 1_000_000
 
 
 class TestTraceFormat:
