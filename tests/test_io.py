@@ -251,7 +251,7 @@ class TestTensorFormat:
 
 
 class TestLoadingCost:
-    """Loading a tensor costs what its entries hold, and nothing per index element beyond that."""
+    """Loading a valid tensor makes no call per index element or value, and allocates nothing per dimension."""
 
     def test_valid_document_is_checked_in_bulk(self, monkeypatch):
         keys = list(itertools.islice(itertools.combinations_with_replacement(range(1, 31), 3), 2000))
