@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Every subcommand reads JSON documents (a file path or ``-`` for stdin),
-writes one canonical JSON document to stdout, and is byte-deterministic:
-the same inputs always produce the same bytes.  Exit codes: 0 success,
-1 negative decision under ``--exit-status``, 2 malformed input or failed
-precondition, 3 internal search or enumeration limit.  Data errors are
-reported as ``{"error": {"code": ..., "message": ...}}`` on stdout.
+and its handler returns one document, which ``main`` writes to stdout as
+canonical JSON: the same inputs always produce the same bytes.  Exit
+codes: 0 success; 1 only when ``--exit-status`` is given and the decision
+it reads (``equivalent``, ``compatible`` or ``ok``) is printed ``false``;
+2 malformed input or failed precondition; 3 a search, enumeration or
+output limit, or a refused allocation.  ``_ERRORS`` maps each error to its
+code in ``{"error": {"code": ..., "message": ...}}`` and its exit code.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Any, Callable
+from typing import Callable
 
 from . import io
 from .contraction import DEFAULT_ORDER_LIMIT, contract, final_set, recover_all_orders, recover_sequence
@@ -32,6 +34,16 @@ from .forest import random_forest, validate_forest
 from .tensor import diagonal, quotient_tensor, tensor_from_forest
 
 __all__ = ["main", "build_parser"]
+
+# (exception types, error code, exit status): the first row that matches names the error.
+_ERRORS = (
+    (SchemaError, "schema", 2),
+    (NotContractibleError, "not-contractible", 2),
+    (SearchLimitError, "limit", 3),
+    (MemoryError, "limit", 3),
+    ((ValueError, IndexError), "invalid-input", 2),
+    (OSError, "io", 2),
+)
 
 
 def _load_forest(path: str):
@@ -55,28 +67,28 @@ def _load_partition(path: str):
     return io.partition_from_dict(io.load_document(path))
 
 
-def _cmd_tensor(args) -> tuple[dict, bool | None]:
-    return io.tensor_to_dict(tensor_from_forest(_load_forest(args.forest))), None
+def _cmd_tensor(args) -> dict:
+    return io.tensor_to_dict(tensor_from_forest(_load_forest(args.forest)))
 
 
-def _cmd_finals(args) -> tuple[dict, bool | None]:
-    return {"finals": sorted(final_set(_load_tensor(args.tensor)))}, None
+def _cmd_finals(args) -> dict:
+    return {"finals": sorted(final_set(_load_tensor(args.tensor)))}
 
 
-def _cmd_contract(args) -> tuple[dict, bool | None]:
+def _cmd_contract(args) -> dict:
     contracted, _ = contract(_load_tensor(args.tensor), args.index)
-    return io.tensor_to_dict(contracted), None
+    return io.tensor_to_dict(contracted)
 
 
-def _cmd_recover(args) -> tuple[dict, bool | None]:
+def _cmd_recover(args) -> dict:
     forest, trace = recover_sequence(_load_tensor(args.tensor))
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write(io.canonical_json(io.trace_to_dict(trace)) + "\n")
-    return io.forest_to_dict(forest), None
+    return io.forest_to_dict(forest)
 
 
-def _cmd_recover_all(args) -> tuple[dict, bool | None]:
+def _cmd_recover_all(args) -> dict:
     results = recover_all_orders(_load_tensor(args.tensor), args.limit)
     return {
         "count": len(results),
@@ -84,10 +96,10 @@ def _cmd_recover_all(args) -> tuple[dict, bool | None]:
             {"forest": io.forest_to_dict(forest), "trace": io.trace_to_dict(trace)}
             for forest, trace in results
         ],
-    }, None
+    }
 
 
-def _cmd_equiv(args) -> tuple[dict, bool | None]:
+def _cmd_equiv(args) -> dict:
     files = args.files
     if len(files) not in (2, 4):
         raise ValueError("equiv expects two inputs, or two inputs plus two partitions")
@@ -98,10 +110,10 @@ def _cmd_equiv(args) -> tuple[dict, bool | None]:
     else:
         marked = marked_forest_equivalent if forests else marked_tensor_equivalent
         witness = marked(a, _load_partition(files[2]), b, _load_partition(files[3]))
-    return io.witness_to_dict(witness), witness is not None
+    return io.witness_to_dict(witness)
 
 
-def _cmd_canon(args) -> tuple[dict, bool | None]:
+def _cmd_canon(args) -> dict:
     form = canonical_form(_load(args.kind, args.input))
     to_dict = io.forest_to_dict if args.kind == "forest" else io.tensor_to_dict
     return {
@@ -109,38 +121,37 @@ def _cmd_canon(args) -> tuple[dict, bool | None]:
         "hash": form.hash,
         "permutation": list(form.relabeling),
         "canonical": to_dict(form.relabeled),
-    }, None
+    }
 
 
-def _cmd_orbits(args) -> tuple[dict, bool | None]:
-    return {"orbits": [list(orbit) for orbit in automorphism_orbits(_load(args.kind, args.input))]}, None
+def _cmd_orbits(args) -> dict:
+    return {"orbits": [list(orbit) for orbit in automorphism_orbits(_load(args.kind, args.input))]}
 
 
-def _cmd_compat(args) -> tuple[dict, bool | None]:
+def _cmd_compat(args) -> dict:
     partition = _load_partition(args.partition)
     compatible_with = partition_compatible_sequence if args.kind == "forest" else partition_compatible_morphism
-    compatible = compatible_with(_load(args.kind, args.input), partition)
-    return {"compatible": compatible}, compatible
+    return {"compatible": compatible_with(_load(args.kind, args.input), partition)}
 
 
-def _cmd_quotient(args) -> tuple[dict, bool | None]:
+def _cmd_quotient(args) -> dict:
     quotient = quotient_tensor(_load_tensor(args.tensor), _load_partition(args.partition))
-    return io.tensor_to_dict(quotient), None
+    return io.tensor_to_dict(quotient)
 
 
-def _cmd_diag(args) -> tuple[dict, bool | None]:
-    return {"diagonal": diagonal(_load_tensor(args.tensor))}, None
+def _cmd_diag(args) -> dict:
+    return {"diagonal": diagonal(_load_tensor(args.tensor))}
 
 
-def _cmd_validate(args) -> tuple[dict, bool | None]:
+def _cmd_validate(args) -> dict:
     forest = io.forest_from_dict(io.load_document(args.forest))
     report = validate_forest(forest, strict=args.strict)
-    return io.report_to_dict(report), report.ok
+    return io.report_to_dict(report)
 
 
-def _cmd_gen(args) -> tuple[dict, bool | None]:
+def _cmd_gen(args) -> dict:
     forest = random_forest(args.seed, args.dim, args.points, args.max_degree)
-    return io.forest_to_dict(forest), None
+    return io.forest_to_dict(forest)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, handler: Callable, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, decision=None)
         return p
 
     p = add("tensor", _cmd_tensor, "intersection tensor of a forest")
@@ -176,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("equiv", _cmd_equiv, "decide equivalence (optionally marked)")
     p.add_argument("--kind", choices=("forest", "tensor"), required=True)
     p.add_argument("files", nargs="+", metavar="FILE")
-    p.add_argument("--exit-status", action="store_true", dest="exit_status")
 
     p = add("canon", _cmd_canon, "canonical form and hash")
     p.add_argument("--kind", choices=("forest", "tensor"), required=True)
@@ -190,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("forest", "tensor"), required=True)
     p.add_argument("input")
     p.add_argument("partition")
-    p.add_argument("--exit-status", action="store_true", dest="exit_status")
 
     p = add("quotient", _cmd_quotient, "form induced on the blocks of a partition")
     p.add_argument("tensor")
@@ -202,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("validate", _cmd_validate, "validate a forest")
     p.add_argument("forest")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--exit-status", action="store_true", dest="exit_status")
 
     p = add("gen", _cmd_gen, "generate a pseudo-random forest")
     p.add_argument("--seed", type=int, default=0)
@@ -210,6 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=3)
 
+    # ``--exit-status`` and the printed field it reads; declared last, so usage and help keep their order.
+    for name, field in (("equiv", "equivalent"), ("compat", "compatible"), ("validate", "ok")):
+        sub.choices[name].add_argument("--exit-status", action="store_const", const=field, dest="decision")
     return parser
 
 
@@ -224,33 +235,21 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _emit(payload: Any) -> None:
-    sys.stdout.write(io.canonical_json(payload) + "\n")
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        payload, decision = args.handler(args)
-    except SchemaError as exc:
-        _emit({"error": {"code": "schema", "message": str(exc)}})
-        return 2
-    except NotContractibleError as exc:
-        _emit({"error": {"code": "not-contractible", "message": str(exc)}})
-        return 2
-    except SearchLimitError as exc:
-        _emit({"error": {"code": "limit", "message": str(exc)}})
-        return 3
-    except (ValueError, IndexError) as exc:
-        _emit({"error": {"code": "invalid-input", "message": str(exc)}})
-        return 2
-    except OSError as exc:
-        _emit({"error": {"code": "io", "message": str(exc)}})
-        return 2
-    _emit(payload)
-    if decision is False and getattr(args, "exit_status", False):
-        return 1
-    return 0
+        payload = args.handler(args)
+    except Exception as exc:
+        for types, code, status in _ERRORS:
+            if isinstance(exc, types):
+                break
+        else:
+            raise
+        payload = {"error": {"code": code, "message": str(exc) or type(exc).__name__}}
+    else:
+        status = 1 if args.decision and payload[args.decision] is False else 0
+    sys.stdout.write(io.canonical_json(payload) + "\n")
+    return status
 
 
 if __name__ == "__main__":

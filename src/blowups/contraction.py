@@ -106,11 +106,14 @@ def empty_intersection(tensor: IntersectionTensor, i: int, j: int) -> bool:
 
 
 def _final_neighbours(d: int, entries: dict, holding: dict, i: int) -> tuple[int, ...] | None:
-    """The ascending neighbours of ``i`` if it is final, else ``None``; ``holding[i]`` are the keys holding ``i``."""
-    diag = entries.get((i,) * d, 0)
-    if not diag:
+    """The ascending neighbours of ``i`` if it is final, else ``None``; ``holding[i]`` are the keys holding ``i``.
+
+    A component in no stored key has a zero pure power, so it is turned
+    away before any key of length ``d`` is built.
+    """
+    keys = holding.get(i)  # a neighbour shares a key made of the two alone
+    if not keys or not (diag := entries.get((i,) * d, 0)):
         return None
-    keys = holding.get(i, ())  # a neighbour shares a key made of the two alone
     neighbours = sorted({k[-1] if k[0] == i else k[0] for k in keys if k.count(k[0]) + k.count(k[-1]) == d})
     for j in neighbours:
         mixed = _mixed(d, entries, i, j)

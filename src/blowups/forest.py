@@ -109,7 +109,11 @@ class MarkedPartition:
         return len(self.blocks)
 
     def check(self, size: int) -> None:
-        """Raise ``ValueError`` unless this is a partition of ``{1..size}``."""
+        """Raise ``ValueError`` unless this is a partition of ``{1..size}``.
+
+        Costs the total block size, whatever ``size`` is: disjoint blocks
+        cover ``1..size`` exactly when they hold ``size`` members, all in range.
+        """
         seen: set[int] = set()
         for pos, block in enumerate(self.blocks, 1):
             if not block:
@@ -117,7 +121,7 @@ class MarkedPartition:
             if block & seen:
                 raise ValueError(f"block {pos} overlaps an earlier block")
             seen |= block
-        if seen != set(range(1, size + 1)):
+        if len(seen) != size or seen and not 1 <= min(seen) <= max(seen) <= size:
             raise ValueError(f"blocks do not partition 1..{size}")
 
     def index_of(self) -> dict[int, int]:

@@ -53,13 +53,18 @@ def canonical_json(data: Any) -> str:
 
 
 def load_document(path: str) -> Any:
-    """Parse a JSON document from a file path, or stdin for ``-``."""
+    """Parse a JSON document from a file path, or stdin for ``-``.
+
+    Any document that does not decode is a :class:`SchemaError`: bytes that
+    are not UTF-8, text that is not JSON, nesting deeper than the recursion
+    limit, and an integer with more digits than Python converts.
+    """
     try:
         if path == "-":
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
+from .errors import SearchLimitError
 from .forest import MarkedPartition, ProximityForest
 
 __all__ = [
@@ -34,6 +35,11 @@ __all__ = [
     "quotient_tensor",
     "diagonal",
 ]
+
+# The most index elements (dimension times keys) that ``tensor_from_forest`` writes.  It is over
+# ten times the 1.1e5 of a d 4, m 400 forest whose every point has four targets, the largest
+# shape that the tests, demos and benchmark workloads build or that ROADMAP measures.
+OUTPUT_LIMIT = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -145,13 +151,19 @@ def tensor_from_forest(forest: ProximityForest) -> IntersectionTensor:
     Column ``k`` of the change-of-basis matrix is supported on ``k`` itself
     (coefficient 1) and the targets of ``k`` (coefficient -1), so at most
     ``d + 1`` components interact through any one total transform; the
-    tensor is assembled column by column over those supports.
+    tensor is assembled column by column over those supports.  A support
+    of ``s`` components writes ``C(s + d - 1, d)`` keys of ``d`` indices;
+    when all of them together would hold more than ``OUTPUT_LIMIT`` index
+    elements, :class:`SearchLimitError` is raised before any is built.
     """
     d = forest.dimension
+    supports = [sorted(forest.targets(k) | {k}) for k in range(1, len(forest) + 1)]
+    estimate = d * sum(math.comb(len(support) + d - 1, d) for support in supports)
+    if estimate > OUTPUT_LIMIT:
+        raise SearchLimitError(f"the tensor would hold about {estimate} index elements, over the bound {OUTPUT_LIMIT}")
     sign = -1 if d % 2 == 0 else 1
     acc: dict[tuple[int, ...], int] = {}
-    for k in range(1, len(forest) + 1):
-        support = sorted(forest.targets(k) | {k})
+    for k, support in enumerate(supports, 1):
         weight = sign * forest.degree(k)
         for key in itertools.combinations_with_replacement(support, d):
             coeff = -1 if (d - key.count(k)) % 2 else 1
@@ -204,6 +216,14 @@ def quotient_tensor(tensor: IntersectionTensor, partition: MarkedPartition) -> I
 
 
 def diagonal(tensor: IntersectionTensor) -> list[int]:
-    """Pure powers ``T(i, ..., i)`` for every component, in index order."""
-    d = tensor.dimension
-    return [tensor.value((i,) * d) for i in range(1, tensor.size + 1)]
+    """Pure powers ``T(i, ..., i)`` for every component, in index order.
+
+    Read off the stored keys whose first and last components agree, so no
+    key is built and the cost is ``size`` plus the stored entries, whatever
+    the dimension.
+    """
+    values = [0] * tensor.size
+    for key, value in tensor.entries.items():
+        if key[0] == key[-1]:
+            values[key[0] - 1] = value
+    return values

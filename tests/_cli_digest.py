@@ -20,7 +20,12 @@ arguments, exit code and stdout, and the trace file that ``recover
   ``contract``;
 - k disjoint 2-chains, k 1-8, through the same search commands;
 - tensor documents spoilt by one or two of ``TENSOR_DEFECTS``, through
-  ``finals`` and ``canon``, so that error messages are pinned too.
+  ``finals`` and ``canon``, so that error messages are pinned too;
+- short documents that ask for more than their bytes: a dimension or a
+  ``size`` of 2**62 with no entries, forests whose tensor is over the
+  output bound, bytes that are not UTF-8 and a 5,000-digit integer.
+
+No call may exit 1 without printing a ``false`` decision.
 
 The file name starts with an underscore, so pytest does not collect it.
 """
@@ -71,6 +76,7 @@ class Digest:
             with open("trace.json", encoding="utf-8") as handle:
                 trace = handle.read()
             os.remove("trace.json")
+        assert code != 1 or any(f'"{field}":false' in out.getvalue() for field in ("equivalent", "compatible", "ok")), argv
         self.sha.update((canonical_json([list(argv), code, out.getvalue(), trace]) + "\n").encode())
         self.codes[code] += 1
 
@@ -132,6 +138,44 @@ def spoilt_documents(digest: Digest, rng: random.Random) -> None:
         digest.run("canon", "--kind", "tensor", "x.json")
 
 
+HUGE = 2**62
+SHORT_DOCUMENTS = {
+    "pure.json": {"dimension": HUGE, "size": 1, "entries": []},
+    "huge-size.json": {"dimension": 2, "size": HUGE, "entries": []},
+    "one-block.json": {"blocks": [[1]]},
+    "deep-forest.json": {"dimension": HUGE, "points": [{"id": 1, "degree": 1, "proximate_to": []}]},
+    "wide-forest.json": {
+        "dimension": 30,
+        "points": [{"id": k, "degree": 1, "proximate_to": list(range(1, k))} for k in range(1, 32)],
+    },
+}
+UNDECODABLE = {
+    "not-utf8.json": b"\xff\xfe{}",
+    "long-integer.json": b'{"dimension":2,"entries":[{"index":[1,1],"value":' + b"9" * 5000 + b'}],"size":1}',
+}
+
+
+def short_documents(digest: Digest) -> None:
+    for name, doc in SHORT_DOCUMENTS.items():
+        write(name, doc)
+    for name, data in UNDECODABLE.items():
+        with open(name, "wb") as handle:
+            handle.write(data)
+    for tensor in ("pure.json", "huge-size.json"):
+        digest.run("diag", tensor)
+        digest.run("canon", "--kind", "tensor", tensor)
+        digest.run("orbits", tensor)
+        digest.run("equiv", "--kind", "tensor", tensor, tensor, "--exit-status")
+        digest.run("compat", "--kind", "tensor", tensor, "one-block.json", "--exit-status")
+        digest.run("quotient", tensor, "one-block.json")
+    digest.run("contract", "pure.json", "1")
+    for forest in ("deep-forest.json", "wide-forest.json"):
+        digest.run("tensor", forest)
+    for name in UNDECODABLE:
+        digest.run("diag", name)
+        digest.run("finals", name)
+
+
 def build(digest: Digest) -> None:
     rng = random.Random(20261019)
     for d in (2, 3, 4):
@@ -144,6 +188,7 @@ def build(digest: Digest) -> None:
         chains = ProximityForest.make(2, *[point for c in range(k) for point in ((1, []), (1, [2 * c + 1]))])
         search_commands(digest, chains, rng)
     spoilt_documents(digest, rng)
+    short_documents(digest)
 
 
 def run() -> None:

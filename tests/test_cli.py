@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import argparse
+import io
 import json
+import math
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +15,10 @@ import pytest
 
 from blowups import (
     MarkedPartition,
+    NotContractibleError,
     ProximityForest,
+    SchemaError,
+    SearchLimitError,
     canonical_json,
     forest_from_dict,
     forest_isomorphic,
@@ -23,15 +30,19 @@ from blowups import (
     validate_forest,
 )
 from blowups import cli, contraction
-from blowups.cli import main
+from blowups.cli import build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+DECISION_FIELDS = ("equivalent", "compatible", "ok")
 
 
 def run(capsys, *argv):
+    """``main``'s exit code and printed document; exit 1 always comes with a printed ``false`` decision."""
     code = main(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    doc = json.loads(out)
+    assert code != 1 or any(doc.get(field) is False for field in DECISION_FIELDS)
+    return code, doc
 
 
 @pytest.fixture
@@ -261,6 +272,41 @@ class TestDecisions:
         assert code == 1 and doc == {"compatible": False}
 
 
+class TestExitStatus:
+    """``main`` returns 1 exactly when ``--exit-status`` is given and the decision it reads is printed ``false``."""
+
+    @pytest.fixture
+    def calls(self, files):
+        indivisible = files["write"](
+            "indivisible.json",
+            {
+                "dimension": 4,
+                "points": [{"id": 1, "degree": 2, "proximate_to": []}, {"id": 2, "degree": 3, "proximate_to": [1]}],
+            },
+        )
+        return {
+            ("equiv", True): ("equiv", "--kind", "tensor", files["tensor"], files["tensor"]),
+            ("equiv", False): ("equiv", "--kind", "forest", files["forest"], files["forest2"]),
+            ("compat", True): ("compat", "--kind", "tensor", files["tensor"], files["singletons"]),
+            ("compat", False): ("compat", "--kind", "forest", files["forest"], files["pairs"]),
+            ("validate", True): ("validate", files["forest"], "--strict"),
+            ("validate", False): ("validate", indivisible, "--strict"),
+        }
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["plain", "exit-status"])
+    @pytest.mark.parametrize("answer", [True, False], ids=["true", "false"])
+    @pytest.mark.parametrize("command, field", [("equiv", "equivalent"), ("compat", "compatible"), ("validate", "ok")])
+    def test_exit_one_only_for_a_printed_false(self, capsys, calls, command, field, answer, flag):
+        code, doc = run(capsys, *calls[command, answer], *(["--exit-status"] if flag else []))
+        assert doc[field] is answer
+        assert code == (1 if flag and not answer else 0)
+
+    def test_only_the_decision_subcommands_take_the_flag(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        takers = {name for name, p in sub.choices.items() if any("--exit-status" in a.option_strings for a in p._actions)}
+        assert takers == {"equiv", "compat", "validate"}
+
+
 class TestValidateCommand:
     def test_valid(self, capsys, files):
         code, doc = run(capsys, "validate", files["forest"])
@@ -332,6 +378,118 @@ class TestErrorHandling:
             code, doc = run(capsys, "tensor", "-")
         assert code == 0
         assert doc == tensor_to_dict(tensor_from_forest(three_chain_mixed))
+
+
+class TestErrorTable:
+    """Each row of the error table: what a handler raises sets the printed code and the exit status."""
+
+    ROWS = [
+        (SchemaError("not a tensor"), "schema", 2, "not a tensor"),
+        (NotContractibleError("no final component"), "not-contractible", 2, "no final component"),
+        (SearchLimitError("over the bound"), "limit", 3, "over the bound"),
+        (MemoryError(), "limit", 3, "MemoryError"),
+        (ValueError("not final"), "invalid-input", 2, "not final"),
+        (IndexError("out of range"), "invalid-input", 2, "out of range"),
+        (OSError("unreadable"), "io", 2, "unreadable"),
+    ]
+
+    @staticmethod
+    def raising(exc):
+        def handler(*args):
+            raise exc
+
+        return handler
+
+    @pytest.mark.parametrize("exc, code, status, message", ROWS, ids=[type(row[0]).__name__ for row in ROWS])
+    def test_row(self, capsys, monkeypatch, files, exc, code, status, message):
+        monkeypatch.setattr(cli, "diagonal", self.raising(exc))
+        assert run(capsys, "diag", files["tensor"]) == (status, {"error": {"code": code, "message": message}})
+
+    def test_other_exceptions_propagate(self, capsys, monkeypatch, files):
+        monkeypatch.setattr(cli, "diagonal", self.raising(KeyError(1)))
+        with pytest.raises(KeyError):
+            main(["diag", files["tensor"]])
+        assert capsys.readouterr().out == ""
+
+
+HUGE = 2**62
+
+
+class TestShortDocuments:
+    """Short documents that once ended in ``MemoryError``, or ran without end, each end in one canonical line."""
+
+    DOCUMENTS = {
+        "pure": {"dimension": HUGE, "size": 1, "entries": []},
+        "deep-forest": {"dimension": HUGE, "points": [{"id": 1, "degree": 1, "proximate_to": []}]},
+        "wide-forest": {
+            "dimension": 30,
+            "points": [{"id": k, "degree": 1, "proximate_to": list(range(1, k))} for k in range(1, 32)],
+        },
+        "huge-size": {"dimension": 2, "size": HUGE, "entries": []},
+        "one-block": {"blocks": [[1]]},
+    }
+    BYTES = {
+        "not-utf8": b"\xff\xfe{}",
+        "long-integer": b'{"dimension":2,"entries":[{"index":[1,1],"value":' + b"9" * 5000 + b'}],"size":1}',
+    }
+    NOT_A_PARTITION = {"error": {"code": "invalid-input", "message": f"blocks do not partition 1..{HUGE}"}}
+    REFUSED = {"error": {"code": "limit", "message": "MemoryError"}}
+
+    @staticmethod
+    def over_the_bound(estimate):
+        return {"error": {"code": "limit", "message": f"the tensor would hold about {estimate} index elements, over the bound 2000000"}}
+
+    CASES = [
+        (("diag", "pure"), 0, {"diagonal": [0]}),
+        (("canon", "--kind", "tensor", "pure"), 0, None),
+        (("orbits", "pure"), 0, {"orbits": [[1]]}),
+        (("equiv", "--kind", "tensor", "pure", "pure"), 0, {"equivalent": True, "permutation": [1]}),
+        (("compat", "--kind", "tensor", "pure", "one-block"), 0, {"compatible": True}),
+        (("contract", "pure", "1"), 2, {"error": {"code": "invalid-input", "message": "component 1 is not final"}}),
+        (("tensor", "deep-forest"), 3, over_the_bound(HUGE)),
+        (("tensor", "wide-forest"), 3, over_the_bound(30 * sum(math.comb(k + 29, 30) for k in range(1, 32)))),
+        (("diag", "huge-size"), 3, REFUSED),
+        (("canon", "--kind", "tensor", "huge-size"), 3, REFUSED),
+        (("orbits", "huge-size"), 3, REFUSED),
+        (("equiv", "--kind", "tensor", "huge-size", "huge-size"), 3, REFUSED),
+        (("compat", "--kind", "tensor", "huge-size", "one-block"), 2, NOT_A_PARTITION),
+        (("quotient", "huge-size", "one-block"), 2, NOT_A_PARTITION),
+    ]
+
+    def measure(self, capsys, argv):
+        """Exit code and document of one call, after checking it prints one canonical line in 1 s and 50 MB."""
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(list(argv))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert out == canonical_json(doc) + "\n"
+        assert elapsed < 1.0 and peak < 50_000_000
+        return code, doc
+
+    @pytest.mark.parametrize("argv, status, expected", CASES, ids=[" ".join(argv) for argv, _, _ in CASES])
+    def test_ends_in_one_line(self, capsys, files, argv, status, expected):
+        paths = {name: files["write"](f"{name}.json", doc) for name, doc in self.DOCUMENTS.items()}
+        code, doc = self.measure(capsys, [paths.get(arg, arg) for arg in argv])
+        assert code == status
+        assert expected is None or doc == expected
+
+    @pytest.mark.parametrize("name", BYTES)
+    def test_undecodable_document_is_a_schema_error(self, capsys, monkeypatch, files, name):
+        path = files["dir"] / f"{name}.json"
+        path.write_bytes(self.BYTES[name])
+        code, doc = self.measure(capsys, ["diag", str(path)])
+        assert code == 2 and doc["error"]["code"] == "schema"
+        assert doc["error"]["message"].startswith(f"{path}: malformed JSON: ")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(self.BYTES[name]), encoding="utf-8"))
+        code, doc = self.measure(capsys, ["diag", "-"])
+        assert code == 2 and doc["error"]["code"] == "schema"
+        assert doc["error"]["message"].startswith("-: malformed JSON: ")
 
 
 class TestParserReuse:

@@ -130,6 +130,27 @@ class TestPartition:
         with pytest.raises(ValueError, match="partition"):
             MarkedPartition((frozenset({1}),)).check(2)
 
+    @pytest.mark.parametrize(
+        "blocks, size",
+        [([{1}, {3}], 3), ([{0, 1}], 2), ([{2, 3}], 2), ([{1, 2}], 1), ([{1}], 2**62)],
+        ids=["gap", "below range", "above range", "too many", "huge size"],
+    )
+    def test_check_rejects_what_does_not_cover(self, blocks, size):
+        with pytest.raises(ValueError, match=rf"^blocks do not partition 1\.\.{size}$"):
+            MarkedPartition(tuple(map(frozenset, blocks))).check(size)
+
+    @settings(max_examples=200, deadline=None)
+    @given(blocks=st.lists(st.frozensets(st.integers(-1, 6), min_size=1), max_size=4), size=st.integers(0, 6))
+    def test_check_accepts_exactly_a_cover(self, blocks, size):
+        seen = [i for block in blocks for i in block]
+        covers = len(seen) == len(set(seen)) and set(seen) == set(range(1, size + 1))
+        try:
+            MarkedPartition(tuple(blocks)).check(size)
+        except ValueError:
+            assert not covers
+        else:
+            assert covers
+
     def test_check_rejects_empty_block(self):
         with pytest.raises(ValueError, match="empty"):
             MarkedPartition((frozenset(),)).check(0)

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import enum
+import io
 import itertools
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -104,6 +106,21 @@ class TestLoadDocument:
             monkeypatch.setattr("sys.stdin", handle)
             with pytest.raises(SchemaError):
                 load_document("-")
+
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\xfe{}", b'{"value":' + b"9" * 5000 + b"}"],
+        ids=["not utf-8", "5000-digit integer"],
+    )
+    def test_undecodable_document(self, monkeypatch, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: malformed JSON: "):
+            load_document(str(path))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        with pytest.raises(SchemaError, match="^-: malformed JSON: "):
+            load_document("-")
 
 
 class TestForestFormat:

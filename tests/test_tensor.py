@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import blowups.tensor
 from blowups import (
     IntersectionTensor,
     MarkedPartition,
     ProximityForest,
+    SearchLimitError,
     diagonal,
     evaluate,
     quotient_tensor,
@@ -17,7 +20,7 @@ from blowups import (
     tensor_from_forest,
     total_transform_matrix,
 )
-from _oracles import oracle_surface_intersection, oracle_tensor, random_partition
+from _oracles import oracle_surface_intersection, oracle_tensor, perturb, random_partition
 
 
 class TestTotalTransformMatrix:
@@ -122,6 +125,42 @@ class TestTensorFromForest:
         tensor = tensor_from_forest(forest)
         for i, j in itertools.combinations(range(1, 7), 2):
             assert tensor.value((i, j)) == oracle_surface_intersection(forest, i, j)
+
+
+def nested_chain(dimension, size):
+    """Each point proximate to every earlier one, so point ``k`` has a support of ``k`` components."""
+    return ProximityForest.make(dimension, *[(1, list(range(1, k))) for k in range(1, size + 1)])
+
+
+class TestOutputBound:
+    """``tensor_from_forest`` estimates its index elements from the supports and refuses beyond ``OUTPUT_LIMIT``."""
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        forest = nested_chain(3, 2)  # 3 * (C(3, 3) + C(4, 3)) = 15 index elements
+        monkeypatch.setattr(blowups.tensor, "OUTPUT_LIMIT", 15)
+        assert tensor_from_forest(forest) == oracle_tensor(forest)
+        monkeypatch.setattr(blowups.tensor, "OUTPUT_LIMIT", 14)
+        with pytest.raises(SearchLimitError, match=r"^the tensor would hold about 15 index elements, over the bound 14$"):
+            tensor_from_forest(forest)
+
+    @pytest.mark.parametrize(
+        "forest, estimate",
+        [
+            (ProximityForest.make(2**62, (1, [])), 2**62),
+            (nested_chain(30, 31), 30 * sum(math.comb(k + 29, 30) for k in range(1, 32))),
+            (nested_chain(30, 6), 11_309_760),
+        ],
+        ids=["d 2**62", "d 30 m 31", "d 30 m 6"],
+    )
+    def test_refuses_before_building(self, forest, estimate):
+        with pytest.raises(SearchLimitError, match=f"about {estimate} index elements"):
+            tensor_from_forest(forest)
+
+    def test_largest_measured_shape_is_well_inside(self):
+        """At d 4, m 400 a point has at most four targets, a support of five."""
+        widest = 4 * sum(math.comb(min(k, 5) + 3, 4) for k in range(1, 401))
+        assert widest == 111_104 and 10 * widest <= blowups.tensor.OUTPUT_LIMIT
+        assert tensor_from_forest(random_forest(0, 4, 400, 3)).size == 400
 
 
 class TestTensorType:
@@ -264,3 +303,23 @@ class TestDiagonal:
 
     def test_values(self, three_chain_mixed_prime):
         assert diagonal(tensor_from_forest(three_chain_mixed_prime)) == [-3, -4, -2]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        dimension=st.integers(1, 4),
+        size=st.integers(0, 7),
+        how=st.sampled_from([None, "entry", "negate", "isolated", "diagonal"]),
+    )
+    def test_reads_each_pure_power(self, seed, dimension, size, how):
+        rng = random.Random(seed)
+        if dimension == 1:
+            tensor = IntersectionTensor(1, size, {(i,): rng.randint(-2, 2) for i in range(1, size + 1)})
+        else:
+            tensor = tensor_from_forest(random_forest(seed, dimension, size, 3))
+        if how is not None:
+            tensor = perturb(tensor, how, rng)
+        assert diagonal(tensor) == [tensor.value((i,) * tensor.dimension) for i in range(1, tensor.size + 1)]
+
+    def test_builds_no_key_of_the_dimension(self):
+        assert diagonal(IntersectionTensor(2**62, 1, {})) == [0]
