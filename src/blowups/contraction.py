@@ -64,19 +64,21 @@ class ContractionTrace:
 
     steps: tuple[ContractionStep, ...]
 
+    def _survivors(self) -> Iterator[tuple[int, ...]]:
+        """After each step in turn, the survivors' original indices in current order, one map at a time."""
+        alive = tuple(range(1, len(self.steps) + 1))
+        for step in self.steps:
+            alive = alive[: step.contracted - 1] + alive[step.contracted :]
+            yield alive
+
     @cached_property
     def index_maps(self) -> tuple[tuple[int, ...], ...]:
         """``index_maps[t]`` lists, after ``t + 1`` steps, the survivors' original indices in current order."""
-        alive = tuple(range(1, len(self.steps) + 1))
-        maps = []
-        for step in self.steps:
-            alive = alive[: step.contracted - 1] + alive[step.contracted :]
-            maps.append(alive)
-        return tuple(maps)
+        return tuple(self._survivors())
 
     def original_order(self) -> tuple[int, ...]:
         """Original indices in the order they were contracted."""
-        stages = (tuple(range(1, len(self.steps) + 1)),) + self.index_maps
+        stages = itertools.chain([tuple(range(1, len(self.steps) + 1))], self._survivors())
         return tuple(alive[step.contracted - 1] for step, alive in zip(self.steps, stages))
 
     def creation_indices(self) -> dict[int, int]:

@@ -28,7 +28,9 @@ a vertex fingerprinted under the discrete labelling with the two exchanged
 must read what its twin reads under the discrete labelling.  This is the
 "known automorphisms" pruning of McKay & Piperno and the cheap-symmetry
 idea of Darga, Sakallah & Markov, saucy (DAC 2008); on a star the search
-then walks one path.  Automorphisms are kept sparse, as the map of the
+then walks one path.  A node tries a vertex exactly when it is the least
+of its orbit under the known automorphisms fixing the path, so a class of
+n twins costs O(n^2).  Automorphisms are kept sparse, as the map of the
 points they move, so a transposition costs two entries whatever the size.
 The search's table of leaves is its outcome: the canonical labelling, its
 relabelled object and every automorphism found are read off it.  It sees an
@@ -199,7 +201,7 @@ class _SearchOutcome:
 
 
 def _orbit_ids(n: int, perms) -> list[int]:
-    """For each vertex, one representative of its orbit under the group generated by ``perms``.
+    """For each vertex, the least member of its orbit under the group generated by ``perms``.
 
     Each permutation is given sparsely, as a map from each point it moves to its image.
     """
@@ -213,9 +215,9 @@ def _orbit_ids(n: int, perms) -> list[int]:
 
     for s in perms:
         for v, w in s.items():
-            rv, rs = find(v), find(w)
-            if rv != rs:
-                parent[rv] = rs
+            rv, rw = find(v), find(w)
+            if rv != rw:
+                parent[max(rv, rw)] = min(rv, rw)  # so each root is the least member of its set
     return [find(v) for v in range(n)]
 
 
@@ -301,17 +303,19 @@ def _search(struct) -> _SearchOutcome:
     document depends only on the structure pushed forward along the
     labelling, so a later labelling ``L2`` with the data of ``L1`` is the
     automorphism ``L1^-1 L2`` without a check.
-    Branches whose chosen vertex is already known to lie in the orbit of a
-    tried sibling, under known automorphisms fixing the current
-    individualization path, are pruned.  A pruned branch is the image of
-    a tried one, so the first minimal leaf in depth-first order is always
-    reached and the labelling and data do not depend on which
-    automorphisms are known.  A repeated leaf also backjumps, as in McKay,
-    "Practical graph isomorphism" (1981): its automorphism carries the
-    earlier leaf's path onto its own, since a labelling determines its
-    path, so it fixes the two paths' common prefix and maps the subtree
-    where the new path leaves it onto a subtree searched before.  The
-    search returns to that depth and goes on with the next sibling there.
+    A node tries a member of its target cell exactly when it is the least
+    of its orbit under the known automorphisms fixing the path.  Their
+    orbits lie inside the node's cells and only grow while it runs, so
+    that is exactly when no tried member shares its orbit.  A pruned
+    branch is the image of a tried one, so the first minimal leaf in
+    depth-first order is always reached and the labelling and data do not
+    depend on which automorphisms are known.  A repeated leaf also
+    backjumps, as in McKay, "Practical graph isomorphism" (1981): its
+    automorphism carries the earlier leaf's path onto its own, since a
+    labelling determines its path, so it fixes the two paths' common
+    prefix and maps the subtree where the new path leaves it onto a
+    subtree searched before.  The search returns to that depth and goes
+    on with the next sibling there.
     """
     n = struct.n
     leaves: dict[bytes, tuple[list[int], tuple[int, ...], "ProximityForest | IntersectionTensor"]] = {}
@@ -341,17 +345,15 @@ def _search(struct) -> _SearchOutcome:
         cell = min((c for c, k in counts.items() if k > 1), default=None)
         if cell is None:
             return handle_leaf(colors, path)
-        members = sorted(v for v in range(n) if colors[v] == cell)
-        tried: list[int] = []
-        # Orbit ids under the automorphisms fixing ``path``, built from the first ``seen`` known.
+        members = [v for v in range(n) if colors[v] == cell]
+        # Least orbit-mates under the automorphisms fixing ``path``, built from the first ``seen`` known.
         ids, seen = None, 0
         for v in members:
-            if tried and len(automorphisms) > seen:
-                seen = len(automorphisms)
-                ids = _orbit_ids(n, [s for s in automorphisms if not any(w in s for w in path)])
-            if ids and any(ids[u] == ids[v] for u in tried):
+            if v > members[0] and len(automorphisms) > seen:
+                seen, fixed = len(automorphisms), set(path)
+                ids = _orbit_ids(n, [s for s in automorphisms if fixed.isdisjoint(s)])
+            if ids and ids[v] != v:
                 continue
-            tried.append(v)
             child = [2 * c + 1 for c in colors]
             child[v] = 2 * cell
             if (depth := descend(_refine(struct, child, members), path + (v,))) < len(path):
@@ -387,8 +389,8 @@ def automorphism_orbits(obj: "ProximityForest | IntersectionTensor") -> tuple[tu
 
 def _orbits(struct) -> tuple[tuple[int, ...], ...]:
     groups: dict[int, list[int]] = {}
-    for v, root in enumerate(_orbit_ids(struct.n, _search(struct).automorphisms)):
-        groups.setdefault(root, []).append(v + 1)
+    for v, least in enumerate(_orbit_ids(struct.n, _search(struct).automorphisms)):
+        groups.setdefault(least, []).append(v + 1)
     return tuple(tuple(g) for g in groups.values())
 
 
@@ -470,18 +472,15 @@ def marked_tensor_equivalent(
 def partition_compatible_morphism(tensor: IntersectionTensor, partition: MarkedPartition) -> bool:
     """Whether every block lies inside one orbit of the tensor's automorphism group."""
     partition.check(tensor.size)
-    return _blocks_inside_orbits(partition, automorphism_orbits(tensor))
+    return _blocks_inside_orbits(partition, _TensorStructure(tensor))
 
 
 def partition_compatible_sequence(forest: ProximityForest, partition: MarkedPartition) -> bool:
     """Whether every block lies inside one orbit of the forest's automorphism group."""
     partition.check(len(forest))
-    return _blocks_inside_orbits(partition, automorphism_orbits(forest))
+    return _blocks_inside_orbits(partition, _DigraphStructure.of_forest(forest))
 
 
-def _blocks_inside_orbits(partition: MarkedPartition, orbits: tuple[tuple[int, ...], ...]) -> bool:
-    orbit_of: dict[int, int] = {}
-    for o, orbit in enumerate(orbits):
-        for i in orbit:
-            orbit_of[i] = o
-    return all(len({orbit_of[i] for i in block}) == 1 for block in partition.blocks)
+def _blocks_inside_orbits(partition: MarkedPartition, struct) -> bool:
+    least = _orbit_ids(struct.n, _search(struct).automorphisms)
+    return all(len({least[i - 1] for i in block}) == 1 for block in partition.blocks)

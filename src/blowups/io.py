@@ -272,7 +272,8 @@ def trace_from_dict(obj: Any) -> ContractionTrace:
             raise SchemaError(f"step {pos} degree must be >= 1, got {degree}")
         steps.append(ContractionStep(contracted, degree, proximities))
     trace = ContractionTrace(tuple(steps))
-    for pos, (alive, expected) in enumerate(zip(raw_maps, trace.index_maps), 1):
+    # One map at a time, so a wrong early map is turned away before the later ones are built.
+    for pos, (alive, expected) in enumerate(zip(raw_maps, trace._survivors()), 1):
         survivors = tuple(_require_int(i, f"index map {pos}") for i in _require_list(alive, f"index map {pos}"))
         if survivors != expected:
             raise SchemaError(f"index map {pos} must be {list(expected)}, as the steps imply")

@@ -5,9 +5,12 @@ Run it from the root of a checkout:
     PYTHONPATH=src python tests/_cli_digest.py
 
 It prints the digest, the number of calls and a histogram of their exit
-codes.  Two checkouts that print the same line wrote the same bytes on
-every call, so a change meant to keep outputs can be checked by running
-this script before and after it.  Each call runs ``blowups.cli.main`` in
+codes, above it one digest and call count per subcommand, and above those
+the same lines for the deep twin corpus, each prefixed ``twins``.  Two
+checkouts that print the same lines wrote the same bytes on every call,
+and a changed subcommand line names the subcommand whose bytes changed,
+so a change meant to keep outputs can be checked by running this script
+before and after it.  Each call runs ``blowups.cli.main`` in
 this process, inside a temporary directory, so file names in messages do
 not depend on where the checkout lives.  The digest covers each call's
 arguments, exit code and stdout, and the trace file that ``recover
@@ -24,6 +27,12 @@ arguments, exit code and stdout, and the trace file that ``recover
 - short documents that ask for more than their bytes: a dimension or a
   ``size`` of 2**62 with no entries, forests whose tensor is over the
   output bound, bytes that are not UTF-8 and a 5,000-digit integer.
+
+The deep twin corpus is digested apart, so the last line covers the
+corpus above alone: n disjoint points and n-leaf stars, n 16, 64 and 200,
+as forests and as tensors, through ``canon``, ``orbits``, ``equiv``
+against a relabelled copy, and ``compat`` with a partition that pairs
+twins and one that joins indices 1 and 2, which on a star mixes orbits.
 
 No call may exit 1 without printing a ``false`` decision.
 
@@ -66,6 +75,8 @@ class Digest:
     def __init__(self):
         self.sha = hashlib.sha256()
         self.codes: collections.Counter[int] = collections.Counter()
+        self.shas: dict[str, "hashlib._Hash"] = {}
+        self.calls: collections.Counter[str] = collections.Counter()
 
     def run(self, *argv: str) -> None:
         out = io.StringIO()
@@ -77,8 +88,18 @@ class Digest:
                 trace = handle.read()
             os.remove("trace.json")
         assert code != 1 or any(f'"{field}":false' in out.getvalue() for field in ("equivalent", "compatible", "ok")), argv
-        self.sha.update((canonical_json([list(argv), code, out.getvalue(), trace]) + "\n").encode())
+        line = (canonical_json([list(argv), code, out.getvalue(), trace]) + "\n").encode()
+        self.sha.update(line)
         self.codes[code] += 1
+        self.shas.setdefault(argv[0], hashlib.sha256()).update(line)
+        self.calls[argv[0]] += 1
+
+    def lines(self) -> list[str]:
+        """One line per subcommand, in name order, then the digest line."""
+        histogram = {str(code): count for code, count in sorted(self.codes.items())}
+        return [f"{name} {sha.hexdigest()} {self.calls[name]}" for name, sha in sorted(self.shas.items())] + [
+            f"{self.sha.hexdigest()} {sum(self.codes.values())} {canonical_json(histogram)}"
+        ]
 
 
 def write(name: str, doc) -> str:
@@ -191,17 +212,48 @@ def build(digest: Digest) -> None:
     short_documents(digest)
 
 
+TWIN_CLASS_SIZES = (16, 64, 200)
+
+
+def twin_commands(digest: Digest) -> None:
+    """Searches over one class of n twins: n disjoint points, and the leaves of an n-leaf star."""
+    rng = random.Random(20261020)
+    for n in TWIN_CLASS_SIZES:
+        points = ProximityForest.make(2, *[(1, [])] * n)
+        star = ProximityForest.make(2, (1, []), *[(1, [1])] * n)
+        for forest, twins in ((points, list(range(1, n + 1))), (star, list(range(2, n + 2)))):
+            relabeled, _ = random_relabel(forest, rng)
+            size = len(forest)
+            pairs = [twins[k : k + 2] for k in range(0, n, 2)]
+            write("p.json", {"blocks": [[i] for i in range(1, size + 1) if i not in twins] + pairs})
+            write("q.json", {"blocks": [[1, 2]] + [[i] for i in range(3, size + 1)]})
+            write("f.json", forest_to_dict(forest))
+            write("g.json", forest_to_dict(relabeled))
+            write("t.json", tensor_to_dict(tensor_from_forest(forest)))
+            write("u.json", tensor_to_dict(tensor_from_forest(relabeled)))
+            for kind, first, second in (("forest", "f.json", "g.json"), ("tensor", "t.json", "u.json")):
+                digest.run("canon", "--kind", kind, first)
+                digest.run("canon", "--kind", kind, second)
+                digest.run("orbits", "--kind", kind, second)
+                digest.run("equiv", "--kind", kind, first, second, "--exit-status")
+                digest.run("compat", "--kind", kind, first, "p.json", "--exit-status")
+                digest.run("compat", "--kind", kind, first, "q.json")
+
+
 def run() -> None:
-    digest = Digest()
+    digest, twins = Digest(), Digest()
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
             build(digest)
+            twin_commands(twins)
         finally:
             os.chdir(here)
-    histogram = {str(code): count for code, count in sorted(digest.codes.items())}
-    print(digest.sha.hexdigest(), sum(digest.codes.values()), canonical_json(histogram))
+    for line in twins.lines():
+        print("twins", line)
+    for line in digest.lines():
+        print(line)
 
 
 if __name__ == "__main__":

@@ -315,6 +315,40 @@ class TestTwinSeeds:
             assert sorted(canonical_form(obj).relabeling) == list(range(1, len(forest) + 1))
             assert automorphism_orbits(obj) == orbits
 
+    @pytest.mark.parametrize(
+        "forest, orbits",
+        [
+            (ProximityForest.make(2, *[(1, [])] * 200), (tuple(range(1, 201)),)),
+            (star(200), ((1,), tuple(range(2, 202)))),
+        ],
+        ids=["200 points", "star 200"],
+    )
+    def test_twin_classes_cost_quadratic_probes(self, monkeypatch, forest, orbits):
+        """A search reads each twin transposition O(n) times: it tries the least member of each orbit alone."""
+        probes = [0]
+
+        class CountingMap(dict):
+            def __contains__(self, key):
+                probes[0] += 1
+                return super().__contains__(key)
+
+            def __iter__(self):
+                probes[0] += 1
+                return super().__iter__()
+
+            def items(self):
+                probes[0] += 1
+                return super().items()
+
+        twin_chains = equivalence._twin_chains
+        monkeypatch.setattr(equivalence, "_twin_chains", lambda *args: list(map(CountingMap, twin_chains(*args))))
+        n = len(orbits[-1])  # the twin class
+        for obj in (forest, tensor_from_forest(forest)):
+            probes[0] = 0
+            canonical_form(obj)
+            assert 0 < probes[0] <= 4 * n * n
+            assert automorphism_orbits(obj) == orbits
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_roots_sharing_a_child_search_one_path(self, monkeypatch, d):
         """Twins that share a stored entry are seeded too: ``d`` roots with one common child."""
@@ -711,6 +745,22 @@ class TestOrbits:
         assert _orbits(_DigraphStructure.of_blocks(forest, blocks)) == brute_force_block_orbits(forest, blocks)
         quotient = quotient_tensor(tensor, blocks)
         assert automorphism_orbits(quotient) == brute_force_tensor_orbits(quotient)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 12), data=st.data())
+    def test_orbit_ids_name_the_least_member(self, n, data):
+        """On sparse transpositions and cycles, each vertex maps to the least vertex of its closure."""
+        cycle = st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)
+        perms = [dict(zip(c, c[1:] + c[:1])) for c in data.draw(st.lists(cycle, max_size=6))]
+        for v, least in enumerate(_orbit_ids(n, perms)):
+            orbit, frontier = {v}, [v]
+            while frontier:
+                u = frontier.pop()
+                for w in (p.get(u, u) for p in perms):
+                    if w not in orbit:
+                        orbit.add(w)
+                        frontier.append(w)
+            assert least == min(orbit)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), dimension=st.integers(2, 3), size=st.integers(0, 5))

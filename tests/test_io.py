@@ -374,6 +374,23 @@ class TestTraceFormat:
         with pytest.raises(SchemaError):
             trace_from_dict(doc)
 
+    def test_wrong_first_map_is_rejected_before_the_rest_are_built(self):
+        """8,000 steps with empty index maps: the maps the steps imply total 32 million indices."""
+        steps = 8000
+        doc = {
+            "steps": [{"contracted": 1, "degree": 1, "proximate_to_current": []}] * steps,
+            "index_maps": [[]] * steps,
+        }
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError) as failure:
+                trace_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(failure.value) == f"index map 1 must be {list(range(2, steps + 1))}, as the steps imply"
+        assert peak < 10_000_000
+
 
 class TestReportAndWitness:
     def test_report(self, three_chain_mixed):
