@@ -30,8 +30,13 @@ must read what its twin reads under the discrete labelling.  This is the
 idea of Darga, Sakallah & Markov, saucy (DAC 2008); on a star the search
 then walks one path.  A node tries a vertex exactly when it is the least
 of its orbit under the known automorphisms fixing the path, so a class of
-n twins costs O(n^2).  Automorphisms are kept sparse, as the map of the
-points they move, so a transposition costs two entries whatever the size.
+n twins costs O(n^2).  A leaf that repeats an earlier leaf's data
+backjumps, as in McKay (1981), to where its path leaves the earlier one.
+The search does not recurse: it is one loop over an explicit stack of
+open nodes, and its depth is bounded by ``OPEN_COLOR_LIMIT``, the
+colours those nodes hold (``n`` each), not by Python's recursion limit.
+Automorphisms are kept sparse, as the map of the points they move, so a
+transposition costs two entries whatever the size.
 The search's table of leaves is its outcome: the canonical labelling, its
 relabelled object and every automorphism found are read off it.  It sees an
 object through one of two structures, a vertex-coloured digraph (forests and
@@ -71,6 +76,7 @@ __all__ = [
 ]
 
 DEFAULT_NODE_LIMIT = 200_000
+OPEN_COLOR_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -316,54 +322,60 @@ def _search(struct) -> _SearchOutcome:
     prefix and maps the subtree where the new path leaves it onto a
     subtree searched before.  The search returns to that depth and goes
     on with the next sibling there.
+    The search is one loop over an explicit stack with one entry per open
+    node, in depth order: its colours, path, target cell, members, and a
+    generator over the members it tries.  A node is expanded by pushing
+    its entry; the loop then takes the next member from the deepest entry
+    that still has one, popping those that are done.  Backjumping to
+    depth ``k`` is ``del stack[k + 1:]``.  Each open node holds ``n``
+    colours, so depth is bounded by ``OPEN_COLOR_LIMIT`` colours in all,
+    and the number of nodes by ``DEFAULT_NODE_LIMIT``; either raises
+    :class:`SearchLimitError` naming the bound and the depth.
     """
     n = struct.n
     leaves: dict[bytes, tuple[list[int], tuple[int, ...], "ProximityForest | IntersectionTensor"]] = {}
     root = _refine(struct, _ranks(struct.colors), range(n))
     automorphisms = _twin_chains(struct, root)
-    nodes = 0
 
-    def handle_leaf(colors: list[int], path: tuple[int, ...]) -> int:
-        """The depth to return to: where ``path`` leaves an earlier path to the same data, else its own."""
-        labels = [c + 1 for c in colors]
-        relabeled = struct.relabel(labels)
-        data = io.canonical_json(struct.document(relabeled)).encode()
-        first, first_path, _ = leaves.setdefault(data, (labels, path, relabeled))
-        if first is labels:
-            return len(path)
-        perm = _compose(labels, first)
-        automorphisms.append({v: p - 1 for v, p in enumerate(perm) if p - 1 != v})
-        return next(k for k, (v, w) in enumerate(zip(path, first_path)) if v != w)
-
-    def descend(colors: list[int], path: tuple[int, ...]) -> int:
-        """Search below a node whose ``colors`` are already refined; return the depth to go back to."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > DEFAULT_NODE_LIMIT:
-            raise SearchLimitError(f"canonical search exceeded {DEFAULT_NODE_LIMIT} nodes")
-        counts = Counter(colors)
-        cell = min((c for c, k in counts.items() if k > 1), default=None)
-        if cell is None:
-            return handle_leaf(colors, path)
-        members = [v for v in range(n) if colors[v] == cell]
-        # Least orbit-mates under the automorphisms fixing ``path``, built from the first ``seen`` known.
+    def tries(members: list[int], path: tuple[int, ...]):
+        """The members that are least of their orbit under the known automorphisms fixing ``path``."""
         ids, seen = None, 0
         for v in members:
             if v > members[0] and len(automorphisms) > seen:
                 seen, fixed = len(automorphisms), set(path)
                 ids = _orbit_ids(n, [s for s in automorphisms if fixed.isdisjoint(s)])
-            if ids and ids[v] != v:
-                continue
-            child = [2 * c + 1 for c in colors]
-            child[v] = 2 * cell
-            if (depth := descend(_refine(struct, child, members), path + (v,))) < len(path):
-                return depth
-        return len(path)
+            if not ids or ids[v] == v:
+                yield v
 
-    try:
-        descend(root, ())
-    except RecursionError:
-        raise SearchLimitError("canonical search deeper than the recursion limit") from None
+    # One entry per open node, ``stack[k]`` at depth ``k``: colours, path, target cell, members, tries.
+    stack, colors, path, nodes = [], root, (), 0
+    while True:
+        nodes += 1
+        if nodes > DEFAULT_NODE_LIMIT:
+            raise SearchLimitError(f"canonical search exceeded {DEFAULT_NODE_LIMIT} nodes at depth {len(path)}")
+        cell = min((c for c, k in Counter(colors).items() if k > 1), default=None)
+        if cell is not None:
+            if n * (len(stack) + 1) > OPEN_COLOR_LIMIT:
+                raise SearchLimitError(
+                    f"canonical search exceeded {OPEN_COLOR_LIMIT} colours in open nodes at depth {len(path)}")
+            members = [v for v in range(n) if colors[v] == cell]
+            stack.append((colors, path, cell, members, tries(members, path)))
+        else:
+            labels = [c + 1 for c in colors]
+            relabeled = struct.relabel(labels)
+            data = io.canonical_json(struct.document(relabeled)).encode()
+            first, first_path, _ = leaves.setdefault(data, (labels, path, relabeled))
+            if first is not labels:
+                automorphisms.append({v: p - 1 for v, p in enumerate(_compose(labels, first)) if p - 1 != v})
+                del stack[next(k for k, (v, w) in enumerate(zip(path, first_path)) if v != w) + 1:]
+        while stack and (v := next(stack[-1][4], None)) is None:
+            stack.pop()
+        if not stack:
+            break
+        colors, path, cell, members, _ = stack[-1]
+        child = [2 * c + 1 for c in colors]
+        child[v] = 2 * cell
+        colors, path = _refine(struct, child, members), path + (v,)
     data = min(leaves)
     return _SearchOutcome(tuple(leaves[data][0]), leaves[data][2], data, automorphisms)
 

@@ -34,7 +34,7 @@ def surface_chain() -> ProximityForest:
 
 @pytest.fixture
 def low_recursion_limit():
-    """Python's recursion limit lowered to 200 for one test, so a deep search trips it quickly."""
+    """Python's recursion limit lowered to 200 for one test, to show that a deep search does not depend on it."""
     previous = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:

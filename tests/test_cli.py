@@ -29,7 +29,7 @@ from blowups import (
     trace_from_dict,
     validate_forest,
 )
-from blowups import cli, contraction
+from blowups import cli, contraction, equivalence
 from blowups.cli import build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -367,10 +367,21 @@ class TestErrorHandling:
             code, doc = run(capsys, "diag", "-")
         assert code == 2 and doc["error"]["code"] == "schema"
 
-    def test_search_deeper_than_recursion_limit(self, capsys, files, low_recursion_limit):
+    def test_search_depth_does_not_depend_on_the_recursion_limit(self, capsys, files, request):
         isolated = files["write"]("isolated.json", forest_to_dict(ProximityForest.make(2, *[(1, [])] * 300)))
-        code, doc = run(capsys, "canon", "--kind", "forest", isolated)
-        assert code == 3 and doc["error"]["code"] == "limit"
+        expected = run(capsys, "canon", "--kind", "forest", isolated)
+        request.getfixturevalue("low_recursion_limit")
+        assert run(capsys, "canon", "--kind", "forest", isolated) == expected
+        assert expected[0] == 0
+
+    def test_search_over_the_open_node_bound(self, capsys, monkeypatch, files):
+        monkeypatch.setattr(equivalence, "OPEN_COLOR_LIMIT", 10_000)
+        empty = files["write"]("empty.json", {"dimension": 2, "size": 200, "entries": []})
+        code, doc = run(capsys, "canon", "--kind", "tensor", empty)
+        assert code == 3 and doc["error"] == {
+            "code": "limit",
+            "message": "canonical search exceeded 10000 colours in open nodes at depth 50",
+        }
 
     def test_stdin_input(self, capsys, monkeypatch, files, three_chain_mixed):
         with open(files["forest"], "r", encoding="utf-8") as handle:

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from collections import defaultdict
 
 import pytest
@@ -182,10 +183,37 @@ class TestCanonicalForm:
             relabeled = canonical_form(t).relabeled
             assert relabeled == IntersectionTensor(dimension, t.size, dict(relabeled.entries))
 
-    def test_search_deeper_than_recursion_limit(self, low_recursion_limit):
+    def test_search_depth_does_not_depend_on_the_recursion_limit(self, request):
+        """300 twins search 299 levels deep under a recursion limit of 200, as at the default limit."""
         isolated = ProximityForest.make(2, *[(1, [])] * 300)
-        with pytest.raises(SearchLimitError, match="deeper than the recursion limit"):
-            canonical_form(isolated)
+        objs = (isolated, tensor_from_forest(isolated))
+        forms = [canonical_form(obj) for obj in objs]
+        request.getfixturevalue("low_recursion_limit")
+        for obj, form in zip(objs, forms):
+            assert canonical_form(obj) == form
+            assert automorphism_orbits(obj) == (tuple(range(1, 301)),)
+
+    def test_limits_name_the_bound_and_the_depth(self, monkeypatch):
+        """Open nodes hold ``n`` colours each; past either bound the search stops and says where."""
+        empty = IntersectionTensor(2, 200, {})
+        monkeypatch.setattr(equivalence, "OPEN_COLOR_LIMIT", 10_000)
+        with pytest.raises(SearchLimitError, match="^canonical search exceeded 10000 colours in open nodes at depth 50$"):
+            canonical_form(empty)
+        monkeypatch.setattr(equivalence, "DEFAULT_NODE_LIMIT", 10)
+        with pytest.raises(SearchLimitError, match="^canonical search exceeded 10 nodes at depth 10$"):
+            canonical_form(empty)
+
+    def test_open_nodes_bound_the_memory(self, monkeypatch):
+        """Under a lowered bound, 2,000 twins stop at depth 50, at a peak of at most 100 bytes per bounded colour."""
+        monkeypatch.setattr(equivalence, "OPEN_COLOR_LIMIT", 100_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchLimitError, match="at depth 50$"):
+                canonical_form(IntersectionTensor(2, 2_000, {}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 100_000
 
     @pytest.mark.parametrize(
         "dimension, forests, classes",
@@ -560,6 +588,30 @@ class TestLeafTable:
             documents[0] = 0
             equivalence._search(struct)
             assert documents[0] <= k
+
+    @pytest.mark.parametrize(
+        "shape, bound",
+        [
+            (ProximityForest.make(2, (1, []), (1, [1])), lambda k: k * (k + 1) // 2),
+            (ProximityForest.make(2, (1, []), (1, [1]), (1, [1])), lambda k: k * (3 * k + 1) // 2),
+        ],
+        ids=["2-chains", "3-point stars"],
+    )
+    def test_twin_free_symmetry_refines_quadratically(self, monkeypatch, shape, bound):
+        """k disjoint copies of a shape without twins cost at most k(k+1)/2 or k(3k+1)/2 refinements, root included."""
+        calls = [0]
+
+        def counting(*args, refine=equivalence._refine):
+            calls[0] += 1
+            return refine(*args)
+
+        monkeypatch.setattr(equivalence, "_refine", counting)
+        for k in range(1, 13):
+            forest = disjoint_copies(shape, k)
+            for obj in (forest, tensor_from_forest(forest)):
+                calls[0] = 0
+                canonical_form(obj)
+                assert calls[0] <= bound(k)
 
 
 class TestForestIsomorphic:

@@ -139,3 +139,21 @@ def test_every_listed_name_is_bound(path):
     assert sorted(set(listed) - _bound_names(tree)) == []
     assert len(listed) == len(set(listed))
 
+
+def _self_calls(tree: ast.Module) -> list[str]:
+    """Every function, nested ones included, whose body calls it by name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(
+                isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == node.name
+                for call in ast.walk(node)
+            ):
+                found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    """Depth is bounded by a stated budget, not by Python's recursion limit: nothing here recurses by name."""
+    assert _self_calls(_tree(path)) == []
