@@ -16,16 +16,17 @@ refinement (seeded with degrees, diagonal values, and for forests the
 proximity depth) followed by lexicographically minimal relabelling, with
 known automorphisms pruning symmetric branches.  Refinement is driven by
 splits, as in Paige & Tarjan (SIAM J. Comput. 1987): a round fingerprints
-only the classes next to a vertex touched since the colouring was last
-stable, where at the root every vertex counts as touched, so a search node
-costs what its individualisation touches rather than every vertex.  It
-reaches the colouring that fingerprinting every vertex in every round
-reaches, so labellings and hashes do not depend on it.  Before descending,
-the search seeds the known automorphisms with twin transpositions: two
-vertices of one root cell whose swap is an automorphism, chained along
-each class of such twins.  One test, exact on every structure, finds them:
-a vertex fingerprinted under the discrete labelling with the two exchanged
-must read what its twin reads under the discrete labelling.  This is the
+only the cells next to a vertex recoloured since the colouring was last
+stable, where at the root every vertex counts as recoloured, so a search
+node fingerprints what its individualisation touches rather than every
+vertex.  It reaches the ordered partition that fingerprinting every
+vertex in every round reaches, so labellings and hashes do not depend on
+it.  Before descending, the search seeds the known automorphisms with twin
+transpositions: two vertices of one root cell whose swap is an
+automorphism, chained along each class of such twins.  One test, exact on
+every structure, finds them: a vertex fingerprinted under the discrete
+labelling with the two exchanged must read what its twin reads under the
+discrete labelling.  This is the
 "known automorphisms" pruning of McKay & Piperno and the cheap-symmetry
 idea of Darga, Sakallah & Markov, saucy (DAC 2008); on a star the search
 then walks one path.  A node tries a vertex exactly when it is the least
@@ -33,8 +34,10 @@ of its orbit under the known automorphisms fixing the path, so a class of
 n twins costs O(n^2).  A leaf that repeats an earlier leaf's data
 backjumps, as in McKay (1981), to where its path leaves the earlier one.
 The search does not recurse: it is one loop over an explicit stack of
-open nodes, and its depth is bounded by ``OPEN_COLOR_LIMIT``, the
-colours those nodes hold (``n`` each), not by Python's recursion limit.
+open nodes that share one colouring, refined in place and undone from a
+trail, in which a vertex's colour is the last position of its cell.  It is
+bounded by ``WORK_LIMIT``, the colours its nodes scan (``n`` each), not by
+Python's recursion limit.
 Automorphisms are kept sparse, as the map of the points they move, so a
 transposition costs two entries whatever the size.
 The search's table of leaves is its outcome: the canonical labelling, its
@@ -51,6 +54,7 @@ returned by this module has been verified exhaustively against its inputs.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -75,8 +79,7 @@ __all__ = [
     "partition_compatible_sequence",
 ]
 
-DEFAULT_NODE_LIMIT = 200_000
-OPEN_COLOR_LIMIT = 10**7
+WORK_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -91,11 +94,6 @@ class CanonicalForm:
     relabeling: tuple[int, ...]
     relabeled: "ProximityForest | IntersectionTensor"
     hash: str
-
-
-def _ranks(keys: list) -> list[int]:
-    order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-    return [order[key] for key in keys]
 
 
 class _DigraphStructure:
@@ -139,9 +137,7 @@ class _DigraphStructure:
         out: list[list[int]] = [[] for _ in partition.blocks]
         for a, b in block_proximity(forest, partition):
             out[a - 1].append(b - 1)
-        degrees = [0] * len(partition)
-        for i, b in partition.index_of().items():
-            degrees[b - 1] += forest.degree(i)
+        degrees = [sum(forest.degree(i) for i in block) for block in partition.blocks]
         return cls(degrees, out, [(g, int(v in out[v])) for v, g in enumerate(degrees)])
 
     def fingerprint(self, v: int, colors: list[int]):
@@ -227,33 +223,39 @@ def _orbit_ids(n: int, perms) -> list[int]:
     return [find(v) for v in range(n)]
 
 
-def _refine(struct, colors: list[int], touched) -> list[int]:
-    """Split colour classes by their fingerprints until no class splits; colours come back as dense ranks.
+def _refine(struct, colors: list[int], touched, trail: list[tuple[int, int]]) -> None:
+    """Split cells by their fingerprints, in place, until no cell splits.
 
-    ``touched`` holds the vertices whose colour may have changed since
-    ``colors`` was last stable: members of each class had equal
-    fingerprints under an earlier colouring, and away from ``touched`` the
-    two colourings differ only by an injective renaming.  At the root every
-    vertex counts as touched.  A round fingerprints only the classes that
-    hold a neighbour (``struct.adjacent``) of a touched vertex.  Any other
-    class sees its members' fingerprints renamed injectively, or at the
-    root has only members without neighbours, whose fingerprints their
-    initial colour fixes.  So it cannot split, and one constant key keeps
-    its rank, since ranks sort by the old colour first.  The members of
-    the classes that split are the next round's ``touched``, and the loop
-    ends when none splits.  Each round thus ranks exactly as a round that
-    fingerprints every vertex would.
+    A vertex's colour is the last position of its cell in the ordered
+    partition.  ``touched`` holds the vertices whose colour changed since
+    ``colors`` was last stable, when the members of each cell had equal
+    fingerprints; at the root every vertex counts as touched.  A round
+    fingerprints only the members of the cells that hold a neighbour
+    (``struct.adjacent``) of a touched vertex, and sorts them by colour and
+    fingerprint.  Any other cell reads the colours it read when it was
+    stable, or at the root has only members without neighbours, whose
+    fingerprints their initial colour fixes, so it cannot split.  In a cell
+    that splits, the group with the greatest fingerprint keeps the cell's
+    colour and each other group takes the last position it ends at; each
+    change is pushed on ``trail`` as ``(vertex, old colour)``.  The vertices
+    recoloured are the next round's ``touched``, and the loop ends when a
+    round recolours none.  Each round thus splits as a round that
+    fingerprints every vertex would, into the same ordered partition; its
+    colours are a monotone renaming of that partition's dense ranks, so
+    every fingerprint compares as it would under the ranks.
     """
-    while True:
+    while touched:
         hit = {colors[u] for t in touched for u in struct.adjacent[t]}
-        keys = [(c, struct.fingerprint(v, colors) if c in hit else ()) for v, c in enumerate(colors)]
-        refined = _ranks(keys)
-        first: dict[int, int] = {}
-        split = {c for c, r in zip(colors, refined) if first.setdefault(c, r) != r}
-        if not split:
-            return refined
-        touched = [v for v, c in enumerate(colors) if c in split]
-        colors = refined
+        keyed = sorted(((c, struct.fingerprint(v, colors), v) for v, c in enumerate(colors) if c in hit), reverse=True)
+        touched, group = [], None
+        for c, key, v in keyed:
+            end = end - 1 if group and group[0] == c else c  # the position of ``v``, walking each cell backwards
+            if group != (c, key):
+                group, color = (c, key), end
+            if color != c:
+                trail.append((v, c))
+                colors[v] = color
+                touched.append(v)
 
 
 def _twin_chains(struct, colors: list[int]) -> list[dict[int, int]]:
@@ -322,60 +324,69 @@ def _search(struct) -> _SearchOutcome:
     prefix and maps the subtree where the new path leaves it onto a
     subtree searched before.  The search returns to that depth and goes
     on with the next sibling there.
-    The search is one loop over an explicit stack with one entry per open
-    node, in depth order: its colours, path, target cell, members, and a
-    generator over the members it tries.  A node is expanded by pushing
-    its entry; the loop then takes the next member from the deepest entry
-    that still has one, popping those that are done.  Backjumping to
-    depth ``k`` is ``del stack[k + 1:]``.  Each open node holds ``n``
-    colours, so depth is bounded by ``OPEN_COLOR_LIMIT`` colours in all,
-    and the number of nodes by ``DEFAULT_NODE_LIMIT``; either raises
-    :class:`SearchLimitError` naming the bound and the depth.
+    The search holds one colouring, ``colors``, in which a vertex's colour
+    is the last position of its cell, one ``path`` and one undo ``trail``,
+    as in Junttila & Kaski, "Engineering an efficient canonical labeling
+    tool for large and sparse graphs" (ALENEX 2007).  Its target
+    cell is the non-singleton cell that ends first.  Individualising ``v``
+    in a cell that ends at ``c`` and holds ``k`` members gives ``v`` the
+    colour ``c - k + 1``; its cell-mates keep ``c``, so ``v`` is the one
+    touched vertex.  The loop runs over an explicit stack with one entry
+    per open node, in depth order: its target cell, that cell's first
+    position, and a generator over the members it tries, which undoes the
+    trail back to the node's colouring before it reads its next member
+    off ``colors``.  The loop takes the next member from the deepest entry
+    that still has one, popping those that are done; backjumping to depth
+    ``k`` is ``del stack[k + 1:]``.  A node scans ``n`` colours, so the
+    search is bounded by ``WORK_LIMIT`` colours scanned, ``n`` per node;
+    past it :class:`SearchLimitError` names the budget and the depth.
     """
     n = struct.n
     leaves: dict[bytes, tuple[list[int], tuple[int, ...], "ProximityForest | IntersectionTensor"]] = {}
-    root = _refine(struct, _ranks(struct.colors), range(n))
-    automorphisms = _twin_chains(struct, root)
+    order = sorted(struct.colors)
+    colors = [bisect_right(order, c) - 1 for c in struct.colors]
+    _refine(struct, colors, range(n), [])
+    automorphisms = _twin_chains(struct, colors)
 
-    def tries(members: list[int], path: tuple[int, ...]):
-        """The members that are least of their orbit under the known automorphisms fixing ``path``."""
-        ids, seen = None, 0
-        for v in members:
-            if v > members[0] and len(automorphisms) > seen:
-                seen, fixed = len(automorphisms), set(path)
+    def tries(cell: int):
+        """The members of ``cell`` least of their orbit under the known automorphisms fixing the path."""
+        depth, mark, first, ids, seen = len(path), len(trail), colors.index(cell), None, 0
+        for v in range(first, n):
+            if colors[v] != cell:
+                continue
+            if v > first and len(automorphisms) > seen:
+                seen, fixed = len(automorphisms), set(path[:depth])
                 ids = _orbit_ids(n, [s for s in automorphisms if fixed.isdisjoint(s)])
             if not ids or ids[v] == v:
                 yield v
+                while len(trail) > mark:  # back to this node's colouring
+                    u, c = trail.pop()
+                    colors[u] = c
 
-    # One entry per open node, ``stack[k]`` at depth ``k``: colours, path, target cell, members, tries.
-    stack, colors, path, nodes = [], root, (), 0
+    # One entry per open node, ``stack[k]`` at depth ``k``: target cell, its first position, tries.
+    stack, path, trail, work = [], [], [], 0
     while True:
-        nodes += 1
-        if nodes > DEFAULT_NODE_LIMIT:
-            raise SearchLimitError(f"canonical search exceeded {DEFAULT_NODE_LIMIT} nodes at depth {len(path)}")
+        if (work := work + n) > WORK_LIMIT:
+            raise SearchLimitError(f"canonical search exceeded {WORK_LIMIT} colours scanned at depth {len(path)}")
         cell = min((c for c, k in Counter(colors).items() if k > 1), default=None)
         if cell is not None:
-            if n * (len(stack) + 1) > OPEN_COLOR_LIMIT:
-                raise SearchLimitError(
-                    f"canonical search exceeded {OPEN_COLOR_LIMIT} colours in open nodes at depth {len(path)}")
-            members = [v for v in range(n) if colors[v] == cell]
-            stack.append((colors, path, cell, members, tries(members, path)))
+            stack.append((cell, cell - colors.count(cell) + 1, tries(cell)))
         else:
             labels = [c + 1 for c in colors]
             relabeled = struct.relabel(labels)
             data = io.canonical_json(struct.document(relabeled)).encode()
-            first, first_path, _ = leaves.setdefault(data, (labels, path, relabeled))
+            first, first_path, _ = leaves.setdefault(data, (labels, tuple(path), relabeled))
             if first is not labels:
                 automorphisms.append({v: p - 1 for v, p in enumerate(_compose(labels, first)) if p - 1 != v})
                 del stack[next(k for k, (v, w) in enumerate(zip(path, first_path)) if v != w) + 1:]
-        while stack and (v := next(stack[-1][4], None)) is None:
+        while stack and (v := next(stack[-1][2], None)) is None:
             stack.pop()
         if not stack:
             break
-        colors, path, cell, members, _ = stack[-1]
-        child = [2 * c + 1 for c in colors]
-        child[v] = 2 * cell
-        colors, path = _refine(struct, child, members), path + (v,)
+        path[len(stack) - 1:] = [v]
+        trail.append((v, colors[v]))
+        colors[v] = stack[-1][1]
+        _refine(struct, colors, [v], trail)
     data = min(leaves)
     return _SearchOutcome(tuple(leaves[data][0]), leaves[data][2], data, automorphisms)
 

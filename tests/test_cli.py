@@ -374,13 +374,13 @@ class TestErrorHandling:
         assert run(capsys, "canon", "--kind", "forest", isolated) == expected
         assert expected[0] == 0
 
-    def test_search_over_the_open_node_bound(self, capsys, monkeypatch, files):
-        monkeypatch.setattr(equivalence, "OPEN_COLOR_LIMIT", 10_000)
+    def test_search_over_the_work_budget(self, capsys, monkeypatch, files):
+        monkeypatch.setattr(equivalence, "WORK_LIMIT", 10_000)
         empty = files["write"]("empty.json", {"dimension": 2, "size": 200, "entries": []})
         code, doc = run(capsys, "canon", "--kind", "tensor", empty)
         assert code == 3 and doc["error"] == {
             "code": "limit",
-            "message": "canonical search exceeded 10000 colours in open nodes at depth 50",
+            "message": "canonical search exceeded 10000 colours scanned at depth 50",
         }
 
     def test_stdin_input(self, capsys, monkeypatch, files, three_chain_mixed):

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from bisect import bisect_right
 from collections import defaultdict
 
 import pytest
@@ -34,7 +35,6 @@ from blowups.equivalence import (
     _DigraphStructure,
     _orbit_ids,
     _orbits,
-    _ranks,
     _refine,
     _structure_for,
     _TensorStructure,
@@ -194,26 +194,27 @@ class TestCanonicalForm:
             assert automorphism_orbits(obj) == (tuple(range(1, 301)),)
 
     def test_limits_name_the_bound_and_the_depth(self, monkeypatch):
-        """Open nodes hold ``n`` colours each; past either bound the search stops and says where."""
+        """A node scans ``n`` colours; past the budget the search stops and says where."""
         empty = IntersectionTensor(2, 200, {})
-        monkeypatch.setattr(equivalence, "OPEN_COLOR_LIMIT", 10_000)
-        with pytest.raises(SearchLimitError, match="^canonical search exceeded 10000 colours in open nodes at depth 50$"):
+        monkeypatch.setattr(equivalence, "WORK_LIMIT", 10_000)
+        with pytest.raises(SearchLimitError, match="^canonical search exceeded 10000 colours scanned at depth 50$"):
             canonical_form(empty)
-        monkeypatch.setattr(equivalence, "DEFAULT_NODE_LIMIT", 10)
-        with pytest.raises(SearchLimitError, match="^canonical search exceeded 10 nodes at depth 10$"):
+        monkeypatch.setattr(equivalence, "WORK_LIMIT", 2_000)
+        with pytest.raises(SearchLimitError, match="^canonical search exceeded 2000 colours scanned at depth 10$"):
             canonical_form(empty)
 
-    def test_open_nodes_bound_the_memory(self, monkeypatch):
-        """Under a lowered bound, 2,000 twins stop at depth 50, at a peak of at most 100 bytes per bounded colour."""
-        monkeypatch.setattr(equivalence, "OPEN_COLOR_LIMIT", 100_000)
-        tracemalloc.start()
-        try:
-            with pytest.raises(SearchLimitError, match="at depth 50$"):
-                canonical_form(IntersectionTensor(2, 2_000, {}))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100 * 100_000
+    def test_twin_search_holds_linear_memory(self):
+        """500 twins search 499 levels deep holding one colouring, not one per open node: under a 3 MB peak."""
+        isolated = ProximityForest.make(2, *[(1, [])] * 500)
+        for obj in (isolated, tensor_from_forest(isolated)):
+            tracemalloc.start()
+            try:
+                form = canonical_form(obj)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert form.relabeling == tuple(range(1, 501))
+            assert peak < 3 * 2**20
 
     @pytest.mark.parametrize(
         "dimension, forests, classes",
@@ -268,9 +269,22 @@ def broom(leaves: int) -> ProximityForest:
     return ProximityForest.make(2, (1, []), (1, [1]), (1, [2]), *[(1, [3])] * leaves)
 
 
+def last_positions(keys: list) -> list[int]:
+    """Each key's colour as the search reads it: the last position of its cell when the keys are sorted."""
+    order = sorted(keys)
+    return [bisect_right(order, key) - 1 for key in keys]
+
+
+def dense_ranks(colors: list[int]) -> list[int]:
+    """The ordered partition of ``colors``, as the ranks ``oracle_refine`` returns."""
+    order = {c: r for r, c in enumerate(sorted(set(colors)))}
+    return [order[c] for c in colors]
+
+
 def root_cells(struct) -> tuple[list[int], dict[int, list[int]]]:
     """The refined root colouring and the members of each of its cells."""
-    root = _refine(struct, _ranks(struct.colors), range(struct.n))
+    root = last_positions(struct.colors)
+    _refine(struct, root, range(struct.n), [])
     cells = defaultdict(list)
     for v, color in enumerate(root):
         cells[color].append(v)
@@ -338,7 +352,7 @@ class TestTwinSeeds:
     )
     def test_symmetric_shapes_search_one_path(self, monkeypatch, forest, orbits):
         """With the twins seeded, 64 twin leaves need 64 search nodes, forest or tensor."""
-        monkeypatch.setattr(equivalence, "DEFAULT_NODE_LIMIT", 64)
+        monkeypatch.setattr(equivalence, "WORK_LIMIT", 64 * len(forest))
         for obj in (forest, tensor_from_forest(forest)):
             assert sorted(canonical_form(obj).relabeling) == list(range(1, len(forest) + 1))
             assert automorphism_orbits(obj) == orbits
@@ -381,7 +395,7 @@ class TestTwinSeeds:
     def test_roots_sharing_a_child_search_one_path(self, monkeypatch, d):
         """Twins that share a stored entry are seeded too: ``d`` roots with one common child."""
         forest = ProximityForest.make(d, *[(1, [])] * d, (1, list(range(1, d + 1))))
-        monkeypatch.setattr(equivalence, "DEFAULT_NODE_LIMIT", len(forest) - 1)
+        monkeypatch.setattr(equivalence, "WORK_LIMIT", (len(forest) - 1) * len(forest))
         for obj in (forest, tensor_from_forest(forest)):
             assert automorphism_orbits(obj) == (tuple(range(1, d + 1)), (d + 1,))
 
@@ -398,16 +412,16 @@ def disjoint_copies(forest: ProximityForest, copies: int) -> ProximityForest:
 def individualised_children(struct):
     """Each vertex of each non-singleton cell of the refined root, individualised as the search does it.
 
-    Yields the child colouring before refinement and the members of the
-    individualised cell.
+    Yields the refined root, the child colouring before refinement, the
+    individualised vertex and the trail that records its old colour.
     """
     root, cells = root_cells(struct)
     for cell, members in cells.items():
         if len(members) > 1:
             for v in members:
-                child = [2 * c + 1 for c in root]
-                child[v] = 2 * cell
-                yield child, members
+                child = root.copy()
+                child[v] = cell - len(members) + 1
+                yield root, child, v, [(v, cell)]
 
 
 def count_calls(monkeypatch, name: str) -> list[int]:
@@ -425,12 +439,22 @@ def count_calls(monkeypatch, name: str) -> list[int]:
 
 
 def assert_split_refinement_is_exact(structs) -> None:
-    """At the root and below each individualised vertex, refinement gives the colouring full refinement gives."""
+    """At the root and below each individualised vertex, refinement gives the ordered partition full refinement gives.
+
+    Below each vertex, undoing the trail restores the parent colouring exactly.
+    """
     for struct in structs:
-        colors = _ranks(struct.colors)
-        assert _refine(struct, colors, range(struct.n)) == oracle_refine(struct, colors)
-        for child, members in individualised_children(struct):
-            assert _refine(struct, child, members) == oracle_refine(struct, child)
+        colors = last_positions(struct.colors)
+        expected = oracle_refine(struct, colors)
+        _refine(struct, colors, range(struct.n), [])
+        assert dense_ranks(colors) == expected
+        for root, child, v, trail in individualised_children(struct):
+            expected = oracle_refine(struct, child)
+            _refine(struct, child, [v], trail)
+            assert dense_ranks(child) == expected
+            for u, c in reversed(trail):
+                child[u] = c
+            assert child == root
 
 
 class TestRefinement:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -157,3 +158,22 @@ def _self_calls(tree: ast.Module) -> list[str]:
 def test_no_function_calls_itself(path):
     """Depth is bounded by a stated budget, not by Python's recursion limit: nothing here recurses by name."""
     assert _self_calls(_tree(path)) == []
+
+
+def _limit_constants(tree: ast.Module) -> set[str]:
+    """The module-level names ending in ``_LIMIT`` that the module assigns."""
+    targets = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets.append(node.target)
+    return {t.id for t in targets if isinstance(t, ast.Name) and t.id.endswith("_LIMIT")}
+
+
+def test_readme_names_every_limit():
+    """Each budget a user can hit is named in the README, and the README names no budget the package lacks."""
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"\b[A-Z][A-Z0-9_]*_LIMIT\b", readme))
+    defined = set().union(*(_limit_constants(_tree(path)) for path in MODULES))
+    assert (sorted(defined - named), sorted(named - defined)) == ([], [])
