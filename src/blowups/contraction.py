@@ -12,13 +12,25 @@ targets are exactly the components it intersected when it was contracted.
 Neighbourhood is decided purely numerically: components ``i`` and ``j``
 are disjoint iff every mixed product ``T(i^s j^r)`` with ``r, s >= 1``
 vanishes.  Zero entries are never stored, so they meet iff a key made of
-``i`` and ``j`` alone is stored.  One scan over the neighbours decides
+``i`` and ``j`` alone is stored.  One pass over those keys decides
 finality; a vanishing pure power is never final.  Contraction rewrites
 only the stored keys that hold ``i``, so its cost follows the stored
-entries, not ``size^d``.  Recovery keeps each stage in original labels,
-derived from its parent: every rewritten key lies in ``near``, the
-components sharing a stored key with ``i``, so only their keys, neighbours
-and finality change, and only they are decided again.  Current labels
+entries, not ``size^d``.
+
+Recovery walks one mutable stage, in original labels: the entry dict;
+for each component its *narrow* keys (made of at most two components,
+held exactly) and its *wide* keys (three or more, of which some may have
+left the entries); and the finals with their neighbours, also listed in
+ascending order.  A blow-down rewrites the stage in place and returns an
+undo log: each removed or written key with its old value, the narrow
+keys that came in or left, the contracted component's key sets and the
+finals it changed.  Replaying the log restores the parent when the walk
+backtracks, as the trail of a backtracking machine does, so each step
+costs the keys it touches and no stage is copied.  Finality reads only
+narrow keys, so it is decided again only for the components of a
+changed narrow key.  The moves a key spreads by depend only on its shape
+(see :func:`_transfer`); each shape's transfer list is built once per
+recovery and dropped with it, never kept across calls.  Current labels
 appear only in the steps.
 """
 
@@ -27,9 +39,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import NotContractibleError, SearchLimitError
 from .forest import Point, ProximityForest
@@ -108,20 +121,29 @@ def empty_intersection(tensor: IntersectionTensor, i: int, j: int) -> bool:
 
 
 def _final_neighbours(d: int, entries: dict, holding: dict, i: int) -> tuple[int, ...] | None:
-    """The ascending neighbours of ``i`` if it is final, else ``None``; ``holding[i]`` are the keys holding ``i``.
+    """The ascending neighbours of ``i`` if it is final, else ``None``.
 
-    A component in no stored key has a zero pure power, so it is turned
-    away before any key of length ``d`` is built.
+    ``holding[i]`` holds the stored keys that hold ``i``, or at least
+    its narrow ones: the pure power and the keys made of ``i`` and one
+    other component.  A component with none has a zero pure power, so it
+    is turned away before any key of length ``d`` is built.  Finality
+    asks ``T(i j^{d-1}) = (-1)^{d-1} T(i^d) > 0``, which reads the pure
+    power alone, and ``T(i^{d-r} j^r) = (-1)^r T(i^d)`` for ``0 < r < d``
+    against every neighbour ``j``: one pass over the keys made of ``i``
+    and one other component, each of which must hold that value, and
+    ``d - 1`` of them for each neighbour, so that none is zero.
     """
-    keys = holding.get(i)  # a neighbour shares a key made of the two alone
-    if not keys or not (diag := entries.get((i,) * d, 0)):
+    keys = holding.get(i)
+    if not keys or not (diag := entries.get((i,) * d, 0)) or (diag if d % 2 else -diag) <= 0:
         return None
-    neighbours = sorted({k[-1] if k[0] == i else k[0] for k in keys if k.count(k[0]) + k.count(k[-1]) == d})
-    for j in neighbours:
-        mixed = _mixed(d, entries, i, j)
-        if mixed[-1] <= 0 or any(diag != (x if r % 2 == 0 else -x) for r, x in enumerate(mixed, 1)):
-            return None
-    return tuple(neighbours) if neighbours or (diag if d % 2 else -diag) > 0 else None
+    met: dict[int, int] = {}  # neighbour -> its keys with i alone
+    for k in keys:
+        j = k[-1] if k[0] == i else k[0]
+        if j != i and (r := k.count(j)) + k.count(i) == d:
+            if entries[k] != (-diag if r % 2 else diag):
+                return None
+            met[j] = met.get(j, 0) + 1
+    return tuple(sorted(met)) if all(n == d - 1 for n in met.values()) else None
 
 
 def is_final(tensor: IntersectionTensor, i: int) -> bool:
@@ -147,39 +169,71 @@ def final_set(tensor: IntersectionTensor) -> frozenset[int]:
     return frozenset(i for i in tensor._holding if is_final(tensor, i))
 
 
-def _spread(d: int, entries: dict, holding: dict, i: int, neighbours: tuple[int, ...]) -> tuple[dict, set]:
-    """``entries`` blown down at the final ``i``, in the same labels, and the keys written.
+def _transfer(n: int, shape: tuple[int, ...]) -> list[tuple[operator.itemgetter, int]]:
+    """How a stored key spreads, given as ``shape``: the key in the local labels of one blow-down.
+
+    The contracted component is labelled -1, its ``n`` neighbours
+    ``0 .. n-1`` in ascending order, and any other component of the key
+    ``n`` on.  For every multiset of neighbours, as many as the copies of
+    -1, one getter of the written key from the labelled components and
+    its weight.
+    """
+    rest = tuple(filter((-1).__lt__, shape))
+    moves = []
+    for spread in itertools.combinations_with_replacement(range(n), len(shape) - len(rest)):
+        weight = 1
+        for a in set(spread):
+            r = spread.count(a)
+            weight *= math.comb(rest.count(a) + r, r)
+        moves.append((operator.itemgetter(*sorted(rest + spread)), weight))
+    return moves
+
+
+def _spread(entries: dict, keys: Iterable, i: int, neighbours: tuple[int, ...], transfers: dict) -> tuple[dict, dict]:
+    """Blow ``entries`` down in place at the final ``i``, whose stored keys are ``keys``.
 
     A stored key ``K`` holding ``k`` copies of ``i`` and others ``R0``
     spreads its value over ``R0 + R`` for every multiset ``R`` of ``k``
     neighbours, weighted by ``prod_a C(mult_{R0+R}(a), mult_R(a))``, the
     number of slot choices of ``R0 + R`` that pull back to ``K``; a key
-    without ``i`` keeps its value.  Sums that cancel are dropped.
+    without ``i`` keeps its value.  Sums that cancel are dropped.  The
+    moves depend only on the number of neighbours and on the key in
+    local labels (see :func:`_transfer`), so ``transfers`` keeps each
+    such shape's moves.  A component of ``R0`` that meets no stored key of
+    ``i`` alone is carried along, and the written key is sorted back
+    into place.
+
+    Returns each key removed or written with its old value (0 if it was
+    absent), and the keys written, each with the sum it received.
     """
-    sums = dict(entries)
-    spreads: dict[int, list] = {}  # k -> each multiset of k neighbours with its multiplicities
-    touched: set[tuple[int, ...]] = set()
-    for key in holding[i]:
-        value = sums.pop(key)
-        k = key.count(i)
-        if k not in spreads:
-            spreads[k] = [
-                (spread, [(a, spread.count(a)) for a in set(spread)])
-                for spread in itertools.combinations_with_replacement(neighbours, k)
-            ]
-        start = key.index(i)
-        rest = key[:start] + key[start + k :]
-        for spread, counts in spreads[k]:
-            weight = value
-            for a, r in counts:
-                weight *= math.comb(rest.count(a) + r, r)
-            new = tuple(sorted(rest + spread))
-            sums[new] = sums.get(new, 0) + weight
-            touched.add(new)
-    for key in touched:
-        if not sums[key]:
-            del sums[key]
-    return sums, touched
+    n = len(neighbours)
+    local = {a: x for x, a in enumerate(neighbours)}
+    local[i] = -1
+    shapes = transfers.setdefault(n, {})
+    old, sums = {}, {}
+    for key in keys:
+        value = old[key] = entries.pop(key)
+        shape = tuple(map(local.get, key))
+        labels = neighbours
+        if None in shape:
+            others = tuple(dict.fromkeys(a for a in key if a not in local))
+            labels += others
+            shape = tuple(map({**local, **{a: n + x for x, a in enumerate(others)}}.get, key))
+        moves = shapes.get(shape)
+        if moves is None:
+            moves = shapes[shape] = _transfer(n, shape)
+        for written, weight in moves:
+            new = written(labels)
+            if labels is not neighbours:
+                new = tuple(sorted(new))
+            sums[new] = sums.get(new, 0) + value * weight
+    for key, added in sums.items():
+        before = old[key] = entries.get(key, 0)
+        if before + added:
+            entries[key] = before + added
+        elif before:
+            del entries[key]
+    return old, sums
 
 
 def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, ContractionStep]:
@@ -190,91 +244,228 @@ def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, Co
     stored keys that hold ``i``.
     """
     _check_index(tensor, i)
-    d, m, entries = tensor.dimension, tensor.size, tensor.entries
+    d, m, entries = tensor.dimension, tensor.size, dict(tensor.entries)
     proximities = _final_neighbours(d, entries, tensor._holding, i)
     if proximities is None:
         raise ValueError(f"component {i} is not final")
     step = ContractionStep(i, (-1) ** (d - 1) * entries[(i,) * d], proximities)
-    sums, _ = _spread(d, entries, tensor._holding, i, proximities)
+    _spread(entries, tensor._holding[i], i, proximities, {})
     # No key holds ``i`` any more, so renumbering keeps the keys distinct and sorted.
-    entries = {key if key[-1] < i else tuple(a - (a > i) for a in key): value for key, value in sums.items()}
+    entries = {key if key[-1] < i else tuple(a - (a > i) for a in key): value for key, value in entries.items()}
     return IntersectionTensor._trusted(d, m - 1, entries), step
 
 
 def _blow_down(d: int, stage: tuple, i: int) -> tuple:
-    """The stage after blowing down its final ``i``: entries, keys holding each component, finals with neighbours."""
-    entries, holding, finals = stage
-    near = {a for key in holding[i] for a in key} - {i}
-    entries, touched = _spread(d, entries, holding, i, finals[i])
-    # Every component of a written key is in ``near``; bucket the keys that survive once.
-    written: dict[int, set] = {}
-    for key in touched:
-        if key in entries:
-            for a in dict.fromkeys(key):
-                written.setdefault(a, set()).add(key)
-    holding, finals = dict(holding), dict(finals)
-    del holding[i], finals[i]
-    for a in near:
-        holding[a] = {key for key in holding[a] if key in entries} | written.get(a, set())
-        if (neighbours := _final_neighbours(d, entries, holding, a)) is None:
-            finals.pop(a, None)
+    """Blow the stage down at its final ``i`` in place; return the undo log that :func:`_restore` reads.
+
+    Narrow key sets hold exactly the stored keys.  A wide key that leaves
+    the entries stays in its components' wide sets, which are read
+    through the entries, so only a wide key that comes in is filed.  Only
+    a changed narrow key can change a finality, so only its components
+    are decided again.
+    """
+    entries, narrow, wide, finals, ascending, transfers = stage
+    narrow_keys, wide_keys = narrow.pop(i), wide.pop(i, set())
+    changed = set()
+    for key in narrow_keys:
+        if key[0] != key[-1]:
+            j = key[-1] if key[0] == i else key[0]
+            narrow[j].discard(key)
+            changed.add(j)
+    stored = itertools.chain(narrow_keys, [key for key in wide_keys if key in entries])
+    old, written = _spread(entries, stored, i, finals[i], transfers)
+    moved = []  # narrow keys written that came in or left
+    for key in written:
+        value, before = entries.get(key, 0), old[key]
+        if value == before:
+            continue
+        components = set(key)
+        if len(components) > 2:
+            if not before:
+                for a in components:
+                    wide.setdefault(a, set()).add(key)
+            continue
+        changed |= components
+        if not (value and before):
+            moved.append(key)
+            for a in components:
+                if value:
+                    narrow.setdefault(a, set()).add(key)
+                else:
+                    narrow[a].discard(key)
+    finals_before = {i: finals[i]}
+    _set_final(finals, ascending, i, None)
+    for a in changed:
+        if (neighbours := _final_neighbours(d, entries, narrow, a)) != (before := finals.get(a)):
+            finals_before[a] = before
+            _set_final(finals, ascending, a, neighbours)
+    return i, old, narrow_keys, wide_keys, moved, finals_before
+
+
+def _restore(stage: tuple, undo: tuple) -> None:
+    """Undo one :func:`_blow_down`: put back the old values, the narrow keys, the key sets of ``i`` and the finals."""
+    entries, narrow, wide, finals, ascending, _ = stage
+    i, old, narrow_keys, wide_keys, moved, finals_before = undo
+    for key in moved:
+        came = key in entries
+        for a in set(key):
+            if came:
+                narrow[a].discard(key)
+            else:
+                narrow[a].add(key)
+    for key, value in old.items():
+        if value:
+            entries[key] = value
         else:
-            finals[a] = neighbours
-    return entries, holding, finals
+            entries.pop(key, None)
+    for key in narrow_keys:
+        if key[0] != key[-1]:
+            narrow[key[-1] if key[0] == i else key[0]].add(key)
+    narrow[i] = narrow_keys
+    if wide_keys:
+        wide[i] = wide_keys
+    for a, neighbours in finals_before.items():
+        _set_final(finals, ascending, a, neighbours)
+
+
+def _set_final(finals: dict, ascending: list, a: int, neighbours: tuple[int, ...] | None) -> None:
+    """Record ``a`` as final with ``neighbours``, or as not final for ``None``; ``ascending`` lists the finals."""
+    if neighbours is not None:
+        if a not in finals:
+            bisect.insort(ascending, a)
+        finals[a] = neighbours
+    elif finals.pop(a, None) is not None:
+        del ascending[bisect.bisect_left(ascending, a)]
+
+
+class _Node:
+    """A stage the walk has reached, named by its pairs ``(original contracted, originals met)``.
+
+    The set is a chain of pairs to the parent that first reached the
+    stage, and its hash the sum of the pairs' hashes, so naming a child
+    costs one step; only stages with equal hashes compare their sets.
+    ``edges`` maps each final contracted out of the stage, in ascending
+    order, to the step, the pair and the stage reached.
+    """
+
+    __slots__ = ("parent", "pair", "hash", "edges")
+
+    def __init__(self, parent: "_Node | None", pair: tuple | None):
+        self.parent, self.pair, self.edges = parent, pair, {}
+        self.hash = parent.hash + hash(pair) if parent else 0
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Node) and self.hash == other.hash and self._pairs() == other._pairs()
+
+    def _pairs(self) -> set:
+        pairs, stage = set(), self
+        while stage.parent:
+            pairs.add(stage.pair)
+            stage = stage.parent
+        return pairs
 
 
 def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, ContractionTrace]]:
     """Every full contraction of ``tensor``, depth first by ascending final index.
 
-    Yields in lexicographic order of the contracted index sequences.  Each
-    stack entry is a stage key, the sorted originals contracted so far, the
-    history that reached the stage and the final to contract next, as an
-    original index; siblings are contracted only when popped, so the first
-    result costs exactly the greedy walk.  The history holds, per step,
-    the step and the pair ``(original contracted, originals met)``.  Its
-    steps are the trace, and its forest follows from the pairs: step ``t``
-    of ``m`` creates point ``m + 1 - t`` with the step's degree, proximate
-    to the points created by the originals it met.  Only steps use current
-    labels: renumbering keeps order, so original ``a`` has current label
-    ``a`` less the number of contracted originals below it.
+    Yields in lexicographic order of the contracted index sequences.  The
+    walk holds one mutable stage (see the module docstring) for the
+    deepest stage derived on its path, and a path of frames: the
+    :class:`_Node` reached, the last final tried there (or, below a
+    stage reached before, an iterator over its edges) and the undo log of
+    the blow-down that derived it.  Beside the path, ``history`` holds
+    the step into each stage on it and its pair ``(original contracted,
+    originals met)``.  Backtracking out of a frame replays its undo log,
+    so the mutable stage is its parent again, and the next final is the
+    least one above the last tried.  At the leaf the steps are the trace,
+    and the forest follows from the pairs: step ``t`` of ``m`` creates
+    point ``m + 1 - t`` with the step's degree, proximate to the points
+    created by the originals it met.  Only steps use current labels:
+    renumbering keeps order, so original ``a`` has current label ``a``
+    less the number of contracted originals below it, counted in
+    ``contracted``.
 
     A stage is the pull-back of ``tensor`` along the composite of its
-    steps, which is fixed by the components contracted and the components
-    each one met, in original labels.  Keyed by those pairs, each stage is
-    derived once by :func:`_blow_down`, from its parent's record, and each
-    step out of it is made once.
+    steps, which is fixed by its pairs.  Each stage is derived once by
+    :func:`_blow_down`, and each edge out of it is made once.  A stage
+    reached a second time was reached first earlier in depth-first
+    order, so every edge below it is made already: the walk follows the
+    memo below it and leaves the mutable stage alone.  The memo keeps
+    only the stage nodes and their edges, and the transfer lists of
+    :func:`_spread` live as long as the walk.
     """
     d, m = tensor.dimension, tensor.size
-    root: frozenset[tuple[int, tuple[int, ...]]] = frozenset()
-    entries, holding = tensor.entries, tensor._holding
-    # A component in no stored key has a zero pure power, so it is never final.
-    finals = {a: n for a in holding if (n := _final_neighbours(d, entries, holding, a)) is not None}
-    stages = {root: (entries, holding, finals)}
-    edges: dict[tuple[frozenset, int], tuple[ContractionStep, tuple, frozenset]] = {}  # -> (step, pair, key reached)
-    stack = [(root, (), (), None)]
-    while stack:
-        key, contracted, history, chosen = stack.pop()
-        if chosen is not None:
-            edge = edges.get((key, chosen))
-            if edge is None:
-                entries, _, finals = stage = stages[key]
-                c, *met = (a - bisect.bisect_left(contracted, a) for a in (chosen, *finals[chosen]))
-                step = ContractionStep(c, (-1) ** (d - 1) * entries[(chosen,) * d], tuple(met))
-                pair = chosen, finals[chosen]
-                edge = edges[key, chosen] = step, pair, key | {pair}
-                if edge[2] not in stages:
-                    stages[edge[2]] = _blow_down(d, stage, chosen)
-            step, pair, key = edge
-            contracted = tuple(sorted((*contracted, chosen)))
-            history += ((step, pair),)
-        if len(history) == m:
-            creation = {original: m - t for t, (_, (original, _)) in enumerate(history)}
-            points = [Point(s.degree, frozenset(creation[j] for j in met)) for s, (_, met) in reversed(history)]
-            yield ProximityForest(d, tuple(points)), ContractionTrace(tuple(s for s, _ in history))
-            continue
-        if not stages[key][2]:
-            raise NotContractibleError(f"no final component at stage {len(history) + 1}")
-        stack.extend((key, contracted, history, k) for k in sorted(stages[key][2], reverse=True))
+    entries: dict = dict(tensor.entries)
+    narrow: dict[int, set] = {}
+    wide: dict[int, set] = {}
+    for key in entries:
+        components = set(key)
+        index = narrow if len(components) <= 2 else wide
+        for a in components:
+            index.setdefault(a, set()).add(key)
+    # A component in no narrow key has a zero pure power, so it is never final.
+    finals = {a: n for a in narrow if (n := _final_neighbours(d, entries, narrow, a)) is not None}
+    ascending = sorted(finals)
+    stage = entries, narrow, wide, finals, ascending, {}  # the last holds the transfer lists of this walk
+    root = _Node(None, None)
+    stages = {root: root}
+    contracted: list[int] = []  # originals contracted on the way to the mutable stage, ascending
+    below = bisect.bisect_left
+    path: list[list] = [[root, 0, None]]  # stage, last final tried or its edges, undo
+    history: list[tuple] = []  # (step, pair) into each stage on the path but the root
+    if not m:
+        yield _order(d, m, history)
+        return
+    while path:
+        frame = path[-1]
+        node, tried, undo = frame
+        if not isinstance(tried, int):
+            edge = next(tried, None)
+        elif (at := bisect.bisect_right(ascending, tried)) < len(ascending):
+            chosen = frame[1] = ascending[at]
+            neighbours = finals[chosen]
+            c, *met = (a - below(contracted, a) for a in (chosen, *neighbours))
+            step = ContractionStep(c, (-1) ** (d - 1) * entries[(chosen,) * d], tuple(met))
+            pair = chosen, neighbours
+            child = _Node(node, pair)
+            edge = node.edges[chosen] = step, pair, stages.setdefault(child, child)
+            if edge[2] is child:
+                child_undo = _blow_down(d, stage, chosen)
+                if len(path) < m:
+                    bisect.insort(contracted, chosen)
+                    path.append([child, 0, child_undo])
+                    history.append((step, pair))
+                    continue
+                _restore(stage, child_undo)  # nothing is left to contract below the last step
+        elif not tried:
+            raise NotContractibleError(f"no final component at stage {len(path)}")
+        else:
+            edge = None
+        if edge is None:
+            path.pop()
+            if history:
+                _, (original, _) = history.pop()
+                if undo is not None:
+                    _restore(stage, undo)
+                    del contracted[below(contracted, original)]
+        elif len(path) == m:
+            history.append(edge[:2])
+            yield _order(d, m, history)
+            history.pop()
+        else:
+            step, pair, child = edge
+            path.append([child, iter(child.edges.values()), None])
+            history.append((step, pair))
+
+
+def _order(d: int, m: int, history: list) -> tuple[ProximityForest, ContractionTrace]:
+    """The forest and trace of a full contraction, from its steps, each with its pair ``(original, originals met)``."""
+    creation = {original: m - t for t, (_, (original, _)) in enumerate(history)}
+    points = [Point(s.degree, frozenset(map(creation.__getitem__, met))) for s, (_, met) in reversed(history)]
+    return ProximityForest(d, tuple(points)), ContractionTrace(tuple(s for s, _ in history))
 
 
 def recover_sequence(tensor: IntersectionTensor) -> tuple[ProximityForest, ContractionTrace]:

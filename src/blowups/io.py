@@ -7,10 +7,10 @@ explicit zero entries, and integers outside the signed 64-bit range are
 all rejected with :class:`SchemaError`.  The 64-bit bound exists purely to
 catch corrupted files; in-memory arithmetic is arbitrary precision.
 
-A tensor document is checked in bulk: a few passes over its whole entry
-list, each made by builtins, so loading costs a small constant per stored
-entry.  Only a document that fails one of them is read again entry by
-entry, which names its first defect.
+Tensor and forest documents are checked in bulk: a few passes over the
+whole entry or point list, each made by builtins, so loading costs a
+small constant per stored entry or point.  Only a document that fails
+one of them is read again item by item, which names its first defect.
 
 ``canonical_json`` fixes the byte-level encoding used everywhere output
 must be deterministic: UTF-8, keys sorted, separators ``","`` and ``":"``,
@@ -107,8 +107,43 @@ def forest_to_dict(forest: ProximityForest) -> dict:
 def forest_from_dict(obj: Any) -> ProximityForest:
     _require_object(obj, {"dimension", "points"}, "forest")
     dimension = _require_int(obj["dimension"], "dimension")
+    items = _require_list(obj["points"], "points")
+    points = _checked_points(items)
+    if points is None:
+        points = _read_points(items)
+    return ProximityForest(dimension, tuple(points))
+
+
+def _checked_points(items: list) -> list[Point] | None:
+    """The points of a well-formed point list, or ``None`` if a check fails.
+
+    As for tensor entries, each check is one pass over the whole list by
+    builtins, and only exact ``dict``, ``list`` and ``int`` types pass.
+    Targets in ``1..pos-1`` lie in the 64-bit range.
+    """
+    if not items:
+        return []
+    if set(map(type, items)) != {dict} or set(map(len, items)) != {3}:
+        return None
+    try:
+        ids, degrees, targets = (list(map(operator.itemgetter(f), items)) for f in ("id", "degree", "proximate_to"))
+    except KeyError:
+        return None
+    if set(map(type, ids)) != {int} or ids != list(range(1, len(items) + 1)):
+        return None
+    if set(map(type, degrees)) != {int} or min(degrees) < -INT64_MAX or max(degrees) > INT64_MAX:
+        return None
+    if set(map(type, targets)) != {list} or not set(map(type, itertools.chain.from_iterable(targets))) <= {int}:
+        return None
+    if not all(not t or (min(t) >= 1 and max(t) < pos and len(set(t)) == len(t)) for pos, t in enumerate(targets, 1)):
+        return None
+    return list(map(Point, degrees, map(frozenset, targets)))
+
+
+def _read_points(items: list) -> list[Point]:
+    """The points read one by one: a :class:`SchemaError` naming the first defect, if there is one."""
     points = []
-    for pos, raw in enumerate(_require_list(obj["points"], "points"), 1):
+    for pos, raw in enumerate(items, 1):
         _require_object(raw, {"id", "degree", "proximate_to"}, f"point {pos}")
         if _require_int(raw["id"], f"point {pos} id") != pos:
             raise SchemaError(f"point ids must be 1..m in order, got {raw['id']} at position {pos}")
@@ -122,7 +157,7 @@ def forest_from_dict(obj: Any) -> ProximityForest:
         if len(set(targets)) != len(targets):
             raise SchemaError(f"point {pos} has duplicate proximity targets")
         points.append(Point(degree, frozenset(targets)))
-    return ProximityForest(dimension, tuple(points))
+    return points
 
 
 def partition_to_dict(partition: MarkedPartition) -> dict:

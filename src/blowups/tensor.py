@@ -168,32 +168,63 @@ def tensor_from_forest(forest: ProximityForest) -> IntersectionTensor:
         for key in itertools.combinations_with_replacement(support, d):
             coeff = -1 if (d - key.count(k)) % 2 else 1
             acc[key] = acc.get(key, 0) + weight * coeff
-    return IntersectionTensor(d, len(forest), {k: v for k, v in acc.items() if v})
+    entries = {k: v for k, v in acc.items() if v}
+    m = len(forest)
+    # Keys over sorted supports come sorted and distinct; with targets in 1..m they are in range too.
+    if d >= 1 and all(1 <= support[0] and support[-1] <= m for support in supports):
+        return IntersectionTensor._trusted(d, m, entries)
+    return IntersectionTensor(d, m, entries)  # names the defect as the checking constructor does
 
 
 def evaluate(tensor: IntersectionTensor, vectors: Sequence[Sequence[int]]) -> int:
     """The multilinear form applied to ``dimension`` integer vectors.
 
     Each vector has one coordinate per component (position ``i-1`` is the
-    coefficient of component ``i``).  Evaluation is the definition: a sum
-    over the product of the vectors' supports, exact in integers.
+    coefficient of component ``i``).  The sum runs over the product of the
+    vectors' supports, or, when that has over 32 times as many terms as
+    there are stored keys (a key costs about as much as 32 terms), over
+    the stored keys made of support components, each in every distinct
+    arrangement over the slots.  Both are exact in integers.
     """
     d, m = tensor.dimension, tensor.size
     if len(vectors) != d:
         raise ValueError(f"expected {d} vectors, got {len(vectors)}")
-    supports: list[tuple[tuple[int, int], ...]] = []
+    coords: list[dict[int, int]] = []
     for v in vectors:
         if len(v) != m:
             raise ValueError(f"expected vectors of length {m}")
-        supports.append(tuple((i, int(x)) for i, x in enumerate(v, 1) if x))
+        coords.append({i: int(x) for i, x in enumerate(v, 1) if x})
+    entries = tensor.entries
+    if math.prod(map(len, coords)) > 32 * len(entries):
+        support = set().union(*coords)
+        return sum(value * _arranged(key, coords) for key, value in entries.items() if support.issuperset(key))
     total = 0
-    for combo in itertools.product(*supports):
-        value = tensor.entries.get(tuple(sorted(i for i, _ in combo)))
+    for combo in itertools.product(*coords):
+        value = entries.get(tuple(sorted(combo)))
         if value:
-            for _, x in combo:
-                value *= x
+            for coord, i in zip(coords, combo):
+                value *= coord[i]
             total += value
     return total
+
+
+def _arranged(key: tuple[int, ...], coords: list[dict[int, int]]) -> int:
+    """The sum, over the distinct arrangements of ``key`` over the slots, of the product of the slots' coordinates.
+
+    Slot by slot, each multiset of components still to place carries the
+    sum over the ways its complement was placed; a slot takes each
+    distinct component once.
+    """
+    placing = {key: 1}
+    for coord in coords:
+        placed: dict[tuple[int, ...], int] = {}
+        for rest, partial in placing.items():
+            for at, a in enumerate(rest):
+                if (not at or rest[at - 1] != a) and (x := coord.get(a)):
+                    left = rest[:at] + rest[at + 1 :]
+                    placed[left] = placed.get(left, 0) + partial * x
+        placing = placed
+    return placing.get((), 0)
 
 
 def quotient_tensor(tensor: IntersectionTensor, partition: MarkedPartition) -> IntersectionTensor:

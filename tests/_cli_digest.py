@@ -6,7 +6,8 @@ Run it from the root of a checkout:
 
 It prints the digest, the number of calls and a histogram of their exit
 codes, above it one digest and call count per subcommand, and above those
-the same lines for the deep twin corpus, each prefixed ``twins``.  Two
+the same lines for the deep twin corpus, each prefixed ``twins``, and for
+the recovery corpus, each prefixed ``recovery``.  Two
 checkouts that print the same lines wrote the same bytes on every call,
 and a changed subcommand line names the subcommand whose bytes changed,
 so a change meant to keep outputs can be checked by running this script
@@ -33,6 +34,12 @@ corpus above alone: n disjoint points and n-leaf stars, n 16, 64 and 200,
 as forests and as tensors, through ``canon``, ``orbits``, ``equiv``
 against a relabelled copy, and ``compat`` with a partition that pairs
 twins and one that joins indices 1 and 2, which on a star mixes orbits.
+
+The recovery corpus is digested apart too: random forests at d 2-4 and
+m 100, 200 and 400, with their tensors and ``perturb``ed copies, through
+``recover --trace`` and ``recover-all --limit 200``.  These forests are
+too large for the search commands; they reach the walk's backtracking
+far from the root and the blow-downs of stages with many components.
 
 No call may exit 1 without printing a ``false`` decision.
 
@@ -240,16 +247,37 @@ def twin_commands(digest: Digest) -> None:
                 digest.run("compat", "--kind", kind, first, "q.json")
 
 
+RECOVERY_SIZES = (100, 200, 400)
+RECOVERY_FORESTS_PER_SHAPE = 2
+
+
+def recovery_commands(digest: Digest) -> None:
+    """Recovery of large forests' tensors and of ``perturb``ed copies, which usually stop part way."""
+    rng = random.Random(20261021)
+    for d in (2, 3, 4):
+        for m in RECOVERY_SIZES:
+            for n in range(RECOVERY_FORESTS_PER_SHAPE):
+                tensor = tensor_from_forest(random_forest(100_000 * d + 1000 * m + n, d, m, 3))
+                perturbed = perturb(tensor, rng.choice(["entry", "negate", "isolated", "diagonal"]), rng)
+                for name, stage in (("t.json", tensor), ("v.json", perturbed)):
+                    write(name, tensor_to_dict(stage))
+                    digest.run("recover", name, "--trace", "trace.json")
+                    digest.run("recover-all", name, "--limit", "200")
+
+
 def run() -> None:
-    digest, twins = Digest(), Digest()
+    digest, twins, recovery = Digest(), Digest(), Digest()
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
             build(digest)
             twin_commands(twins)
+            recovery_commands(recovery)
         finally:
             os.chdir(here)
+    for line in recovery.lines():
+        print("recovery", line)
     for line in twins.lines():
         print("twins", line)
     for line in digest.lines():

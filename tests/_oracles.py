@@ -5,8 +5,9 @@ tuples, all-permutations searches, and direct surface intersection counts.
 None of it shares code with the package beyond the public data types, so
 agreement is meaningful.  The one exception is ``oracle_refine``, which
 reads a canonical-search structure's ``fingerprint`` and nothing else.
-``oracle_tensor_from_dict`` is the tensor reader before its bulk check:
-every entry read and checked in turn, naming the first defect.
+``oracle_tensor_from_dict`` and ``oracle_forest_from_dict`` are the
+tensor and forest readers before their bulk checks: every entry or point
+read and checked in turn, naming the first defect.
 """
 
 from __future__ import annotations
@@ -44,6 +45,18 @@ def oracle_tensor(forest: ProximityForest) -> IntersectionTensor:
         if total:
             entries[key] = total
     return IntersectionTensor(d, m, entries)
+
+
+def oracle_evaluate(tensor: IntersectionTensor, vectors) -> int:
+    """The multilinear form on ``dimension`` vectors, by its definition: a sum over the product of their supports."""
+    supports = [tuple((i, x) for i, x in enumerate(v, 1) if x) for v in vectors]
+    total = 0
+    for combo in itertools.product(*supports):
+        value = tensor.entries.get(tuple(sorted(i for i, _ in combo)), 0)
+        for _, x in combo:
+            value *= x
+        total += value
+    return total
 
 
 def oracle_surface_intersection(forest: ProximityForest, i: int, j: int) -> int:
@@ -458,3 +471,25 @@ def oracle_tensor_from_dict(obj: Any) -> IntersectionTensor:
             raise SchemaError(f"entry {pos} has value 0; zero entries must be omitted")
         entries[index] = value
     return IntersectionTensor(dimension, size, entries)
+
+
+def oracle_forest_from_dict(obj: Any) -> ProximityForest:
+    """A forest document read point by point, each point checked in turn."""
+    _require_object(obj, {"dimension", "points"}, "forest")
+    dimension = _require_int(obj["dimension"], "dimension")
+    points = []
+    for pos, raw in enumerate(_require_list(obj["points"], "points"), 1):
+        _require_object(raw, {"id", "degree", "proximate_to"}, f"point {pos}")
+        if _require_int(raw["id"], f"point {pos} id") != pos:
+            raise SchemaError(f"point ids must be 1..m in order, got {raw['id']} at position {pos}")
+        degree = _require_int(raw["degree"], f"point {pos} degree")
+        targets = []
+        for j in _require_list(raw["proximate_to"], f"point {pos} proximate_to"):
+            j = _require_int(j, f"point {pos} proximity target")
+            if not 1 <= j < pos:
+                raise SchemaError(f"point {pos} proximate to {j}, targets must lie in 1..{pos - 1}")
+            targets.append(j)
+        if len(set(targets)) != len(targets):
+            raise SchemaError(f"point {pos} has duplicate proximity targets")
+        points.append(Point(degree, frozenset(targets)))
+    return ProximityForest(dimension, tuple(points))

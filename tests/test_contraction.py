@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -58,6 +59,10 @@ class CountingEntries(dict):
     def __contains__(self, key):
         self.reads += 1
         return super().__contains__(key)
+
+
+# 3 is final with the one neighbour 2; its key (1, 2, 3) also holds 1, which shares no key with 3 alone.
+OUTSIDE_COMPONENT = IntersectionTensor(3, 3, {(1, 1, 1): 3, (2, 2, 3): 2, (2, 3, 3): -2, (3, 3, 3): 2, (1, 2, 3): -3})
 
 
 class TestEmptyIntersection:
@@ -248,6 +253,14 @@ class TestContract:
                 assert (step.degree, step.proximate_to_current) == (degree, proximities)
             tensor, _ = contract(tensor, rng.choice(finals))
 
+    def test_a_component_outside_the_neighbours_is_carried_along(self):
+        # (1, 2, 3) spreads over 3's one neighbour 2 as (1, 2, 2), with weight C(2, 1); 1 keeps its place.
+        smaller, step = contract(OUTSIDE_COMPONENT, 3)
+        entries, degree, proximities, _ = oracle_contract(OUTSIDE_COMPONENT, 3)
+        assert (step.degree, step.proximate_to_current) == (degree, proximities) == (2, (2,))
+        assert smaller.entries == entries
+        assert smaller.entries[(1, 2, 2)] == -6
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
@@ -338,6 +351,14 @@ class TestRecoverAllOrders:
         assert [trace.original_order() for _, trace in results] == list(itertools.permutations(range(1, 7)))
         assert results[0] == recover_sequence(tensor)
 
+    def test_backtracking_files_a_cancelled_key_again(self):
+        # Blowing down 5 first cancels T(3^3) = -1 + 1; back above that step, 3 must hold its pure power again.
+        tensor = IntersectionTensor(
+            3, 5, {(1, 1, 1): 2, (2, 2, 2): 2, (3, 3, 3): -1, (3, 3, 4): 3, (3, 4, 4): -3, (4, 4, 4): 3,
+                   (3, 3, 5): 1, (3, 5, 5): -1, (5, 5, 5): 1},
+        )
+        assert [trace for _, trace in recover_all_orders(tensor)] == list(chained_orders(tensor))
+
     def test_limit(self):
         forest = ProximityForest.make(2, (1, []), (1, []))
         with pytest.raises(SearchLimitError):
@@ -424,6 +445,7 @@ class TestLocalStages:
     @given(tensor=near_blow_up_tensors())
     # Blowing down 2 turns (1, 2, 3) into (1, 1, 3): 3 starts to meet 1 though it never met 2.
     @example(tensor=IntersectionTensor(3, 3, {(1, 1, 2): 3, (1, 2, 2): -3, (2, 2, 2): 3, (3, 3, 3): 1, (1, 2, 3): -3}))
+    @example(tensor=OUTSIDE_COMPONENT)
     def test_walk_matches_chained_public_steps(self, tensor):
         try:
             walked = [trace for _, trace in recover_all_orders(tensor, limit=200)]
@@ -499,3 +521,30 @@ class TestLocalStages:
             recover_sequence(tensor)
         assert len(written) == 1 and len(written[0]) == k * (k + 1) // 2
         assert [keys.passes for keys in written] == [1]
+
+
+def traced_peak(run, tensor) -> int:
+    tracemalloc.start()
+    try:
+        run(tensor)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRecoveryMemory:
+    """The walk holds one stage and an undo log, so its memory grows with the keys it touches, not with m × nnz."""
+
+    def test_greedy_walk_grows_linearly(self):
+        # One stage copy per step made the peak grow four times when m doubled: 120 MB at m 1000, 478 MB at m 2000.
+        tensors = [tensor_from_forest(random_forest(1, 2, m, 3)) for m in (1000, 2000)]
+        small, large = (traced_peak(recover_sequence, tensor) for tensor in tensors)
+        assert large <= 2.5 * small
+        assert large < 30_000_000
+
+    def test_one_order_of_a_chain_grows_linearly(self):
+        def chain(m):
+            return tensor_from_forest(ProximityForest.make(2, (1, []), *[(1, [k]) for k in range(1, m)]))
+
+        small, large = (traced_peak(recover_all_orders, chain(m)) for m in (1000, 2000))
+        assert large <= 2.5 * small

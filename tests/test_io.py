@@ -34,7 +34,7 @@ from blowups import (
     witness_to_dict,
 )
 
-from _oracles import TENSOR_DEFECTS, oracle_tensor_from_dict, spoil_tensor_entry
+from _oracles import TENSOR_DEFECTS, oracle_forest_from_dict, oracle_tensor_from_dict, spoil_tensor_entry
 
 GOOD_FOREST = {
     "dimension": 4,
@@ -61,6 +61,52 @@ def tensor_documents(draw):
     for defect in draw(st.lists(st.sampled_from(TENSOR_DEFECTS), max_size=2)) if keys else ():
         pos = draw(st.integers(0, len(keys) - 1))
         spoil_tensor_entry(doc, pos, defect, lambda options: draw(st.sampled_from(options)))
+    return doc
+
+
+FOREST_DEFECTS = (
+    "id", "bool id", "bool degree", "big degree", "float degree", "target range", "target zero", "target self",
+    "duplicate target", "bool target", "string target", "targets not an array", "not an object", "missing field",
+    "unknown field",
+)
+
+
+@st.composite
+def forest_documents(draw):
+    """Forest documents near valid ones: a random forest's points spoilt by up to two drawn defects."""
+    forest = random_forest(draw(st.integers(0, 10**6)), draw(st.integers(2, 4)), draw(st.integers(0, 6)), 3)
+    doc = forest_to_dict(forest)
+    points = doc["points"]
+    for defect in draw(st.lists(st.sampled_from(FOREST_DEFECTS), max_size=2)) if points else ():
+        pos = draw(st.integers(0, len(points) - 1))
+        point = points[pos]
+        if not isinstance(point, dict) or not {"id", "degree", "proximate_to"} <= point.keys():
+            continue
+        targets = point["proximate_to"] if isinstance(point["proximate_to"], list) else []
+        if defect == "id":
+            point["id"] = draw(st.sampled_from([pos, pos + 2, -1]))
+        elif defect == "bool id":
+            point["id"] = True
+        elif defect == "bool degree":
+            point["degree"] = False
+        elif defect == "big degree":
+            point["degree"] = draw(st.sampled_from([2**63, -(2**63), 2**63 - 1]))
+        elif defect == "float degree":
+            point["degree"] = 1.0
+        elif defect in ("target range", "target zero", "target self"):
+            targets.append({"target range": len(points) + 1, "target zero": 0, "target self": pos + 1}[defect])
+        elif defect == "duplicate target" and targets:
+            targets.append(targets[0])
+        elif defect in ("bool target", "string target") and targets:
+            targets[-1] = True if defect == "bool target" else str(targets[-1])
+        elif defect == "targets not an array":
+            point["proximate_to"] = draw(st.sampled_from([tuple(targets), None, 1]))
+        elif defect == "not an object":
+            points[pos] = draw(st.sampled_from([[pos + 1, 1, []], None, 3]))
+        elif defect == "missing field":
+            del point[draw(st.sampled_from(["id", "degree", "proximate_to"]))]
+        elif defect == "unknown field":
+            point["weight"] = 1
     return doc
 
 
@@ -164,6 +210,34 @@ class TestForestFormat:
         forest = random_forest(seed, dimension, size, 3)
         recoded = forest_from_dict(json.loads(canonical_json(forest_to_dict(forest))))
         assert recoded == forest
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=forest_documents())
+    @example(doc={"dimension": 2, "points": [{"id": 1, "degree": Sign.PLUS, "proximate_to": []}]})
+    @example(doc={"dimension": 2, "points": [{"id": 1, "degree": 1, "proximate_to": []}, [2, 1, [1]]]})
+    def test_bulk_check_decides_as_the_point_loop(self, doc):
+        """The same forest, or a ``SchemaError`` with the same text."""
+        try:
+            expected = oracle_forest_from_dict(doc)
+        except SchemaError as exc:
+            with pytest.raises(SchemaError) as caught:
+                forest_from_dict(doc)
+            assert str(caught.value) == str(exc)
+            return
+        assert forest_from_dict(doc) == expected
+
+    def test_valid_document_is_checked_in_bulk(self, monkeypatch):
+        forest = random_forest(7, 3, 40, 3)
+        calls = []
+        require_int = blowups.io._require_int
+
+        def counting(value, what):
+            calls.append(what)
+            return require_int(value, what)
+
+        monkeypatch.setattr(blowups.io, "_require_int", counting)
+        assert forest_from_dict(forest_to_dict(forest)) == forest
+        assert calls == ["dimension"]
 
 
 class TestPartitionFormat:

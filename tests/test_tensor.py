@@ -20,7 +20,7 @@ from blowups import (
     tensor_from_forest,
     total_transform_matrix,
 )
-from _oracles import oracle_surface_intersection, oracle_tensor, perturb, random_partition
+from _oracles import oracle_evaluate, oracle_surface_intersection, oracle_tensor, perturb, random_partition
 
 
 class TestTotalTransformMatrix:
@@ -65,6 +65,27 @@ class TestTensorFromForest:
         """The checking constructor is the only guard against a proximity target beyond the last point."""
         with pytest.raises(ValueError, match=r"^index \(1, 5\) out of range 1\.\.1$"):
             tensor_from_forest(ProximityForest.make(2, (1, [5])))
+
+    @pytest.mark.parametrize(
+        "forest, message",
+        [
+            (ProximityForest.make(2, (1, []), (1, [0])), r"^index \(0, 0\) out of range 1\.\.2$"),
+            (ProximityForest.make(0, (1, [])), r"^dimension must be >= 1, got 0$"),
+        ],
+    )
+    def test_defects_are_named_by_the_checking_constructor(self, forest, message):
+        with pytest.raises(ValueError, match=message):
+            tensor_from_forest(forest)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**6), dimension=st.integers(2, 4), size=st.integers(0, 5))
+    def test_trusted_entries_pass_the_checking_constructor(self, seed, dimension, size):
+        # Built without the constructor's checks, the entries must be what the checks would leave.
+        forest = random_forest(seed, dimension, size, 3)
+        tensor = tensor_from_forest(forest)
+        checked = IntersectionTensor(dimension, size, dict(tensor.entries))
+        assert list(tensor.entries.items()) == list(checked.entries.items())
+        assert tensor.entries == oracle_tensor(forest).entries
 
     def test_disjoint_points_have_no_mixed_entries(self):
         tensor = tensor_from_forest(ProximityForest.make(3, (1, []), (2, [])))
@@ -244,6 +265,33 @@ class TestEvaluate:
             for s in range(1, d):
                 vectors = [list(expansion[i - 1])] * s + [list(expansion[j - 1])] * (d - s)
                 assert evaluate(tensor, vectors) == 0
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_product_of_supports(self, data):
+        # Sparse tensors and wide supports take the sum over stored keys, the rest the product of supports.
+        d, m = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 6))
+        key = st.lists(st.integers(1, m), min_size=d, max_size=d).map(lambda k: tuple(sorted(k)))
+        tensor = IntersectionTensor(d, m, data.draw(st.dictionaries(key, st.integers(-3, 3), max_size=8)))
+        vector = st.lists(st.integers(-2, 2), min_size=m, max_size=m)
+        vectors = data.draw(st.lists(vector, min_size=d, max_size=d))
+        assert evaluate(tensor, vectors) == oracle_evaluate(tensor, vectors)
+
+    def test_wide_supports_sum_over_stored_keys(self, monkeypatch):
+        # 30 * 30 * 20 product terms against a few hundred stored keys.
+        tensor = tensor_from_forest(random_forest(3, 3, 30, 3))
+        vectors = [[1] * 30, [1, -2] * 15, [3, 0, 1] * 10]
+        keys = []
+        arranged = blowups.tensor._arranged
+
+        def counting(key, coords):
+            keys.append(key)
+            return arranged(key, coords)
+
+        monkeypatch.setattr(blowups.tensor, "_arranged", counting)
+        assert evaluate(tensor, vectors) == oracle_evaluate(tensor, vectors)
+        assert 0 < len(keys) <= len(tensor.entries)
 
 
 class TestQuotient:
