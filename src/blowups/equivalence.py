@@ -41,14 +41,17 @@ Python's recursion limit.
 Automorphisms are kept sparse, as the map of the points they move, so a
 transposition costs two entries whatever the size.
 The search's table of leaves is its outcome: the canonical labelling, its
-relabelled object and every automorphism found are read off it.  It sees an
-object through one of two structures, a vertex-coloured digraph (forests and
-block-proximity graphs) or an index-coloured tensor, whose ``relabel`` alone
-applies a labelling and whose ``document`` renders the result.  Canonical
-hashes are SHA-256 over the canonical JSON serialization of that document;
-equivalent inputs produce byte-identical hashes.  Permutations are plain
-tuples ``p`` with ``p[i-1]`` the image of index ``i``; every permutation
-returned by this module has been verified exhaustively against its inputs.
+data and every automorphism found are read off it.  It sees an object
+through one of two structures, a vertex-coloured digraph (forests and
+block-proximity graphs) or an index-coloured tensor.  A leaf costs one
+``serialize``, which writes the canonical JSON of the relabelled object's
+document straight from the degrees and out-lists, or from the entries,
+with no object, document or JSON encoder in between; ``relabel`` builds
+the relabelled object once, for the canonical leaf.  Canonical hashes are
+SHA-256 over those bytes; equivalent inputs produce byte-identical hashes.
+Permutations are plain tuples ``p`` with ``p[i-1]`` the image of index
+``i``; every permutation returned by this module has been verified
+exhaustively against its inputs.
 """
 
 from __future__ import annotations
@@ -58,14 +61,12 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
-from . import io
-
 # Not used here: ``perfbench/tracer.py`` wraps ``blowups.equivalence.recover_sequence``
 # by name, and every traced benchmark run fails with AttributeError without it.
 from .contraction import recover_sequence  # noqa: F401
 from .errors import SearchLimitError
 from .forest import MarkedPartition, Point, ProximityForest, block_proximity
-from .tensor import IntersectionTensor, diagonal, quotient_tensor
+from .tensor import IntersectionTensor, quotient_tensor
 
 __all__ = [
     "CanonicalForm",
@@ -106,8 +107,9 @@ class _DigraphStructure:
     block degree and whether the block is proximate to itself.  The one
     twin test, through ``fingerprint``, is exact here as on a tensor, for
     twins with loops or edges between them too.  ``relabel`` gives a forest
-    with this ``dimension``, ``None`` for a block graph, whose document is
-    ``{"degrees": ..., "edges": ...}`` read off the relabelled points.
+    with this ``dimension``, ``None`` for a block graph.  ``serialize``
+    writes a forest in its file format and a block graph as
+    ``{"degrees": ..., "edges": ...}``, both as canonical JSON.
     """
 
     def __init__(self, degrees: list[int], out: list[list[int]], colors: list, dimension: int | None = None):
@@ -120,16 +122,16 @@ class _DigraphStructure:
         for a, targets in enumerate(out):
             for b in targets:
                 self.inn[b].append(a)
-        # The vertices whose colours ``fingerprint(v, ...)`` reads.
-        self.adjacent = [set(targets) | set(sources) for targets, sources in zip(out, self.inn)]
+        # The vertices whose colours ``fingerprint(v, ...)`` reads; ``_refine`` drops repeats.
+        self.adjacent = [targets + sources for targets, sources in zip(out, self.inn)]
 
     @classmethod
     def of_forest(cls, forest: ProximityForest) -> "_DigraphStructure":
         degrees = [p.degree for p in forest.points]
-        depth = [0] * len(degrees)
-        for v, p in enumerate(forest.points):
-            depth[v] = 1 + max((depth[j - 1] for j in p.proximate_to), default=-1)
         out = [[j - 1 for j in p.proximate_to] for p in forest.points]
+        depth: list[int] = []
+        for targets in out:
+            depth.append(1 + max(map(depth.__getitem__, targets), default=-1))
         return cls(degrees, out, list(zip(depth, degrees)), forest.dimension)
 
     @classmethod
@@ -141,63 +143,110 @@ class _DigraphStructure:
         return cls(degrees, out, [(g, int(v in out[v])) for v, g in enumerate(degrees)])
 
     def fingerprint(self, v: int, colors: list[int]):
-        return (
-            tuple(sorted(colors[u] for u in self.out[v])),
-            tuple(sorted(colors[u] for u in self.inn[v])),
-        )
+        return tuple(sorted(map(colors.__getitem__, self.out[v]))), tuple(sorted(map(colors.__getitem__, self.inn[v])))
 
     def relabel(self, labels: list[int]) -> ProximityForest:
         inverse = [0] * self.n
         for v, label in enumerate(labels):
             inverse[label - 1] = v
-        points = tuple(Point(self.degrees[old], frozenset(labels[u] for u in self.out[old])) for old in inverse)
+        points = tuple(Point(self.degrees[old], frozenset(map(labels.__getitem__, self.out[old]))) for old in inverse)
         return ProximityForest(self.dimension, points)
 
-    def document(self, relabeled: ProximityForest) -> dict:
-        if self.dimension is not None:
-            return io.forest_to_dict(relabeled)
-        return {"degrees": [p.degree for p in relabeled.points], "edges": sorted(map(list, relabeled.edges()))}
+    def original(self) -> ProximityForest:
+        """The structure as ``relabel`` gives it, under the identity labelling."""
+        return self.relabel(list(range(1, self.n + 1)))
+
+    def serialize(self, labels: list[int]) -> bytes:
+        """The canonical JSON of ``relabel(labels)``'s document, built from the degrees and out-lists."""
+        inverse = [0] * self.n
+        for v, label in enumerate(labels):
+            inverse[label - 1] = v
+        targets = [sorted(map(labels.__getitem__, self.out[v])) for v in inverse]
+        if self.dimension is None:
+            edges = [[i, j] for i, ends in enumerate(targets, 1) for j in ends]
+            text = '{"degrees":%s,"edges":%s}' % ([self.degrees[v] for v in inverse], edges)
+        else:
+            points = ",".join([
+                '{"degree":%s,"id":%d,"proximate_to":%s}' % (self.degrees[v], i, ends)
+                for i, (v, ends) in enumerate(zip(inverse, targets), 1)
+            ])
+            text = '{"dimension":%s,"points":[%s]}' % (self.dimension, points)
+        return text.replace(" ", "").encode()  # a list prints as ``[1, 2]``; JSON needs ``[1,2]``
 
 
 class _TensorStructure:
-    """Index-coloured view of a tensor for the canonical search; the initial colours are the diagonal."""
+    """Index-coloured view of a tensor for the canonical search; the initial colours are the diagonal.
+
+    One pass over the entries files each stored key under its components.
+    A pure power is its component's colour.  A key of two components,
+    ``v`` of multiplicity ``mult`` and ``u`` of ``c``, goes to ``pairs[v]``
+    as ``(mult, value, u, c)``; a wider key goes to ``wide[v]`` with the
+    ``(u, c)`` of each other component.  Wherever a key is filed,
+    ``fingerprint`` reads it as ``(mult, value, others)``, with ``others``
+    the sorted ``(colour, c)`` of its other components, so the filing
+    changes no split; a key in ``pairs`` needs no sort.
+    """
 
     def __init__(self, tensor: IntersectionTensor):
         self.tensor = tensor
-        self.n = tensor.size
-        self.colors = diagonal(tensor)
-        self.incidence: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]] = [[] for _ in range(self.n)]
-        self.adjacent: list[set[int]] = [set() for _ in range(self.n)]
+        self.n = n = tensor.size
+        d = tensor.dimension
+        self.colors = colors = [0] * n
+        self.pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+        self.wide: dict[int, list[tuple[int, int, tuple[tuple[int, int], ...]]]] = {}
+        # The vertices whose colours ``fingerprint(v, ...)`` reads.
+        self.adjacent: list[set[int]] = [set() for _ in range(n)]
+        pairs, wide, adjacent = self.pairs, self.wide, self.adjacent
         for key, value in tensor.entries.items():
-            # A key is sorted, so its distinct components come out ascending.
-            counts = [(j - 1, key.count(j)) for j in dict.fromkeys(key)]
-            for i, mult in counts:
-                others = tuple(other for other in counts if other[0] != i)
-                self.incidence[i].append((mult, value, others))
-                self.adjacent[i].update(j for j, _ in others)
+            a, b = key[0] - 1, key[-1] - 1
+            if a == b:
+                colors[a] = value
+            elif (ma := key.count(a + 1)) + (mb := key.count(b + 1)) == d:
+                pairs[a].append((ma, value, b, mb))
+                pairs[b].append((mb, value, a, ma))
+                adjacent[a].add(b)
+                adjacent[b].add(a)
+            else:
+                # A key is sorted, so its distinct components come out ascending.
+                counts = [(j - 1, key.count(j)) for j in dict.fromkeys(key)]
+                components = [j for j, _ in counts]
+                for k, (i, mult) in enumerate(counts):
+                    wide.setdefault(i, []).append((mult, value, (*counts[:k], *counts[k + 1:])))
+                    adjacent[i].update(components)
+        for i in wide:  # a wide key made each of its components its own neighbour
+            adjacent[i].discard(i)
 
     def fingerprint(self, v: int, colors: list[int]):
-        return tuple(sorted([
-            (mult, value, tuple(sorted([(colors[u], c) for u, c in others])))
-            for mult, value, others in self.incidence[v]
-        ]))
+        items = [(mult, value, ((colors[u], c),)) for mult, value, u, c in self.pairs[v]]
+        for mult, value, others in self.wide.get(v, ()):
+            items.append((mult, value, tuple(sorted([(colors[u], c) for u, c in others]))))
+        if self.colors[v]:
+            items.append((self.tensor.dimension, self.colors[v], ()))
+        items.sort()
+        return tuple(items)
 
     def relabel(self, labels: list[int]) -> IntersectionTensor:
         # A permutation keeps keys distinct and in range, and values stay nonzero.
-        entries = {
-            tuple(sorted(labels[i - 1] for i in key)): value
-            for key, value in self.tensor.entries.items()
-        }
+        at = [0, *labels].__getitem__  # keys hold 1-based components
+        entries = {tuple(sorted(map(at, key))): value for key, value in self.tensor.entries.items()}
         return IntersectionTensor._trusted(self.tensor.dimension, self.n, entries)
 
-    def document(self, relabeled: IntersectionTensor) -> dict:
-        return io.tensor_to_dict(relabeled)
+    def original(self) -> IntersectionTensor:
+        """The tensor viewed, which ``relabel`` gives under the identity labelling."""
+        return self.tensor
+
+    def serialize(self, labels: list[int]) -> bytes:
+        """The canonical JSON of ``relabel(labels)``'s document, built from the entries."""
+        at = [0, *labels].__getitem__
+        entries = sorted(zip([sorted(map(at, key)) for key in self.tensor.entries], self.tensor.entries.values()))
+        text = ",".join(['{"index":%s,"value":%s}' % entry for entry in entries])
+        text = '{"dimension":%s,"entries":[%s],"size":%s}' % (self.tensor.dimension, text, self.n)
+        return text.replace(" ", "").encode()  # a list prints as ``[1, 2]``; JSON needs ``[1,2]``
 
 
 @dataclass
 class _SearchOutcome:
     labels: tuple[int, ...]
-    relabeled: "ProximityForest | IntersectionTensor"
     data: bytes
     automorphisms: list[dict[int, int]]
 
@@ -273,6 +322,8 @@ def _twin_chains(struct, colors: list[int]) -> list[dict[int, int]]:
     chain, unlike the star of transpositions ``(c[0] c[k])``, still joins
     ``c[1:]`` into one orbit after the search individualises ``c[0]``.
     """
+    if len(set(colors)) == struct.n:  # a discrete colouring, as for most rigid objects, holds no two twins
+        return []
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
@@ -305,12 +356,13 @@ def _search(struct) -> _SearchOutcome:
     refinements of the initial colouring, the relabelling achieving it,
     and the automorphisms known along the way: the twin transpositions of
     the refined root colouring, then one per leaf that repeats earlier
-    data.  ``leaves`` maps each serialization to the first labelling, in
-    depth-first order, that reached it, its path and the object it relabels
-    to, so the canonical form is read off ``leaves[min(leaves)]``.  A
-    document depends only on the structure pushed forward along the
-    labelling, so a later labelling ``L2`` with the data of ``L1`` is the
-    automorphism ``L1^-1 L2`` without a check.
+    data.  A leaf keeps only its labelling and path: ``leaves`` maps each
+    leaf's data, ``struct.serialize(labels)``, to the first labelling in
+    depth-first order that reached it and that labelling's path, so the
+    canonical labelling is read off ``leaves[min(leaves)]``.  The data
+    depend only on the structure pushed forward along the labelling, so a
+    later labelling ``L2`` with the data of ``L1`` is the automorphism
+    ``L1^-1 L2`` without a check.
     A node tries a member of its target cell exactly when it is the least
     of its orbit under the known automorphisms fixing the path.  Their
     orbits lie inside the node's cells and only grow while it runs, so
@@ -342,7 +394,7 @@ def _search(struct) -> _SearchOutcome:
     past it :class:`SearchLimitError` names the budget and the depth.
     """
     n = struct.n
-    leaves: dict[bytes, tuple[list[int], tuple[int, ...], "ProximityForest | IntersectionTensor"]] = {}
+    leaves: dict[bytes, tuple[list[int], tuple[int, ...]]] = {}
     order = sorted(struct.colors)
     colors = [bisect_right(order, c) - 1 for c in struct.colors]
     _refine(struct, colors, range(n), [])
@@ -373,9 +425,8 @@ def _search(struct) -> _SearchOutcome:
             stack.append((cell, cell - colors.count(cell) + 1, tries(cell)))
         else:
             labels = [c + 1 for c in colors]
-            relabeled = struct.relabel(labels)
-            data = io.canonical_json(struct.document(relabeled)).encode()
-            first, first_path, _ = leaves.setdefault(data, (labels, tuple(path), relabeled))
+            data = struct.serialize(labels)
+            first, first_path = leaves.setdefault(data, (labels, tuple(path)))
             if first is not labels:
                 automorphisms.append({v: p - 1 for v, p in enumerate(_compose(labels, first)) if p - 1 != v})
                 del stack[next(k for k, (v, w) in enumerate(zip(path, first_path)) if v != w) + 1:]
@@ -388,7 +439,7 @@ def _search(struct) -> _SearchOutcome:
         colors[v] = stack[-1][1]
         _refine(struct, colors, [v], trail)
     data = min(leaves)
-    return _SearchOutcome(tuple(leaves[data][0]), leaves[data][2], data, automorphisms)
+    return _SearchOutcome(tuple(leaves[data][0]), data, automorphisms)
 
 
 def _structure_for(obj):
@@ -401,8 +452,9 @@ def _structure_for(obj):
 
 def canonical_form(obj: "ProximityForest | IntersectionTensor") -> CanonicalForm:
     """Canonical relabelling and hash; equal hashes characterize equivalence."""
-    outcome = _search(_structure_for(obj))
-    return CanonicalForm(outcome.labels, outcome.relabeled, hashlib.sha256(outcome.data).hexdigest())
+    struct = _structure_for(obj)
+    outcome = _search(struct)
+    return CanonicalForm(outcome.labels, struct.relabel(list(outcome.labels)), hashlib.sha256(outcome.data).hexdigest())
 
 
 def automorphism_orbits(obj: "ProximityForest | IntersectionTensor") -> tuple[tuple[int, ...], ...]:
@@ -431,7 +483,7 @@ def _match(s1, s2) -> tuple[int, ...] | None:
     if o1.data != o2.data:
         return None
     perm = _compose(o1.labels, o2.labels)
-    if s1.relabel(list(perm)) != s2.relabel(list(range(1, s2.n + 1))):
+    if s1.relabel(list(perm)) != s2.original():
         raise RuntimeError("canonical relabelling failed verification")
     return perm
 

@@ -243,7 +243,8 @@ def quotient_tensor(tensor: IntersectionTensor, partition: MarkedPartition) -> I
         ways = math.prod(math.factorial(q.count(b)) for b in dict.fromkeys(q))
         ways //= math.prod(math.factorial(key.count(i)) for i in dict.fromkeys(key))
         entries[q] = entries.get(q, 0) + value * ways
-    return IntersectionTensor(tensor.dimension, len(partition), entries)
+    # Block keys are sorted and lie in 1..len(partition); a sum that cancels is dropped here.
+    return IntersectionTensor._trusted(tensor.dimension, len(partition), {q: v for q, v in entries.items() if v})
 
 
 def diagonal(tensor: IntersectionTensor) -> list[int]:

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: brute-force sums over all index
 tuples, all-permutations searches, and direct surface intersection counts.
 None of it shares code with the package beyond the public data types, so
-agreement is meaningful.  The one exception is ``oracle_refine``, which
-reads a canonical-search structure's ``fingerprint`` and nothing else.
+agreement is meaningful.  The exceptions are ``oracle_refine``, which
+reads a canonical-search structure's ``fingerprint`` and nothing else, and
+``oracle_leaf_data``, which reads its ``relabel`` and nothing else.
 ``oracle_tensor_from_dict`` and ``oracle_forest_from_dict`` are the
 tensor and forest readers before their bulk checks: every entry or point
 read and checked in turn, naming the first defect.
@@ -13,6 +14,7 @@ read and checked in turn, naming the first defect.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from typing import Any
 
@@ -391,6 +393,34 @@ def oracle_refine(struct, colors: list[int]) -> list[int]:
         if len(order) == len(set(colors)):
             return refined
         colors = refined
+
+
+def oracle_leaf_data(struct, labels: list[int]) -> bytes:
+    """A search leaf's data: the canonical JSON of the document of ``struct.relabel(labels)``.
+
+    ``struct`` is a canonical-search structure.  A forest and a tensor read
+    as their file formats; a block-proximity graph, which ``relabel`` gives
+    as a forest with ``dimension`` ``None``, as its degrees and its edges.
+    Keys sorted, separators ``","`` and ``":"``, as ``canonical_json``.
+    """
+    relabeled = struct.relabel(labels)
+    if isinstance(relabeled, IntersectionTensor):
+        doc = {
+            "dimension": relabeled.dimension,
+            "size": relabeled.size,
+            "entries": [{"index": list(key), "value": value} for key, value in sorted(relabeled.entries.items())],
+        }
+    elif relabeled.dimension is None:
+        doc = {"degrees": [p.degree for p in relabeled.points], "edges": sorted(map(list, relabeled.edges()))}
+    else:
+        doc = {
+            "dimension": relabeled.dimension,
+            "points": [
+                {"id": i, "degree": p.degree, "proximate_to": sorted(p.proximate_to)}
+                for i, p in enumerate(relabeled.points, 1)
+            ],
+        }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
 def oracle_separation(forest: ProximityForest) -> list[Violation]:

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
+import os
+import random
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowups import (
     MarkedPartition,
@@ -24,6 +29,7 @@ from blowups import (
     forest_isomorphic,
     forest_to_dict,
     partition_to_dict,
+    random_forest,
     tensor_from_forest,
     tensor_to_dict,
     trace_from_dict,
@@ -31,6 +37,7 @@ from blowups import (
 )
 from blowups import cli, contraction, equivalence
 from blowups.cli import build_parser, main
+from _oracles import TENSOR_DEFECTS, random_partition, spoil_tensor_entry
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 DECISION_FIELDS = ("equivalent", "compatible", "ok")
@@ -501,6 +508,110 @@ class TestShortDocuments:
         code, doc = self.measure(capsys, ["diag", "-"])
         assert code == 2 and doc["error"]["code"] == "schema"
         assert doc["error"]["message"].startswith("-: malformed JSON: ")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=12), inner, max_size=3),
+    max_leaves=8,
+)
+# Values that break a field's type or range; the twin sizes keep a search of n twins, O(n^2), short.
+ODD_VALUES = st.sampled_from([0, -1, 1.5, True, "1", None, [], 2**63, -(2**63), 2**63 - 1])
+TWIN_SIZES = st.integers(0, 64)
+HUGE_SIZES = st.integers(2**40, 2**62)
+
+
+@st.composite
+def fuzz_documents(draw, want: str):
+    """A document for ``canon``, ``orbits`` or ``equiv``, mostly of kind ``want``, spoilt or not.
+
+    Spoilt documents break a field's type or range, or hold a defect from
+    ``TENSOR_DEFECTS``.  Adversarial ones are valid but ask for work: up
+    to 64 twins, or a ``size`` of 2^40 or more, too large for one list.
+    Sizes in between are left out.  A class of n twins still costs O(n^2)
+    time, seconds from n = 10^3 (ROADMAP item 2), and a larger ``size``
+    is allocated as lists before any check, so it takes memory that grows
+    with ``size`` until the host refuses it (ROADMAP item 6).
+    """
+    kind = draw(st.sampled_from([want] * 4 + ["tensor", "forest", "partition", "json"]))
+    if kind == "json":
+        return draw(JSON_VALUES)
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    forest = random_forest(rng.randrange(10**6), draw(st.integers(2, 4)), draw(st.integers(0, 8)), 3)
+    spoil = draw(st.sampled_from(["none", "field", "twins", "huge", "defect"]))
+    if kind == "partition":
+        doc = partition_to_dict(random_partition(len(forest), rng))
+        if spoil != "none" and doc["blocks"]:
+            block = draw(st.sampled_from(doc["blocks"]))
+            block.append(draw(st.sampled_from([block[0], 0, len(forest) + 1, True, "1", 2**63])))
+        return doc
+    if kind == "forest":
+        doc = forest_to_dict(forest)
+        points = doc["points"]
+        if spoil == "twins":
+            points[:] = [{"id": i, "degree": 1, "proximate_to": [1] if i > 1 else []} for i in range(1, draw(TWIN_SIZES) + 1)]
+        elif spoil == "huge":
+            doc["dimension"] = draw(HUGE_SIZES)
+        elif spoil in ("field", "defect") and points:
+            point = draw(st.sampled_from(points))
+            field = draw(st.sampled_from(["id", "degree", "proximate_to"]))
+            if draw(st.booleans()):
+                point[field] = draw(ODD_VALUES)
+            else:
+                point["proximate_to"].append(draw(ODD_VALUES | st.integers(0, len(points) + 1)))
+        return doc
+    doc = tensor_to_dict(tensor_from_forest(forest))
+    if spoil == "twins":
+        doc.update(size=draw(TWIN_SIZES), entries=[])
+    elif spoil == "huge":
+        doc["size"] = draw(HUGE_SIZES)
+    elif spoil == "field":
+        doc[draw(st.sampled_from(["dimension", "size", "entries"]))] = draw(ODD_VALUES)
+    elif spoil == "defect" and doc["entries"]:
+        choose = lambda items: items[draw(st.integers(0, len(items) - 1))]  # noqa: E731
+        spoil_tensor_entry(doc, draw(st.integers(0, len(doc["entries"]) - 1)), draw(st.sampled_from(TENSOR_DEFECTS)), choose)
+    return doc
+
+
+class TestFuzz:
+    """Each call of ``canon``, ``orbits`` or ``equiv`` on drawn documents ends in one canonical line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(command=st.sampled_from(["canon", "orbits", "equiv", "equiv-marked"]), kind=st.sampled_from(["forest", "tensor"]), data=st.data())
+    def test_exit_code_line_time_and_memory(self, command, kind, data):
+        """An exit code in 0-3, one canonical JSON line, under 2 s and a 50 MB ``tracemalloc`` peak."""
+        first = data.draw(fuzz_documents(kind))
+        # An input compared with itself reaches the search and its verification.
+        second = first if data.draw(st.booleans()) else data.draw(fuzz_documents(kind))
+        docs = [first, second, data.draw(fuzz_documents("partition")), data.draw(fuzz_documents("partition"))]
+        with tempfile.TemporaryDirectory() as root:
+            paths = []
+            for k, doc in enumerate(docs):
+                paths.append(os.path.join(root, f"{k}.json"))
+                with open(paths[-1], "w", encoding="utf-8") as handle:
+                    json.dump(doc, handle)
+            argv = {
+                "canon": ["canon", "--kind", kind, paths[0]],
+                "orbits": ["orbits", "--kind", kind, paths[0]],
+                "equiv": ["equiv", "--kind", kind, *paths[:2], "--exit-status"],
+                "equiv-marked": ["equiv", "--kind", kind, *paths],
+            }[command]
+            out = io.StringIO()
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+                elapsed = time.perf_counter() - start
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        text = out.getvalue()
+        doc = json.loads(text)
+        assert text == canonical_json(doc) + "\n"
+        assert code in (0, 1, 2, 3)
+        assert code != 1 or doc.get("equivalent") is False
+        assert elapsed < 2.0 and peak < 50_000_000
 
 
 class TestParserReuse:

@@ -49,6 +49,7 @@ from _oracles import (
     brute_force_tensor_equivalent,
     brute_force_tensor_orbits,
     enumerate_forests,
+    oracle_leaf_data,
     oracle_refine,
     perturb,
     random_partition,
@@ -506,8 +507,8 @@ class TestRefinement:
 
     @pytest.mark.parametrize("forest", [random_forest(8, 3, 8, 2), random_forest(2, 3, 10, 3)], ids=["d3 m8", "d3 m10"])
     def test_rigid_search_builds_one_document(self, monkeypatch, forest):
-        """Each leaf builds one document, and a rigid object's search has one leaf."""
-        calls = count_calls(monkeypatch, "document")
+        """Each leaf is serialised once, and a rigid object's search has one leaf."""
+        calls = count_calls(monkeypatch, "serialize")
         for struct in (_DigraphStructure.of_forest(forest), _TensorStructure(tensor_from_forest(forest))):
             calls[0] = 0
             outcome = equivalence._search(struct)
@@ -517,24 +518,90 @@ class TestRefinement:
 
 
 class TestOneRelabelling:
-    """``relabel`` is the one place a labelling is applied, once per labelling."""
+    """``relabel`` builds the relabelled object: once for a canonical form, never at a search leaf."""
 
     forest = random_forest(8, 3, 8, 2)
+    chains = disjoint_copies(ProximityForest.make(2, (1, []), (1, [1])), 6)  # a search with many leaves
 
     def test_canonical_form_relabels_once(self, monkeypatch):
-        """A rigid search has one leaf, and the canonical form keeps that leaf's object."""
+        """A canonical form relabels its canonical leaf alone, however many leaves its search reaches."""
         calls = count_calls(monkeypatch, "relabel")
-        for obj in (self.forest, tensor_from_forest(self.forest)):
-            calls[0] = 0
-            form = canonical_form(obj)
-            assert calls[0] == 1
-            assert form.relabeled == _structure_for(obj).relabel(list(form.relabeling))
+        for forest in (self.forest, self.chains):
+            for obj in (forest, tensor_from_forest(forest)):
+                calls[0] = 0
+                form = canonical_form(obj)
+                assert calls[0] == 1
+                assert form.relabeled == _structure_for(obj).relabel(list(form.relabeling))
 
     def test_match_builds_no_document(self, monkeypatch):
-        """Each search relabels its one leaf and documents it; the verification relabels each input once more."""
-        relabels, documents = count_calls(monkeypatch, "relabel"), count_calls(monkeypatch, "document")
-        assert forest_isomorphic(self.forest, self.forest) == tuple(range(1, len(self.forest) + 1))
-        assert (relabels[0], documents[0]) == (4, 2)
+        """No search relabels a leaf; the verification relabels the first input, and a forest's second too."""
+        relabels, inside = count_calls(monkeypatch, "relabel"), [0]
+
+        def counting(struct, search=equivalence._search):
+            before = relabels[0]
+            outcome = search(struct)
+            inside[0] += relabels[0] - before
+            return outcome
+
+        monkeypatch.setattr(equivalence, "_search", counting)
+        for forest in (self.forest, self.chains):
+            for decide, obj, verification in ((forest_isomorphic, forest, 2), (tensor_equivalent, tensor_from_forest(forest), 1)):
+                relabels[0] = 0
+                assert decide(obj, obj) is not None
+                assert (inside[0], relabels[0]) == (0, verification)
+
+
+@st.composite
+def leaf_structures(draw):
+    """A search structure of each kind with a random labelling of its vertices.
+
+    Forests with degrees of either sign; block graphs of random partitions,
+    and digraphs drawn directly, with loops and 2-cycles; tensors of
+    forests, ``perturb``ed ones, and random symmetric forms whose values
+    reach past 64 bits.  Every kind includes size 0.
+    """
+    kind = draw(st.sampled_from(["forest", "blocks", "digraph", "tensor", "perturbed", "form"]))
+    seed, dimension, size = draw(st.integers(0, 10**6)), draw(st.integers(2, 4)), draw(st.integers(0, 8))
+    rng = random.Random(seed)
+    forest = random_forest(seed, dimension, size, 3)
+    if kind == "forest":
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=size, max_size=size))
+        struct = _DigraphStructure.of_forest(
+            ProximityForest.make(dimension, *[(s * p.degree, p.proximate_to) for s, p in zip(signs, forest.points)])
+        )
+    elif kind == "blocks":
+        struct = _DigraphStructure.of_blocks(forest, random_partition(size, rng))
+    elif kind == "digraph":
+        out = [sorted(draw(st.sets(st.integers(0, size - 1)))) for _ in range(size)]
+        degrees = draw(st.lists(st.integers(-5, 5), min_size=size, max_size=size))
+        struct = _DigraphStructure(degrees, out, [(g, int(v in out[v])) for v, g in enumerate(degrees)])
+    elif kind == "form":
+        key = st.lists(st.integers(1, max(size, 1)), min_size=dimension, max_size=dimension).map(sorted).map(tuple)
+        entries = draw(st.dictionaries(key, st.integers(-(2**70), 2**70), max_size=12 if size else 0))
+        struct = _TensorStructure(IntersectionTensor(dimension, size, entries))
+    else:
+        tensor = tensor_from_forest(forest)
+        if kind == "perturbed":
+            tensor = perturb(tensor, rng.choice(["entry", "negate", "isolated", "diagonal"]), rng)
+        struct = _TensorStructure(tensor)
+    return struct, list(draw(st.permutations(range(1, struct.n + 1))))
+
+
+class TestSerialize:
+    @settings(max_examples=300, deadline=None)
+    @given(case=leaf_structures())
+    # A block graph with a loop ({5, 6}) and a 2-cycle ({1, 4} and {2, 3}).
+    @example(case=(
+        _DigraphStructure.of_blocks(
+            ProximityForest.make(2, (1, []), (1, [1]), (2, []), (1, [3]), (3, []), (1, [5])),
+            MarkedPartition((frozenset({1, 4}), frozenset({2, 3}), frozenset({5, 6}))),
+        ),
+        [3, 1, 2],
+    ))
+    def test_serialize_is_the_document_bytes(self, case):
+        """A leaf's data is the canonical JSON of its relabelled object's document, byte for byte."""
+        struct, labels = case
+        assert struct.serialize(labels) == oracle_leaf_data(struct, labels)
 
 
 def disjoint_chains(k: int) -> ProximityForest:
@@ -586,32 +653,42 @@ class TestLeafTable:
                 assert struct.relabel(labels) == struct.relabel(identity)
 
     def test_one_document_per_leaf(self, monkeypatch):
-        """Six disjoint 2-chains search many leaves; each builds one document, serialised once."""
-        documents = count_calls(monkeypatch, "document")
-        leaves = [0]
-        canonical_json = io.canonical_json
+        """Six disjoint 2-chains search many leaves; each is serialised once, and none is relabelled or encoded."""
+        serialized, relabels, encoded = [], count_calls(monkeypatch, "relabel"), [0]
+        for cls in (_DigraphStructure, _TensorStructure):
 
-        def counting(data):
-            leaves[0] += 1
+            def recording(self, labels, serialize=cls.serialize):
+                data = serialize(self, labels)
+                serialized.append((tuple(labels), data))
+                return data
+
+            monkeypatch.setattr(cls, "serialize", recording)
+
+        def counting(data, canonical_json=io.canonical_json):
+            encoded[0] += 1
             return canonical_json(data)
 
         monkeypatch.setattr(io, "canonical_json", counting)
         forest = disjoint_chains(6)
         for struct in (_DigraphStructure.of_forest(forest), _TensorStructure(tensor_from_forest(forest))):
-            documents[0] = leaves[0] = 0
-            equivalence._search(struct)
-            assert leaves[0] > 1
-            assert documents[0] == leaves[0]
+            serialized.clear()
+            relabels[0] = encoded[0] = 0
+            outcome = equivalence._search(struct)
+            # A labelling determines its leaf.  Without twins, each leaf that repeats data is one automorphism.
+            assert len(serialized) > 1
+            assert len({labels for labels, _ in serialized}) == len(serialized)
+            assert len(serialized) == len({data for _, data in serialized}) + len(outcome.automorphisms)
+            assert relabels[0] == encoded[0] == 0
 
     def test_repeated_leaf_backjumps(self, monkeypatch):
         """Each repeated leaf returns to where its path left the earlier one, so k 2-chains reach at most k leaves."""
-        documents = count_calls(monkeypatch, "document")
+        leaves = count_calls(monkeypatch, "serialize")
         k = 10
         forest = disjoint_chains(k)
         for struct in (_DigraphStructure.of_forest(forest), _TensorStructure(tensor_from_forest(forest))):
-            documents[0] = 0
+            leaves[0] = 0
             equivalence._search(struct)
-            assert documents[0] <= k
+            assert leaves[0] <= k
 
     @pytest.mark.parametrize(
         "shape, bound",

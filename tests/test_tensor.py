@@ -344,6 +344,30 @@ class TestQuotient:
                 expected[key] = value
         assert quotient_tensor(tensor, partition).entries == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        dimension=st.integers(2, 4),
+        size=st.integers(0, 6),
+        how=st.sampled_from(["none", "entry", "negate", "isolated", "diagonal"]),
+    )
+    def test_entries_pass_the_checking_constructor(self, seed, dimension, size, how):
+        """Built without the constructor's checks, the quotient is what the checking constructor builds."""
+        rng = random.Random(seed)
+        tensor = tensor_from_forest(random_forest(seed, dimension, size, 3))
+        if how != "none":
+            tensor = perturb(tensor, how, rng)
+        quotient = quotient_tensor(tensor, random_partition(tensor.size, rng))
+        checked = IntersectionTensor(quotient.dimension, quotient.size, dict(quotient.entries))
+        assert quotient == checked
+        assert list(quotient.entries.items()) == list(checked.entries.items())
+
+    def test_cancelled_sum_is_dropped(self):
+        """T(1,1) = T(2,2) = -1 and T(1,2) = 1 sum to 0 on one block, which then has no entry."""
+        tensor = IntersectionTensor(2, 2, {(1, 1): -1, (2, 2): -1, (1, 2): 1})
+        quotient = quotient_tensor(tensor, MarkedPartition((frozenset({1, 2}),)))
+        assert quotient == IntersectionTensor(2, 1, {}) and quotient.entries == {}
+
 
 class TestDiagonal:
     def test_empty(self):
