@@ -2,7 +2,8 @@
 
 Every subcommand reads JSON documents (a file path or ``-`` for stdin),
 and its handler returns one document, which ``main`` writes to stdout as
-canonical JSON: the same inputs always produce the same bytes.  Exit
+canonical JSON, or that document's canonical JSON text, which ``main``
+writes as it is: the same inputs always produce the same bytes.  Exit
 codes: 0 success; 1 only when ``--exit-status`` is given and the decision
 it reads (``equivalent``, ``compatible`` or ``ok``) is printed ``false``;
 2 malformed input or failed precondition; 3 a search, enumeration or
@@ -84,19 +85,12 @@ def _cmd_recover(args) -> dict:
     forest, trace = recover_sequence(_load_tensor(args.tensor))
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(io.canonical_json(io.trace_to_dict(trace)) + "\n")
+            handle.writelines([io._trace_json(trace), "\n"])
     return io.forest_to_dict(forest)
 
 
-def _cmd_recover_all(args) -> dict:
-    results = recover_all_orders(_load_tensor(args.tensor), args.limit)
-    return {
-        "count": len(results),
-        "results": [
-            {"forest": io.forest_to_dict(forest), "trace": io.trace_to_dict(trace)}
-            for forest, trace in results
-        ],
-    }
+def _cmd_recover_all(args) -> str:
+    return io._orders_json(recover_all_orders(_load_tensor(args.tensor), args.limit))
 
 
 def _cmd_equiv(args) -> dict:
@@ -236,6 +230,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand, write its one line to stdout and return the exit code.
+
+    A handler returns its document, or canonical JSON text, as
+    ``recover-all`` does for its long lists of orders; ``main`` encodes a
+    document with :func:`io.canonical_json` and writes text as it is.
+    Either way, an error raised by the handler comes before any output
+    and is written as ``{"error": ...}`` instead.
+    """
     args = _parser().parse_args(argv)
     try:
         payload = args.handler(args)
@@ -248,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
         payload = {"error": {"code": code, "message": str(exc) or type(exc).__name__}}
     else:
         status = 1 if args.decision and payload[args.decision] is False else 0
-    sys.stdout.write(io.canonical_json(payload) + "\n")
+    sys.stdout.write((payload if isinstance(payload, str) else io.canonical_json(payload)) + "\n")
     return status
 
 

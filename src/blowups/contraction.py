@@ -395,7 +395,9 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     order, so every edge below it is made already: the walk follows the
     memo below it and leaves the mutable stage alone.  The memo keeps
     only the stage nodes and their edges, and the transfer lists of
-    :func:`_spread` live as long as the walk.
+    :func:`_spread` live as long as the walk.  So does ``points``, which
+    holds one :class:`Point` for each degree and set of targets, so that
+    every order shares the points it has in common with the others.
     """
     d, m = tensor.dimension, tensor.size
     entries: dict = dict(tensor.entries)
@@ -416,8 +418,9 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     below = bisect.bisect_left
     path: list[list] = [[root, 0, None]]  # stage, last final tried or its edges, undo
     history: list[tuple] = []  # (step, pair) into each stage on the path but the root
+    points: dict[tuple, Point] = {}  # (degree, *creation targets ascending) -> the one point
     if not m:
-        yield _order(d, m, history)
+        yield _order(d, m, history, points)
         return
     while path:
         frame = path[-1]
@@ -453,7 +456,7 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
                     del contracted[below(contracted, original)]
         elif len(path) == m:
             history.append(edge[:2])
-            yield _order(d, m, history)
+            yield _order(d, m, history, points)
             history.pop()
         else:
             step, pair, child = edge
@@ -461,11 +464,21 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
             history.append((step, pair))
 
 
-def _order(d: int, m: int, history: list) -> tuple[ProximityForest, ContractionTrace]:
-    """The forest and trace of a full contraction, from its steps, each with its pair ``(original, originals met)``."""
+def _order(d: int, m: int, history: list, points: dict) -> tuple[ProximityForest, ContractionTrace]:
+    """The forest and trace of a full contraction, from its steps, each with its pair ``(original, originals met)``.
+
+    Each point is taken from ``points``, keyed by its degree and its
+    ascending creation targets, and made there the first time.
+    """
     creation = {original: m - t for t, (_, (original, _)) in enumerate(history)}
-    points = [Point(s.degree, frozenset(map(creation.__getitem__, met))) for s, (_, met) in reversed(history)]
-    return ProximityForest(d, tuple(points)), ContractionTrace(tuple(s for s, _ in history))
+    forest = []
+    for step, (_, met) in reversed(history):
+        key = (step.degree, *sorted(map(creation.__getitem__, met)))
+        point = points.get(key)
+        if point is None:
+            point = points[key] = Point(step.degree, frozenset(key[1:]))
+        forest.append(point)
+    return ProximityForest(d, tuple(forest)), ContractionTrace(tuple([step for step, _ in history]))
 
 
 def recover_sequence(tensor: IntersectionTensor) -> tuple[ProximityForest, ContractionTrace]:

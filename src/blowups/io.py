@@ -14,7 +14,11 @@ one of them is read again item by item, which names its first defect.
 
 ``canonical_json`` fixes the byte-level encoding used everywhere output
 must be deterministic: UTF-8, keys sorted, separators ``","`` and ``":"``,
-no whitespace.
+no whitespace.  A trace, and ``recover-all``'s list of every order, are
+written as that text directly, byte for byte what ``canonical_json``
+makes of :func:`trace_to_dict` and :func:`forest_to_dict`: an order
+shares most of its steps with the one before it, and only the rest are
+encoded again.
 """
 
 from __future__ import annotations
@@ -279,6 +283,80 @@ def trace_to_dict(trace: ContractionTrace) -> dict:
         ],
         "index_maps": [list(alive) for alive in trace.index_maps],
     }
+
+
+_STEP_JSON = '{"contracted":%d,"degree":%d,"proximate_to_current":[%s]}'
+_POINT_JSON = '{"degree":%d,"id":%d,"proximate_to":[%s]}'
+
+
+class _TraceWriter:
+    """Writes traces as the canonical JSON of :func:`trace_to_dict`, each past the steps it shares with the last.
+
+    Steps are compared by identity: the orders of one walk share the step
+    objects of their common prefix, and an equal step made apart is just
+    encoded again.  Each distinct step is encoded once.  For the last
+    trace written, ``texts[t]`` and ``maps[t]`` hold the encodings of its
+    step ``t`` and of ``index_maps[t]``, and ``removed[t]`` the original
+    that step ``t`` contracted, as a decimal string.
+    """
+
+    def __init__(self):
+        self.steps: tuple[ContractionStep, ...] = ()
+        self.encoded: dict[int, str] = {}  # id(step) -> its JSON; the caller keeps every step alive
+        self.texts: list[str] = []
+        self.maps: list[str] = []
+        self.removed: list[str] = []
+
+    def write(self, trace: ContractionTrace) -> str:
+        steps, texts, maps, removed = trace.steps, self.texts, self.maps, self.removed
+        shared = 0
+        for new, old in zip(steps, self.steps):
+            if new is not old:
+                break
+            shared += 1
+        self.steps = steps
+        del texts[shared:], maps[shared:], removed[shared:]
+        gone = set(removed)
+        alive = [a for a in map(str, range(1, len(steps) + 1)) if a not in gone]
+        for step in steps[shared:]:
+            text = self.encoded.get(id(step))
+            if text is None:
+                proximities = ",".join(map(str, step.proximate_to_current))
+                text = self.encoded[id(step)] = _STEP_JSON % (step.contracted, step.degree, proximities)
+            texts.append(text)
+            removed.append(alive.pop(step.contracted - 1))
+            maps.append("[%s]" % ",".join(alive))
+        return '{"index_maps":[%s],"steps":[%s]}' % (",".join(maps), ",".join(texts))
+
+
+def _trace_json(trace: ContractionTrace) -> str:
+    """``canonical_json(trace_to_dict(trace))``, written by :class:`_TraceWriter`."""
+    return _TraceWriter().write(trace)
+
+
+def _orders_json(results: list[tuple[ProximityForest, ContractionTrace]]) -> str:
+    """The canonical JSON of ``recover-all``'s document for ``results``, as :func:`canonical_json` writes it.
+
+    That document is ``{"count", "results": [{"forest", "trace"}]}``, with
+    each forest as :func:`forest_to_dict` and each trace as
+    :func:`trace_to_dict` give it.  Consecutive orders share a prefix of
+    steps, past which :class:`_TraceWriter` derives each trace, and the
+    recovered forests share their points, each of whose targets is
+    encoded once.
+    """
+    traces = _TraceWriter()
+    targets: dict[int, str] = {}  # id(point) -> its targets' JSON; results keep every point alive
+    parts = []
+    for forest, trace in results:
+        points = []
+        for i, point in enumerate(forest.points, 1):
+            text = targets.get(id(point))
+            if text is None:
+                text = targets[id(point)] = ",".join(map(str, sorted(point.proximate_to)))
+            points.append(_POINT_JSON % (point.degree, i, text))
+        forest_json = '{"dimension":%d,"points":[%s]}' % (forest.dimension, ",".join(points))
+        parts.append('{"forest":%s,"trace":%s}' % (forest_json, traces.write(trace)))
+    return '{"count":%d,"results":[%s]}' % (len(results), ",".join(parts))
 
 
 def trace_from_dict(obj: Any) -> ContractionTrace:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -233,15 +234,21 @@ def quotient_tensor(tensor: IntersectionTensor, partition: MarkedPartition) -> I
     Block divisors are the sums of their components.  A stored multiset
     ``K`` lands on the block multiset ``Q`` it maps onto, once per
     arrangement of ``K`` over the slots of ``Q``, which is
-    ``prod_b mult_Q(b)! / prod_i mult_K(i)!`` times.
+    ``prod_b mult_Q(b)! / prod_i mult_K(i)!`` times.  Both keys are
+    sorted, so which neighbours are equal gives the multiplicities, and
+    the count is worked out once for each such pair of patterns.
     """
     partition.check(tensor.size)
     block_of = partition.index_of()
     entries: dict[tuple[int, ...], int] = {}
+    arrangements: dict[tuple, int] = {}  # (equal neighbours of K, equal neighbours of Q) -> count
     for key, value in tensor.entries.items():
-        q = tuple(sorted(block_of[i] for i in key))
-        ways = math.prod(math.factorial(q.count(b)) for b in dict.fromkeys(q))
-        ways //= math.prod(math.factorial(key.count(i)) for i in dict.fromkeys(key))
+        q = tuple(sorted(map(block_of.__getitem__, key)))
+        pattern = tuple(map(operator.eq, key, key[1:])), tuple(map(operator.eq, q, q[1:]))
+        ways = arrangements.get(pattern)
+        if ways is None:
+            ways = math.prod(math.factorial(q.count(b)) for b in dict.fromkeys(q))
+            ways = arrangements[pattern] = ways // math.prod(math.factorial(key.count(i)) for i in dict.fromkeys(key))
         entries[q] = entries.get(q, 0) + value * ways
     # Block keys are sorted and lie in 1..len(partition); a sum that cancels is dropped here.
     return IntersectionTensor._trusted(tensor.dimension, len(partition), {q: v for q, v in entries.items() if v})

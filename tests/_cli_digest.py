@@ -35,6 +35,12 @@ as forests and as tensors, through ``canon``, ``orbits``, ``equiv``
 against a relabelled copy, and ``compat`` with a partition that pairs
 twins and one that joins indices 1 and 2, which on a star mixes orbits.
 
+The orders corpus is digested apart and printed first, as one line
+prefixed ``orders``: ``recover-all`` at its default limit on small
+forests with 240 to 720 contraction orders (disjoint points, and points
+beside a 2-chain or a point with two children) at d 2-4, with a
+relabelled copy of each.  Consecutive orders share long prefixes there.
+
 The recovery corpus is digested apart too: random forests at d 2-4 and
 m 100, 200 and 400, with their tensors and ``perturb``ed copies, through
 ``recover --trace`` and ``recover-all --limit 200``.  These forests are
@@ -265,8 +271,26 @@ def recovery_commands(digest: Digest) -> None:
                     digest.run("recover-all", name, "--limit", "200")
 
 
+ORDERS_SHAPES = (
+    [(1, []), (2, []), (3, []), (1, []), (2, []), (3, [])],  # 720 orders
+    [(1, []), (1, [1]), (2, []), (1, []), (3, []), (1, [])],  # 360
+    [(2, []), (1, [1]), (1, [1]), (1, []), (2, []), (1, [])],  # 240
+)
+
+
+def orders_commands(digest: Digest) -> None:
+    """``recover-all`` at its default limit on tensors with 240-720 orders, as built and relabelled."""
+    rng = random.Random(20261022)
+    for d in (2, 3, 4):
+        for shape in ORDERS_SHAPES:
+            forest = ProximityForest.make(d, *shape)
+            for copy in (forest, random_relabel(forest, rng)[0]):
+                write("t.json", tensor_to_dict(tensor_from_forest(copy)))
+                digest.run("recover-all", "t.json")
+
+
 def run() -> None:
-    digest, twins, recovery = Digest(), Digest(), Digest()
+    digest, twins, recovery, orders = Digest(), Digest(), Digest(), Digest()
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
@@ -274,8 +298,10 @@ def run() -> None:
             build(digest)
             twin_commands(twins)
             recovery_commands(recovery)
+            orders_commands(orders)
         finally:
             os.chdir(here)
+    print("orders", orders.lines()[-1])
     for line in recovery.lines():
         print("recovery", line)
     for line in twins.lines():

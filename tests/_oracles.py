@@ -6,6 +6,9 @@ None of it shares code with the package beyond the public data types, so
 agreement is meaningful.  The exceptions are ``oracle_refine``, which
 reads a canonical-search structure's ``fingerprint`` and nothing else, and
 ``oracle_leaf_data``, which reads its ``relabel`` and nothing else.
+``oracle_orders_document`` encodes ``recover-all``'s results as a dict
+passed to ``json.dumps``, as the command line did before it wrote that
+document as text.
 ``oracle_tensor_from_dict`` and ``oracle_forest_from_dict`` are the
 tensor and forest readers before their bulk checks: every entry or point
 read and checked in turn, naming the first defect.
@@ -421,6 +424,40 @@ def oracle_leaf_data(struct, labels: list[int]) -> bytes:
             ],
         }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+def oracle_trace_dict(trace) -> dict:
+    """A trace's document as ``recover --trace`` writes it, its index maps derived from the steps one list at a time."""
+    alive, maps = list(range(1, len(trace.steps) + 1)), []
+    for step in trace.steps:
+        del alive[step.contracted - 1]
+        maps.append(list(alive))
+    steps = [
+        {"contracted": s.contracted, "degree": s.degree, "proximate_to_current": list(s.proximate_to_current)}
+        for s in trace.steps
+    ]
+    return {"steps": steps, "index_maps": maps}
+
+
+def oracle_orders_document(results) -> str:
+    """``recover-all``'s output line, less its newline: the canonical JSON of the whole document, built as a dict."""
+    doc = {
+        "count": len(results),
+        "results": [
+            {
+                "forest": {
+                    "dimension": forest.dimension,
+                    "points": [
+                        {"id": i, "degree": p.degree, "proximate_to": sorted(p.proximate_to)}
+                        for i, p in enumerate(forest.points, 1)
+                    ],
+                },
+                "trace": oracle_trace_dict(trace),
+            }
+            for forest, trace in results
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def oracle_separation(forest: ProximityForest) -> list[Violation]:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blowups import (
+    ContractionTrace,
     MarkedPartition,
     NotContractibleError,
     ProximityForest,
@@ -30,6 +31,8 @@ from blowups import (
     forest_to_dict,
     partition_to_dict,
     random_forest,
+    recover_all_orders,
+    recover_sequence,
     tensor_from_forest,
     tensor_to_dict,
     trace_from_dict,
@@ -37,7 +40,15 @@ from blowups import (
 )
 from blowups import cli, contraction, equivalence
 from blowups.cli import build_parser, main
-from _oracles import TENSOR_DEFECTS, random_partition, spoil_tensor_entry
+from _oracles import (
+    TENSOR_DEFECTS,
+    oracle_orders_document,
+    oracle_trace_dict,
+    perturb,
+    random_partition,
+    random_relabel,
+    spoil_tensor_entry,
+)
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 DECISION_FIELDS = ("equivalent", "compatible", "ok")
@@ -612,6 +623,68 @@ class TestFuzz:
         assert code in (0, 1, 2, 3)
         assert code != 1 or doc.get("equivalent") is False
         assert elapsed < 2.0 and peak < 50_000_000
+
+
+class TestOrdersText:
+    """``recover-all`` and ``recover --trace`` write text byte-equal to the canonical JSON of their documents."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        dimension=st.integers(2, 4),
+        size=st.integers(0, 6),
+        how=st.sampled_from(["none", "relabel", "entry", "negate", "isolated", "diagonal"]),
+    )
+    def test_output_is_the_canonical_document(self, seed, dimension, size, how):
+        rng = random.Random(seed)
+        forest = random_forest(seed, dimension, size, 3)
+        if how == "relabel":
+            forest, _ = random_relabel(forest, rng)
+        tensor = tensor_from_forest(forest)
+        if how not in ("none", "relabel"):
+            tensor = perturb(tensor, how, rng)
+        try:
+            results = recover_all_orders(tensor)
+        except (NotContractibleError, SearchLimitError):
+            return
+        _, first = recover_sequence(tensor)
+        with tempfile.TemporaryDirectory() as root:
+            path, trace_path = os.path.join(root, "t.json"), os.path.join(root, "trace.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(canonical_json(tensor_to_dict(tensor)))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["recover-all", path]) == 0
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["recover", path, "--trace", trace_path]) == 0
+            with open(trace_path, encoding="utf-8") as handle:
+                trace_text = handle.read()
+        assert out.getvalue() == oracle_orders_document(results) + "\n"
+        assert trace_text == canonical_json(oracle_trace_dict(first)) + "\n"
+
+    def test_disjoint_points_share_steps_and_points(self, monkeypatch, tmp_path):
+        """Six disjoint points have 720 orders: no trace derives its index maps, and every order holds one point."""
+        path = tmp_path / "points.json"
+        path.write_text(canonical_json(tensor_to_dict(tensor_from_forest(ProximityForest.make(2, *[(1, [])] * 6)))))
+        survivors, results = [], []
+        original_survivors = ContractionTrace._survivors
+
+        def counting(trace):
+            survivors.append(trace)
+            return original_survivors(trace)
+
+        def keeping(*args):
+            results.extend(recover_all_orders(*args))
+            return results
+
+        monkeypatch.setattr(ContractionTrace, "_survivors", counting)
+        monkeypatch.setattr(cli, "recover_all_orders", keeping)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["recover-all", str(path)]) == 0
+        assert json.loads(out.getvalue())["count"] == len(results) == 720
+        assert survivors == []
+        assert len({id(point) for forest, _ in results for point in forest.points}) == 1
 
 
 class TestParserReuse:
