@@ -107,15 +107,13 @@ def _cmd_equiv(args) -> dict:
     return io.witness_to_dict(witness)
 
 
-def _cmd_canon(args) -> dict:
+def _cmd_canon(args) -> str:
+    """The canonical JSON of ``{"canonical", "hash", "kind", "permutation"}``, written around the leaf's bytes."""
     form = canonical_form(_load(args.kind, args.input))
-    to_dict = io.forest_to_dict if args.kind == "forest" else io.tensor_to_dict
-    return {
-        "kind": args.kind,
-        "hash": form.hash,
-        "permutation": list(form.relabeling),
-        "canonical": to_dict(form.relabeled),
-    }
+    permutation = ",".join(map(str, form.relabeling))
+    return '{"canonical":%s,"hash":"%s","kind":"%s","permutation":[%s]}' % (
+        form.data.decode(), form.hash, args.kind, permutation
+    )
 
 
 def _cmd_orbits(args) -> dict:
@@ -233,7 +231,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand, write its one line to stdout and return the exit code.
 
     A handler returns its document, or canonical JSON text, as
-    ``recover-all`` does for its long lists of orders; ``main`` encodes a
+    ``recover-all`` does for its long lists of orders and ``canon`` around
+    its canonical leaf's bytes; ``main`` encodes a
     document with :func:`io.canonical_json` and writes text as it is.
     Either way, an error raised by the handler comes before any output
     and is written as ``{"error": ...}`` instead.

@@ -16,28 +16,31 @@ refinement (seeded with degrees, diagonal values, and for forests the
 proximity depth) followed by lexicographically minimal relabelling, with
 known automorphisms pruning symmetric branches.  Refinement is driven by
 splits, as in Paige & Tarjan (SIAM J. Comput. 1987): a round fingerprints
-only the cells next to a vertex recoloured since the colouring was last
-stable, where at the root every vertex counts as recoloured, so a search
-node fingerprints what its individualisation touches rather than every
-vertex.  It reaches the ordered partition that fingerprinting every
-vertex in every round reaches, so labellings and hashes do not depend on
-it.  Before descending, the search seeds the known automorphisms with twin
-transpositions: two vertices of one root cell whose swap is an
-automorphism, chained along each class of such twins.  One test, exact on
-every structure, finds them: a vertex fingerprinted under the discrete
-labelling with the two exchanged must read what its twin reads under the
-discrete labelling.  This is the
+only the neighbours of the vertices whose cells last split, leaving out
+the largest group of each split as in Hopcroft (1971), plus one
+representative of each cell's other members, where at the root every
+vertex counts, so a search node fingerprints what its individualisation
+touches rather than every vertex.  It reaches the ordered partition that
+fingerprinting every vertex in every round reaches, so labellings and
+hashes do not depend on it.  Before descending, the search seeds the
+known automorphisms with twin transpositions: two vertices of one root
+cell whose swap is an automorphism, chained along each class of such
+twins.  One test, exact on every structure, finds them: a vertex
+fingerprinted under the discrete labelling with the two exchanged must
+read what its twin reads under the discrete labelling.  This is the
 "known automorphisms" pruning of McKay & Piperno and the cheap-symmetry
 idea of Darga, Sakallah & Markov, saucy (DAC 2008); on a star the search
 then walks one path.  A node tries a vertex exactly when it is the least
-of its orbit under the known automorphisms fixing the path, so a class of
-n twins costs O(n^2).  A leaf that repeats an earlier leaf's data
+of its orbit under the known automorphisms fixing the path.  A target
+cell inside one twin class is one such orbit, so the node tries its
+least member alone, and a class of n twins costs n nodes that each read
+their target cell once.  A leaf that repeats an earlier leaf's data
 backjumps, as in McKay (1981), to where its path leaves the earlier one.
 The search does not recurse: it is one loop over an explicit stack of
-open nodes that share one colouring, refined in place and undone from a
-trail, in which a vertex's colour is the last position of its cell.  It is
-bounded by ``WORK_LIMIT``, the colours its nodes scan (``n`` each), not by
-Python's recursion limit.
+open nodes that share one ordered partition, held as cell arrays, refined
+in place and undone from a trail, in which a vertex's colour is the last
+position of its cell.  It is bounded by ``WORK_LIMIT``, a budget that
+charges each node ``n`` colours, not by Python's recursion limit.
 Automorphisms are kept sparse, as the map of the points they move, so a
 transposition costs two entries whatever the size.
 The search's table of leaves is its outcome: the canonical labelling, its
@@ -46,9 +49,11 @@ through one of two structures, a vertex-coloured digraph (forests and
 block-proximity graphs) or an index-coloured tensor.  A leaf costs one
 ``serialize``, which writes the canonical JSON of the relabelled object's
 document straight from the degrees and out-lists, or from the entries,
-with no object, document or JSON encoder in between; ``relabel`` builds
-the relabelled object once, for the canonical leaf.  Canonical hashes are
-SHA-256 over those bytes; equivalent inputs produce byte-identical hashes.
+with no object, document or JSON encoder in between.  A
+:class:`CanonicalForm` keeps the canonical leaf's bytes, and ``relabel``
+builds the relabelled object only when ``relabeled`` is first read.
+Canonical hashes are SHA-256 over those bytes; equivalent inputs produce
+byte-identical hashes.
 Permutations are plain tuples ``p`` with ``p[i-1]`` the image of index
 ``i``; every permutation returned by this module has been verified
 exhaustively against its inputs.
@@ -58,8 +63,8 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 # Not used here: ``perfbench/tracer.py`` wraps ``blowups.equivalence.recover_sequence``
 # by name, and every traced benchmark run fails with AttributeError without it.
@@ -88,13 +93,21 @@ class CanonicalForm:
     """A canonical relabelling, the relabelled object, and its hash.
 
     ``relabeling[i-1]`` is the canonical label of input index ``i``;
-    ``hash`` is the lowercase hex SHA-256 digest of the canonical
-    serialization of ``relabeled``.
+    ``data`` is the canonical serialization of the relabelled object, the
+    bytes of its document as canonical JSON, and ``hash`` is their
+    lowercase hex SHA-256 digest.  ``relabeled`` is built from the input
+    when it is first read.  Two forms are equal when their relabelling and
+    data are, which is when their relabelled objects are.
     """
 
     relabeling: tuple[int, ...]
-    relabeled: "ProximityForest | IntersectionTensor"
     hash: str
+    data: bytes = field(repr=False)
+    _struct: object = field(repr=False, compare=False)
+
+    @cached_property
+    def relabeled(self) -> "ProximityForest | IntersectionTensor":
+        return self._struct.relabel(list(self.relabeling))
 
 
 class _DigraphStructure:
@@ -251,60 +264,187 @@ class _SearchOutcome:
     automorphisms: list[dict[int, int]]
 
 
+class _Orbits:
+    """A union-find over points: the orbits of the permutations joined so far, each named by its least member.
+
+    Only points that were joined are stored, so it costs what the joined permutations move.
+    """
+
+    def __init__(self):
+        self.parent: dict[int, int] = {}
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while (p := parent.get(x, x)) != x:
+            parent[x] = x = parent.get(p, p)  # path halving
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        a, b = self.find(a), self.find(b)
+        if a != b:
+            self.parent[max(a, b)] = min(a, b)  # so each root is the least member of its set
+
+    def add(self, perm: dict[int, int]) -> None:
+        """Join the orbits of a permutation given sparsely, as a map from each point it moves to its image."""
+        for v, w in perm.items():
+            self.union(v, w)
+
+
 def _orbit_ids(n: int, perms) -> list[int]:
     """For each vertex, the least member of its orbit under the group generated by ``perms``.
 
     Each permutation is given sparsely, as a map from each point it moves to its image.
     """
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    orbits = _Orbits()
     for s in perms:
-        for v, w in s.items():
-            rv, rw = find(v), find(w)
-            if rv != rw:
-                parent[max(rv, rw)] = min(rv, rw)  # so each root is the least member of its set
-    return [find(v) for v in range(n)]
+        orbits.add(s)
+    return [orbits.find(v) for v in range(n)]
 
 
-def _refine(struct, colors: list[int], touched, trail: list[tuple[int, int]]) -> None:
+class _Partition:
+    """An ordered partition of the vertices, refined in place and undone from a trail.
+
+    ``elements`` lists the vertices in position order and ``position[v]``
+    is the position of ``v``; a cell is a run of positions, its members
+    in no particular order.  A vertex's colour, ``colors[v]``, is the last
+    position of its cell, and ``start[c]`` is the first position of the
+    cell whose colour is ``c`` (entries for any other ``c`` are stale).
+    ``trail`` records every change: ``(v, old colour)`` for a vertex and
+    ``(~c, old start)`` for the cell ``c``.  Undoing back to a mark
+    restores both; a cell's members only ever move inside its run of
+    positions, so ``elements`` and ``position`` need no undoing.  A
+    refinement that is never undone, as at the root, runs with ``trail``
+    set to ``None`` and records nothing.
+    """
+
+    def __init__(self, colors: list[int]):
+        n = len(colors)
+        self.colors = colors
+        self.elements = sorted(range(n), key=colors.__getitem__)
+        self.position = [0] * n
+        self.start = [0] * n
+        self.trail: list[tuple[int, int]] | None = []
+        for p in range(n - 1, -1, -1):
+            v = self.elements[p]
+            self.position[v] = p
+            self.start[colors[v]] = p  # the last write is the cell's first position
+
+    def individualise(self, v: int) -> None:
+        """Split ``v`` off as a cell of its own at the first position of its cell, which keeps its colour."""
+        colors, elements, position, start = self.colors, self.elements, self.position, self.start
+        c = colors[v]
+        s = start[c]
+        w, p = elements[s], position[v]
+        elements[s], elements[p] = v, w
+        position[v], position[w] = s, p
+        self.trail += ((~c, s), (v, c))
+        start[c], start[s], colors[v] = s + 1, s, s
+
+    def undo(self, mark: int) -> None:
+        """Restore the colours and cell starts to what they were when ``trail`` held ``mark`` changes."""
+        trail, colors, start = self.trail, self.colors, self.start
+        while len(trail) > mark:
+            u, c = trail.pop()
+            if u < 0:
+                start[~u] = c
+            else:
+                colors[u] = c
+
+
+def _refine(struct, part: _Partition, touched) -> None:
     """Split cells by their fingerprints, in place, until no cell splits.
 
-    A vertex's colour is the last position of its cell in the ordered
-    partition.  ``touched`` holds the vertices whose colour changed since
-    ``colors`` was last stable, when the members of each cell had equal
-    fingerprints; at the root every vertex counts as touched.  A round
-    fingerprints only the members of the cells that hold a neighbour
-    (``struct.adjacent``) of a touched vertex, and sorts them by colour and
-    fingerprint.  Any other cell reads the colours it read when it was
-    stable, or at the root has only members without neighbours, whose
-    fingerprints their initial colour fixes, so it cannot split.  In a cell
-    that splits, the group with the greatest fingerprint keeps the cell's
-    colour and each other group takes the last position it ends at; each
-    change is pushed on ``trail`` as ``(vertex, old colour)``.  The vertices
-    recoloured are the next round's ``touched``, and the loop ends when a
-    round recolours none.  Each round thus splits as a round that
-    fingerprints every vertex would, into the same ordered partition; its
-    colours are a monotone renaming of that partition's dense ranks, so
-    every fingerprint compares as it would under the ranks.
+    ``touched`` holds vertices whose neighbours' fingerprints may have
+    changed since ``part`` was last stable, when the members of each cell
+    had equal fingerprints; at the root every vertex counts as touched.
+    A round fingerprints, in each cell that holds a neighbour
+    (``struct.adjacent``) of a touched vertex, those neighbours and one
+    representative of the cell's other members, and groups the cell by
+    fingerprint.  The other members read what they read before, so they
+    share the representative's fingerprint; any cell with no such
+    neighbour, or at the root one whose members have no neighbours (their
+    initial colour fixes their fingerprints), cannot split.  The groups of
+    a cell that splits take its positions in ascending fingerprint order,
+    so the last group keeps the cell's colour and each other group takes
+    the last position it ends at; each change is pushed on the trail, if
+    there is one.
+    The next round's ``touched`` holds the members of every group but
+    the largest one of each split cell, as in Hopcroft (1971).  A vertex
+    next to the largest group alone reads it under a new colour or the
+    old one; the change renames one colour for all of the cell's members
+    that read no other group, so their fingerprints stay equal.  Each
+    round thus splits as a round that fingerprints every vertex would,
+    into the same ordered partition, so labellings and hashes do not
+    depend on which vertices are touched.  The loop ends when a round
+    splits no cell.
     """
+    colors, elements, position, start, trail = part.colors, part.elements, part.position, part.start, part.trail
+    adjacent, fingerprint = struct.adjacent, struct.fingerprint
     while touched:
-        hit = {colors[u] for t in touched for u in struct.adjacent[t]}
-        keyed = sorted(((c, struct.fingerprint(v, colors), v) for v, c in enumerate(colors) if c in hit), reverse=True)
-        touched, group = [], None
-        for c, key, v in keyed:
-            end = end - 1 if group and group[0] == c else c  # the position of ``v``, walking each cell backwards
-            if group != (c, key):
-                group, color = (c, key), end
-            if color != c:
-                trail.append((v, c))
-                colors[v] = color
-                touched.append(v)
+        near: dict[int, dict] = {}
+        for u in {u for t in touched for u in adjacent[t]}:
+            c = colors[u]
+            if start[c] != c:  # a cell of one cannot split
+                near.setdefault(c, {})[u] = None
+        splits = []
+        for c, keyed in near.items():
+            s = start[c]
+            items = [(fingerprint(u, colors), u) for u in keyed]
+            rest = c - s + 1 - len(items)
+            if rest:
+                p = s
+                while elements[p] in keyed:
+                    p += 1
+                items.append((fingerprint(elements[p], colors), -1))  # stands for every member not in ``keyed``
+            items.sort()
+            if items[0][0] != items[-1][0]:
+                splits.append((c, s, rest, items))
+        touched = []
+        for c, s, rest, items in splits:
+            groups, last = [], None  # each [size, members fingerprinted, whether it holds the rest], in key order
+            for key, u in items:
+                if key != last:
+                    groups.append([0, [], False])
+                    last = key
+                group = groups[-1]
+                if u < 0:
+                    group[0] += rest
+                    group[2] = True
+                else:
+                    group[0] += 1
+                    group[1].append(u)
+            k = next(i for i, g in enumerate(groups) if g[2]) if rest else len(groups) - 1
+            stay = groups[k]
+            lo = s + sum(g[0] for g in groups[:k])
+            hi = lo + stay[0] - 1
+            # The members of every other group take the positions outside [lo, hi], in group order;
+            # members of ``stay`` found there first trade places with movers found inside [lo, hi].
+            movers = [u for g in groups if g is not stay for u in g[1]]
+            slots = [*range(s, lo), *range(hi + 1, c + 1)]
+            vacated = [position[u] for u in movers if lo <= position[u] <= hi]
+            if vacated:
+                moving = set(movers)
+                displaced = [x for x in map(elements.__getitem__, slots) if x not in moving]
+                for p, x in zip(vacated, displaced):
+                    elements[p], position[x] = x, p
+            for p, u in zip(slots, movers):
+                elements[p], position[u] = u, p
+            if trail is not None:
+                trail.append((~c, s))
+            largest = max(groups, key=lambda g: (g[0], g is stay))
+            end = s - 1
+            for group in groups:
+                end += group[0]
+                start[end] = first = end - group[0] + 1
+                if end != c or group is not largest:
+                    members = elements[first : end + 1]
+                    if end != c:
+                        if trail is not None:
+                            trail += [(u, c) for u in members]
+                        for u in members:
+                            colors[u] = end
+                    if group is not largest:
+                        touched += members
 
 
 def _twin_chains(struct, colors: list[int]) -> list[dict[int, int]]:
@@ -321,6 +461,13 @@ def _twin_chains(struct, colors: list[int]) -> list[dict[int, int]]:
     transpositions that are automorphisms conjugate into a third.  A
     chain, unlike the star of transpositions ``(c[0] c[k])``, still joins
     ``c[1:]`` into one orbit after the search individualises ``c[0]``.
+    Each class lists its members in ascending order, and the classes of a
+    cell come in the order of their least members.
+    Twins read alike under a labelling that gives their whole cell one
+    label and every other vertex its own, since their swap fixes that
+    labelling, so a cell's members are first bucketed by that fingerprint
+    and only members of one bucket are tested against each other: a cell
+    of k vertices with no twins costs k fingerprints, not k(k+1)/2.
     """
     if len(set(colors)) == struct.n:  # a discrete colouring, as for most rigid objects, holds no two twins
         return []
@@ -332,19 +479,31 @@ def _twin_chains(struct, colors: list[int]) -> list[dict[int, int]]:
     for members in cells.values():
         if len(members) < 2:
             continue
-        classes: list[tuple[tuple, list[int]]] = []
+        buckets: dict[tuple, list[int]] = {}
         for v in members:
-            for key, twins in classes:
-                u = twins[0]
-                labels[u], labels[v] = v, u
-                twin = struct.fingerprint(v, labels) == key
-                labels[u], labels[v] = u, v
-                if twin:
-                    twins.append(v)
-                    break
-            else:
-                classes.append((struct.fingerprint(v, labels), [v]))
-        for _, twins in classes:
+            labels[v] = -1
+        for v in members:
+            buckets.setdefault(struct.fingerprint(v, labels), []).append(v)
+        for v in members:
+            labels[v] = v
+        twin_classes: list[list[int]] = []
+        for bucket in buckets.values():
+            if len(bucket) < 2:
+                continue
+            classes: list[tuple[tuple, list[int]]] = []
+            for v in bucket:
+                for key, twins in classes:
+                    u = twins[0]
+                    labels[u], labels[v] = v, u
+                    twin = struct.fingerprint(v, labels) == key
+                    labels[u], labels[v] = u, v
+                    if twin:
+                        twins.append(v)
+                        break
+                else:
+                    classes.append((struct.fingerprint(v, labels), [v]))
+            twin_classes += [twins for _, twins in classes if len(twins) > 1]
+        for twins in sorted(twin_classes):  # in the order of their least members
             chains.extend({a: b, b: a} for a, b in zip(twins, twins[1:]))
     return chains
 
@@ -376,70 +535,124 @@ def _search(struct) -> _SearchOutcome:
     prefix and maps the subtree where the new path leaves it onto a
     subtree searched before.  The search returns to that depth and goes
     on with the next sibling there.
-    The search holds one colouring, ``colors``, in which a vertex's colour
-    is the last position of its cell, one ``path`` and one undo ``trail``,
-    as in Junttila & Kaski, "Engineering an efficient canonical labeling
-    tool for large and sparse graphs" (ALENEX 2007).  Its target
-    cell is the non-singleton cell that ends first.  Individualising ``v``
-    in a cell that ends at ``c`` and holds ``k`` members gives ``v`` the
-    colour ``c - k + 1``; its cell-mates keep ``c``, so ``v`` is the one
-    touched vertex.  The loop runs over an explicit stack with one entry
-    per open node, in depth order: its target cell, that cell's first
-    position, and a generator over the members it tries, which undoes the
-    trail back to the node's colouring before it reads its next member
-    off ``colors``.  The loop takes the next member from the deepest entry
-    that still has one, popping those that are done; backjumping to depth
-    ``k`` is ``del stack[k + 1:]``.  A node scans ``n`` colours, so the
-    search is bounded by ``WORK_LIMIT`` colours scanned, ``n`` per node;
-    past it :class:`SearchLimitError` names the budget and the depth.
+    A node's orbits follow its path.  The unindividualised members of a
+    twin class share one cell, since their swaps fix the path, and each
+    node tries only the least of them, so the members on the path are a
+    prefix of the class's chain and the rest of the chain fixes the path:
+    in the target cell, the members of one class are one orbit.  A target
+    cell inside one class is thus tried at its least member alone.  Any
+    other node, once it reaches its second member, keeps the leaf
+    automorphisms that fix its path: its nearest such ancestor's list,
+    less those that move a path vertex below that ancestor, plus every
+    one found later, which is found below the node and so fixes its path.
+    A union-find over its cell's classes and those automorphisms grows as
+    they arrive and names the orbit of each member it reads.
+    The search holds one ordered partition, ``part``, refined in place and
+    undone from its trail, in which a vertex's colour is the last position
+    of its cell, and one ``path``, as in Junttila & Kaski, "Engineering an
+    efficient canonical labeling tool for large and sparse graphs" (ALENEX
+    2007).  Its target cell is the non-singleton cell that ends first,
+    found from the parent's target cell onward, since every cell before
+    that is a singleton in the parent and stays one.  Individualising
+    ``v`` gives it the first position of its cell, as a cell of its own,
+    so ``v`` is the one touched vertex.  The loop runs over an explicit
+    stack with one entry per open node, in depth order: its target cell's
+    first position, a generator over the members it tries, which undoes
+    the trail back to the node's partition before it yields its next
+    member, and the node's automorphisms once it keeps them.  The loop
+    takes the next member from the deepest entry that still has one,
+    popping those that are done; backjumping to depth ``k`` is
+    ``del stack[k + 1:]``.  A node reads its target cell and what its
+    refinement touches, not every colour, but the budget still charges
+    it ``n`` colours scanned: past ``WORK_LIMIT`` of them
+    :class:`SearchLimitError` names the budget and the depth.
     """
     n = struct.n
     leaves: dict[bytes, tuple[list[int], tuple[int, ...]]] = {}
     order = sorted(struct.colors)
-    colors = [bisect_right(order, c) - 1 for c in struct.colors]
-    _refine(struct, colors, range(n), [])
-    automorphisms = _twin_chains(struct, colors)
+    part = _Partition([bisect_right(order, c) - 1 for c in struct.colors])
+    colors, elements = part.colors, part.elements
+    part.trail = None  # the root partition is never undone
+    _refine(struct, part, range(n))
+    part.trail = trail = []
+    chains = _twin_chains(struct, colors)
+    twin = list(range(n))  # the least member of each vertex's twin class
+    for a, b in chains:  # a chain's two keys, in the order of its class
+        twin[b] = twin[a]
+    found: list[dict[int, int]] = []  # the automorphisms of repeated leaves
 
-    def tries(cell: int):
-        """The members of ``cell`` least of their orbit under the known automorphisms fixing the path."""
-        depth, mark, first, ids, seen = len(path), len(trail), colors.index(cell), None, 0
-        for v in range(first, n):
-            if colors[v] != cell:
-                continue
-            if v > first and len(automorphisms) > seen:
-                seen, fixed = len(automorphisms), set(path[:depth])
-                ids = _orbit_ids(n, [s for s in automorphisms if fixed.isdisjoint(s)])
-            if not ids or ids[v] == v:
+    def fixing(depth: int) -> list[dict[int, int]]:
+        """The automorphisms in ``found`` that fix ``path[:depth]``, kept by the open node at ``depth``."""
+        if not depth:
+            return found  # every automorphism fixes the root's empty path
+        j = depth
+        while j and stack[j][2] is None:
+            j -= 1
+        base = found
+        if j:
+            node = stack[j]
+            node[2] += found[node[3] :]  # found below node ``j``, so they fix its path
+            node[3] = len(found)
+            base = node[2]
+        if j < depth:
+            fixed = set(path[j:depth])
+            stack[depth][2:] = [[s for s in base if fixed.isdisjoint(s)], len(found)]
+        return stack[depth][2]
+
+    def tries(depth: int, members: list[int]):
+        """The members of the target cell least of their orbit under the known automorphisms fixing the path."""
+        mark = len(trail)
+        yield members[0]
+        orbits, joined = _Orbits(), 0
+        least: dict[int, int] = {}
+        for v in members if chains else ():  # the members of one twin class in the cell are one orbit
+            if (t := twin[v]) in least:
+                orbits.union(least[t], v)
+            else:
+                least[t] = v
+        for v in members[1:]:
+            part.undo(mark)  # back to this node's partition
+            kept = fixing(depth)
+            for s in kept[joined:]:
+                orbits.add(s)
+            joined = len(kept)
+            if orbits.find(v) == v:
                 yield v
-                while len(trail) > mark:  # back to this node's colouring
-                    u, c = trail.pop()
-                    colors[u] = c
 
-    # One entry per open node, ``stack[k]`` at depth ``k``: target cell, its first position, tries.
-    stack, path, trail, work = [], [], [], 0
+    # One entry per open node, ``stack[k]`` at depth ``k``:
+    # [target cell's first position, tries, automorphisms kept or None, how many of ``found`` they cover].
+    stack: list[list] = []
+    path: list[int] = []
+    work = 0
     while True:
         if (work := work + n) > WORK_LIMIT:
             raise SearchLimitError(f"canonical search exceeded {WORK_LIMIT} colours scanned at depth {len(path)}")
-        cell = min((c for c, k in Counter(colors).items() if k > 1), default=None)
-        if cell is not None:
-            stack.append((cell, cell - colors.count(cell) + 1, tries(cell)))
+        p = stack[-1][0] if stack else 0
+        while p < n and colors[elements[p]] == p:
+            p += 1
+        if p < n:
+            cell = elements[p : colors[elements[p]] + 1]
+            if len(set(map(twin.__getitem__, cell))) == 1:
+                members = [min(cell)]  # inside one twin class, whose members are one orbit
+            else:
+                members = sorted(cell)
+            stack.append([p, tries(len(stack), members), None, 0])
         else:
             labels = [c + 1 for c in colors]
             data = struct.serialize(labels)
             first, first_path = leaves.setdefault(data, (labels, tuple(path)))
             if first is not labels:
-                automorphisms.append({v: p - 1 for v, p in enumerate(_compose(labels, first)) if p - 1 != v})
-                del stack[next(k for k, (v, w) in enumerate(zip(path, first_path)) if v != w) + 1:]
-        while stack and (v := next(stack[-1][2], None)) is None:
+                found.append({v: p - 1 for v, p in enumerate(_compose(labels, first)) if p - 1 != v})
+                del stack[next(k for k, (v, w) in enumerate(zip(path, first_path)) if v != w) + 1 :]
+        while stack and (v := next(stack[-1][1], None)) is None:
             stack.pop()
         if not stack:
             break
-        path[len(stack) - 1:] = [v]
-        trail.append((v, colors[v]))
-        colors[v] = stack[-1][1]
-        _refine(struct, colors, [v], trail)
+        path[len(stack) - 1 :] = [v]
+        part.individualise(v)
+        _refine(struct, part, [v])
     data = min(leaves)
-    return _SearchOutcome(tuple(leaves[data][0]), data, automorphisms)
+    return _SearchOutcome(tuple(leaves[data][0]), data, chains + found)
 
 
 def _structure_for(obj):
@@ -454,7 +667,7 @@ def canonical_form(obj: "ProximityForest | IntersectionTensor") -> CanonicalForm
     """Canonical relabelling and hash; equal hashes characterize equivalence."""
     struct = _structure_for(obj)
     outcome = _search(struct)
-    return CanonicalForm(outcome.labels, struct.relabel(list(outcome.labels)), hashlib.sha256(outcome.data).hexdigest())
+    return CanonicalForm(outcome.labels, hashlib.sha256(outcome.data).hexdigest(), outcome.data, struct)
 
 
 def automorphism_orbits(obj: "ProximityForest | IntersectionTensor") -> tuple[tuple[int, ...], ...]:

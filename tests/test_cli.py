@@ -539,10 +539,12 @@ def fuzz_documents(draw, want: str):
     Spoilt documents break a field's type or range, or hold a defect from
     ``TENSOR_DEFECTS``.  Adversarial ones are valid but ask for work: up
     to 64 twins, or a ``size`` of 2^40 or more, too large for one list.
-    Sizes in between are left out.  A class of n twins still costs O(n^2)
-    time, seconds from n = 10^3 (ROADMAP item 2), and a larger ``size``
-    is allocated as lists before any check, so it takes memory that grows
-    with ``size`` until the host refuses it (ROADMAP item 6).
+    Sizes in between are left out.  A class of n twins costs n search
+    nodes, each reading its target cell, but the search budget charges
+    each node n colours, so from n = 4,000 such a search exits 3; and a
+    larger ``size`` is allocated as lists before any check, so it takes
+    memory that grows with ``size`` until the host refuses it (ROADMAP
+    item 5).
     """
     kind = draw(st.sampled_from([want] * 4 + ["tensor", "forest", "partition", "json"]))
     if kind == "json":
@@ -685,6 +687,56 @@ class TestOrdersText:
         assert json.loads(out.getvalue())["count"] == len(results) == 720
         assert survivors == []
         assert len({id(point) for forest, _ in results for point in forest.points}) == 1
+
+
+class TestCanonText:
+    """``canon`` writes its line around the canonical leaf's bytes, with no relabelling and no JSON encoder."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        dimension=st.integers(2, 4),
+        size=st.integers(0, 8),
+        kind=st.sampled_from(["forest", "tensor"]),
+        how=st.sampled_from(["none", "relabel", "no entries", "entry", "negate", "isolated", "diagonal"]),
+    )
+    def test_output_is_the_old_document(self, seed, dimension, size, kind, how):
+        """Byte-equal to the canonical JSON of the document built from ``relabeled``, as ``canon`` wrote it before."""
+        rng = random.Random(seed)
+        forest = random_forest(seed, dimension, size, 3)
+        if how == "relabel":
+            forest, _ = random_relabel(forest, rng)
+        obj = forest
+        if kind == "tensor":
+            obj = tensor_from_forest(forest)
+            if how == "no entries":
+                obj = type(obj)(dimension, size, {})
+            elif how not in ("none", "relabel"):
+                obj = perturb(obj, how, rng)
+        to_dict = forest_to_dict if kind == "forest" else tensor_to_dict
+        calls = {"relabel": 0, "canonical_json": 0}
+
+        def counting(name, method):
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+
+            return wrapper
+
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "input.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(canonical_json(to_dict(obj)))
+            out = io.StringIO()
+            with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+                for cls in (equivalence._DigraphStructure, equivalence._TensorStructure):
+                    patch.setattr(cls, "relabel", counting("relabel", cls.relabel))
+                patch.setattr(cli.io, "canonical_json", counting("canonical_json", cli.io.canonical_json))
+                assert main(["canon", "--kind", kind, path]) == 0
+        assert calls == {"relabel": 0, "canonical_json": 0}
+        form = equivalence.canonical_form(obj)
+        document = {"kind": kind, "hash": form.hash, "permutation": list(form.relabeling), "canonical": to_dict(form.relabeled)}
+        assert out.getvalue() == canonical_json(document) + "\n"
 
 
 class TestParserReuse:

@@ -35,6 +35,7 @@ from blowups.equivalence import (
     _DigraphStructure,
     _orbit_ids,
     _orbits,
+    _Partition,
     _refine,
     _structure_for,
     _TensorStructure,
@@ -195,7 +196,7 @@ class TestCanonicalForm:
             assert automorphism_orbits(obj) == (tuple(range(1, 301)),)
 
     def test_limits_name_the_bound_and_the_depth(self, monkeypatch):
-        """A node scans ``n`` colours; past the budget the search stops and says where."""
+        """The budget charges each node ``n`` colours; past it the search stops and says where."""
         empty = IntersectionTensor(2, 200, {})
         monkeypatch.setattr(equivalence, "WORK_LIMIT", 10_000)
         with pytest.raises(SearchLimitError, match="^canonical search exceeded 10000 colours scanned at depth 50$"):
@@ -216,6 +217,23 @@ class TestCanonicalForm:
                 tracemalloc.stop()
             assert form.relabeling == tuple(range(1, 501))
             assert peak < 3 * 2**20
+
+    def test_chain_tensor_search_holds_linear_memory(self):
+        """The root refinement is never undone, so it records no trail: a chain tensor of 1,000 searches under a 4 MB peak.
+
+        Each round of its root refinement recolours the whole inner cell, so a trail would hold about N²/4 entries.
+        """
+        n = 1000
+        entries = {(i, i): -2 for i in range(1, n + 1)}
+        entries.update({(i, i + 1): 1 for i in range(1, n)})
+        tracemalloc.start()
+        try:
+            form = canonical_form(IntersectionTensor(2, n, entries))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert form.relabeling[:2] == (n - 1, n - 3)
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize(
         "dimension, forests, classes",
@@ -285,7 +303,7 @@ def dense_ranks(colors: list[int]) -> list[int]:
 def root_cells(struct) -> tuple[list[int], dict[int, list[int]]]:
     """The refined root colouring and the members of each of its cells."""
     root = last_positions(struct.colors)
-    _refine(struct, root, range(struct.n), [])
+    _refine(struct, _Partition(root), range(struct.n))
     cells = defaultdict(list)
     for v, color in enumerate(root):
         cells[color].append(v)
@@ -366,8 +384,12 @@ class TestTwinSeeds:
         ],
         ids=["200 points", "star 200"],
     )
-    def test_twin_classes_cost_quadratic_probes(self, monkeypatch, forest, orbits):
-        """A search reads each twin transposition O(n) times: it tries the least member of each orbit alone."""
+    def test_twin_classes_cost_linear_probes(self, monkeypatch, forest, orbits):
+        """A search reads each twin transposition once: a target cell inside one twin class tries its least member alone.
+
+        ``automorphism_orbits`` reads the transpositions again to name the
+        orbits, so the counting maps are seen to be the ones searched.
+        """
         probes = [0]
 
         class CountingMap(dict):
@@ -389,8 +411,22 @@ class TestTwinSeeds:
         for obj in (forest, tensor_from_forest(forest)):
             probes[0] = 0
             canonical_form(obj)
-            assert 0 < probes[0] <= 4 * n * n
+            assert probes[0] <= 2 * n
+            probes[0] = 0
             assert automorphism_orbits(obj) == orbits
+            assert 0 < probes[0] <= 4 * n
+
+    @pytest.mark.parametrize("k", [50, 100, 200])
+    def test_twin_free_cells_cost_linear_fingerprints(self, monkeypatch, k):
+        """Bucketing a cell before the exact twin test: k disjoint 2-chains cost one fingerprint per vertex, not k(k+1)/2 per cell."""
+        forest = disjoint_chains(k)
+        structs = [_DigraphStructure.of_forest(forest), _TensorStructure(tensor_from_forest(forest))]
+        roots = [root_cells(struct)[0] for struct in structs]
+        calls = count_calls(monkeypatch, "fingerprint")
+        for struct, root in zip(structs, roots):
+            calls[0] = 0
+            assert _twin_chains(struct, root) == []
+            assert calls[0] <= struct.n
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_roots_sharing_a_child_search_one_path(self, monkeypatch, d):
@@ -413,16 +449,16 @@ def disjoint_copies(forest: ProximityForest, copies: int) -> ProximityForest:
 def individualised_children(struct):
     """Each vertex of each non-singleton cell of the refined root, individualised as the search does it.
 
-    Yields the refined root, the child colouring before refinement, the
-    individualised vertex and the trail that records its old colour.
+    Yields the refined root colouring, the partition of the child before
+    refinement, whose trail holds the individualisation, and the vertex.
     """
     root, cells = root_cells(struct)
-    for cell, members in cells.items():
+    for members in cells.values():
         if len(members) > 1:
             for v in members:
-                child = root.copy()
-                child[v] = cell - len(members) + 1
-                yield root, child, v, [(v, cell)]
+                child = _Partition(root.copy())
+                child.individualise(v)
+                yield root, child, v
 
 
 def count_calls(monkeypatch, name: str) -> list[int]:
@@ -439,23 +475,33 @@ def count_calls(monkeypatch, name: str) -> list[int]:
     return calls
 
 
+def assert_partition_arrays_agree(part) -> None:
+    """``elements`` and ``position`` are inverse, and every cell is the run of positions its colour and start name."""
+    assert sorted(part.elements) == list(range(len(part.colors)))
+    for v, color in enumerate(part.colors):
+        assert part.elements[part.position[v]] == v
+        assert part.start[color] <= part.position[v] <= color
+
+
 def assert_split_refinement_is_exact(structs) -> None:
     """At the root and below each individualised vertex, refinement gives the ordered partition full refinement gives.
 
     Below each vertex, undoing the trail restores the parent colouring exactly.
     """
     for struct in structs:
-        colors = last_positions(struct.colors)
-        expected = oracle_refine(struct, colors)
-        _refine(struct, colors, range(struct.n), [])
-        assert dense_ranks(colors) == expected
-        for root, child, v, trail in individualised_children(struct):
-            expected = oracle_refine(struct, child)
-            _refine(struct, child, [v], trail)
-            assert dense_ranks(child) == expected
-            for u, c in reversed(trail):
-                child[u] = c
-            assert child == root
+        part = _Partition(last_positions(struct.colors))
+        expected = oracle_refine(struct, part.colors)
+        _refine(struct, part, range(struct.n))
+        assert dense_ranks(part.colors) == expected
+        assert_partition_arrays_agree(part)
+        for root, child, v in individualised_children(struct):
+            expected = oracle_refine(struct, child.colors)
+            _refine(struct, child, [v])
+            assert dense_ranks(child.colors) == expected
+            assert_partition_arrays_agree(child)
+            child.undo(0)
+            assert child.colors == root
+            assert_partition_arrays_agree(child)
 
 
 class TestRefinement:
@@ -505,6 +551,20 @@ class TestRefinement:
             canonical_form(obj)
             assert calls[0] <= 3 * len(forest)
 
+    def test_chain_tensor_root_fingerprints_linearly(self, monkeypatch):
+        """A chain tensor's root cell loses two members a round; the rounds fingerprint what the split touched, not the cell."""
+        n = 2000
+        entries = {(i, i): -2 for i in range(1, n + 1)}
+        entries.update({(i, i + 1): 1 for i in range(1, n)})
+        struct = _TensorStructure(IntersectionTensor(2, n, entries))
+        calls = count_calls(monkeypatch, "fingerprint")
+        part = _Partition(last_positions(struct.colors))
+        _refine(struct, part, range(n))
+        assert calls[0] <= 8 * n
+        # The chain's mirror symmetry pairs its ends off inwards: one cell per mirror pair.
+        assert all(part.colors[i] == part.colors[n - 1 - i] for i in range(n // 2))
+        assert len(set(part.colors)) == n // 2
+
     @pytest.mark.parametrize("forest", [random_forest(8, 3, 8, 2), random_forest(2, 3, 10, 3)], ids=["d3 m8", "d3 m10"])
     def test_rigid_search_builds_one_document(self, monkeypatch, forest):
         """Each leaf is serialised once, and a rigid object's search has one leaf."""
@@ -518,20 +578,27 @@ class TestRefinement:
 
 
 class TestOneRelabelling:
-    """``relabel`` builds the relabelled object: once for a canonical form, never at a search leaf."""
+    """``relabel`` builds the relabelled object: at most once for a canonical form, never at a search leaf."""
 
     forest = random_forest(8, 3, 8, 2)
     chains = disjoint_copies(ProximityForest.make(2, (1, []), (1, [1])), 6)  # a search with many leaves
 
     def test_canonical_form_relabels_once(self, monkeypatch):
-        """A canonical form relabels its canonical leaf alone, however many leaves its search reaches."""
+        """A canonical form relabels nothing until ``relabeled`` is read, then its canonical leaf once."""
         calls = count_calls(monkeypatch, "relabel")
         for forest in (self.forest, self.chains):
             for obj in (forest, tensor_from_forest(forest)):
                 calls[0] = 0
                 form = canonical_form(obj)
+                assert calls[0] == 0
+                relabeled = form.relabeled
                 assert calls[0] == 1
-                assert form.relabeled == _structure_for(obj).relabel(list(form.relabeling))
+                assert form.relabeled is relabeled
+                assert calls[0] == 1
+                calls[0] = 0
+                assert relabeled == _structure_for(obj).relabel(list(form.relabeling))
+                to_dict = io.forest_to_dict if isinstance(obj, ProximityForest) else io.tensor_to_dict
+                assert form.data == io.canonical_json(to_dict(relabeled)).encode()
 
     def test_match_builds_no_document(self, monkeypatch):
         """No search relabels a leaf; the verification relabels the first input, and a forest's second too."""
@@ -713,6 +780,58 @@ class TestLeafTable:
                 calls[0] = 0
                 canonical_form(obj)
                 assert calls[0] <= bound(k)
+
+
+def unpruned_first_least_leaf(struct) -> tuple[tuple[int, ...], bytes]:
+    """The labelling and data of the first leaf, in depth-first order, with the least data, pruning nothing.
+
+    Each node individualises every member of its target cell, the
+    non-singleton cell that ends first, in ascending order, and refines
+    with ``oracle_refine``; the search must reach the same leaf.
+    """
+    best = None
+    stack = [last_positions(oracle_refine(struct, last_positions(struct.colors)))]
+    while stack:
+        colors = stack.pop()
+        cells = defaultdict(list)
+        for v, color in enumerate(colors):
+            cells[color].append(v)
+        target = min((color for color, members in cells.items() if len(members) > 1), default=None)
+        if target is None:
+            labels = [color + 1 for color in colors]
+            data = struct.serialize(labels)
+            if best is None or data < best[1]:
+                best = (tuple(labels), data)
+            continue
+        members = cells[target]
+        for v in reversed(members):
+            child = colors.copy()
+            child[v] = target - len(members) + 1
+            stack.append(last_positions(oracle_refine(struct, child)))
+    return best
+
+
+class TestPathFilter:
+    """A node prunes by the automorphisms that fix its path alone: one that moves the path can hide the least leaf.
+
+    A directed 3-cycle beside two 2-cycles, all of one colour, is the
+    smallest shape found where pruning with every known automorphism
+    misses the least leaf; it turns up as a block graph of a forest too.
+    """
+
+    digraph = _DigraphStructure([1] * 7, [[1], [2], [0], [4], [3], [6], [5]], [(1, 0)] * 7)
+    # Blocks {3,4} -> {1,5} -> {2,6} -> {3,4}, {8,9} <-> {7,10} and {12,13} <-> {11,14}.
+    forest = ProximityForest.make(
+        2, *[(1, [])] * 3, (1, [1]), (1, [2]), (1, [3]), (1, []), (1, []), (1, [7]), (1, [8]), (1, []), (1, []), (1, [11]), (1, [12])
+    )
+    blocks = MarkedPartition(tuple(map(frozenset, [{3, 4}, {1, 5}, {2, 6}, {8, 9}, {7, 10}, {12, 13}, {11, 14}])))
+
+    def test_search_reaches_the_first_least_leaf(self):
+        for struct in (self.digraph, _DigraphStructure.of_blocks(self.forest, self.blocks)):
+            outcome = equivalence._search(struct)
+            assert outcome.automorphisms  # the search pruned by automorphisms it found
+            assert (outcome.labels, outcome.data) == unpruned_first_least_leaf(struct)
+            assert _orbits(struct) == ((1, 2, 3), (4, 5, 6, 7))
 
 
 class TestForestIsomorphic:
