@@ -68,17 +68,21 @@ def _load_partition(path: str):
     return io.partition_from_dict(io.load_document(path))
 
 
-def _cmd_tensor(args) -> dict:
-    return io.tensor_to_dict(tensor_from_forest(_load_forest(args.forest)))
+def _tensor_text(tensor) -> str:
+    return io._tensor_json(tensor.dimension, tensor.size, tensor.entries.items())
+
+
+def _cmd_tensor(args) -> str:
+    return _tensor_text(tensor_from_forest(_load_forest(args.forest)))
 
 
 def _cmd_finals(args) -> dict:
     return {"finals": sorted(final_set(_load_tensor(args.tensor)))}
 
 
-def _cmd_contract(args) -> dict:
+def _cmd_contract(args) -> str:
     contracted, _ = contract(_load_tensor(args.tensor), args.index)
-    return io.tensor_to_dict(contracted)
+    return _tensor_text(contracted)
 
 
 def _cmd_recover(args) -> dict:
@@ -126,9 +130,9 @@ def _cmd_compat(args) -> dict:
     return {"compatible": compatible_with(_load(args.kind, args.input), partition)}
 
 
-def _cmd_quotient(args) -> dict:
+def _cmd_quotient(args) -> str:
     quotient = quotient_tensor(_load_tensor(args.tensor), _load_partition(args.partition))
-    return io.tensor_to_dict(quotient)
+    return _tensor_text(quotient)
 
 
 def _cmd_diag(args) -> dict:
@@ -231,9 +235,10 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand, write its one line to stdout and return the exit code.
 
     A handler returns its document, or canonical JSON text, as
-    ``recover-all`` does for its long lists of orders and ``canon`` around
-    its canonical leaf's bytes; ``main`` encodes a
-    document with :func:`io.canonical_json` and writes text as it is.
+    ``recover-all`` does for its long lists of orders, ``canon`` around
+    its canonical leaf's bytes, and each command that prints a tensor
+    from its entries.  ``main`` encodes a document with
+    :func:`io.canonical_json` and writes text as it is.
     Either way, an error raised by the handler comes before any output
     and is written as ``{"error": ...}`` instead.
     """

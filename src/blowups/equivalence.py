@@ -4,11 +4,13 @@ Two sequences are combinatorially equivalent when some bijection of their
 points preserves degrees and proximity; two intersection tensors are
 equivalent when some index permutation carries one onto the other entry by
 entry.  Every decision here is made the same way: canonically label both
-objects, compare the canonical serializations, compose the two labellings,
-and verify the composed map on the inputs.  For blow-up tensors the paper's
-bijection between sequences and their forms gives a second route (recover
-both forests by contraction and match those); the test suite keeps that
-route as a cross-check of :func:`tensor_equivalent`.
+objects, compose the two labellings, and check the composed map on the
+inputs.  Both labellings are canonical, so that map carries one object onto
+the other exactly when the two are equivalent, and the check decides.
+For blow-up tensors the paper's bijection between sequences and their
+forms gives a second route (recover both forests by contraction and match
+those); the test suite keeps that route as a cross-check of
+:func:`tensor_equivalent`.
 
 The canonical labelling follows the individualise-and-refine pattern of
 McKay & Piperno, "Practical graph isomorphism II" (2014): iterative colour
@@ -46,12 +48,16 @@ transposition costs two entries whatever the size.
 The search's table of leaves is its outcome: the canonical labelling, its
 data and every automorphism found are read off it.  It sees an object
 through one of two structures, a vertex-coloured digraph (forests and
-block-proximity graphs) or an index-coloured tensor.  A leaf costs one
-``serialize``, which writes the canonical JSON of the relabelled object's
-document straight from the degrees and out-lists, or from the entries,
-with no object, document or JSON encoder in between.  A
-:class:`CanonicalForm` keeps the canonical leaf's bytes, and ``relabel``
-builds the relabelled object only when ``relabeled`` is first read.
+block-proximity graphs) or an index-coloured tensor.  A leaf's data is
+its ``serialize``: the canonical JSON of the relabelled object's document,
+written straight from the degrees and out-lists, or from the entries,
+with no object, document or JSON encoder in between.  It is written only
+when something reads it: a second leaf of the same search, which must be
+compared with it, or :func:`canonical_form`, which hashes the canonical
+leaf.  A search that reaches one leaf, as on a rigid object, writes none
+for a decision or for its orbits.  A :class:`CanonicalForm` keeps the
+canonical leaf's bytes, and ``relabel`` builds the relabelled object only
+when ``relabeled`` is first read.
 Canonical hashes are SHA-256 over those bytes; equivalent inputs produce
 byte-identical hashes.
 Permutations are plain tuples ``p`` with ``p[i-1]`` the image of index
@@ -71,6 +77,7 @@ from functools import cached_property
 from .contraction import recover_sequence  # noqa: F401
 from .errors import SearchLimitError
 from .forest import MarkedPartition, Point, ProximityForest, block_proximity
+from .io import _tensor_json
 from .tensor import IntersectionTensor, quotient_tensor
 
 __all__ = [
@@ -251,17 +258,27 @@ class _TensorStructure:
     def serialize(self, labels: list[int]) -> bytes:
         """The canonical JSON of ``relabel(labels)``'s document, built from the entries."""
         at = [0, *labels].__getitem__
-        entries = sorted(zip([sorted(map(at, key)) for key in self.tensor.entries], self.tensor.entries.values()))
-        text = ",".join(['{"index":%s,"value":%s}' % entry for entry in entries])
-        text = '{"dimension":%s,"entries":[%s],"size":%s}' % (self.tensor.dimension, text, self.n)
-        return text.replace(" ", "").encode()  # a list prints as ``[1, 2]``; JSON needs ``[1,2]``
+        entries = zip([sorted(map(at, key)) for key in self.tensor.entries], self.tensor.entries.values())
+        return _tensor_json(self.tensor.dimension, self.n, entries).encode()
 
 
 @dataclass
 class _SearchOutcome:
+    """A search's canonical labelling, its automorphisms, and the canonical leaf's data, written when first read.
+
+    A search that compared leaves wrote the data already and passes it in.
+    """
+
     labels: tuple[int, ...]
-    data: bytes
     automorphisms: list[dict[int, int]]
+    _struct: object = field(repr=False)
+    _data: bytes | None = field(default=None, repr=False)
+
+    @property
+    def data(self) -> bytes:
+        if self._data is None:
+            self._data = self._struct.serialize(list(self.labels))
+        return self._data
 
 
 class _Orbits:
@@ -511,17 +528,21 @@ def _twin_chains(struct, colors: list[int]) -> list[dict[int, int]]:
 def _search(struct) -> _SearchOutcome:
     """Canonical-labelling backtracking over colour refinements.
 
-    Returns the lexicographically minimal serialization over all discrete
-    refinements of the initial colouring, the relabelling achieving it,
-    and the automorphisms known along the way: the twin transpositions of
-    the refined root colouring, then one per leaf that repeats earlier
-    data.  A leaf keeps only its labelling and path: ``leaves`` maps each
-    leaf's data, ``struct.serialize(labels)``, to the first labelling in
-    depth-first order that reached it and that labelling's path, so the
-    canonical labelling is read off ``leaves[min(leaves)]``.  The data
-    depend only on the structure pushed forward along the labelling, so a
-    later labelling ``L2`` with the data of ``L1`` is the automorphism
-    ``L1^-1 L2`` without a check.
+    Returns the relabelling that gives the lexicographically minimal
+    serialization over all discrete refinements of the initial colouring,
+    that serialization, and the automorphisms known along the way: the
+    twin transpositions of the refined root colouring, then one per leaf
+    that repeats earlier data.  A leaf keeps only its labelling and path.
+    The first leaf is not written: a search that reaches no other leaf
+    returns its labelling, and the outcome writes its data when that is
+    first read.  A second leaf writes the first's data and its own, and
+    from then on ``leaves`` maps each leaf's data,
+    ``struct.serialize(labels)``, to the first labelling in depth-first
+    order that reached it and that labelling's path, so the canonical
+    labelling is read off ``leaves[min(leaves)]`` and its data is passed
+    on, written once.  The data depend only on the structure pushed
+    forward along the labelling, so a later labelling ``L2`` with the data
+    of ``L1`` is the automorphism ``L1^-1 L2`` without a check.
     A node tries a member of its target cell exactly when it is the least
     of its orbit under the known automorphisms fixing the path.  Their
     orbits lie inside the node's cells and only grow while it runs, so
@@ -568,6 +589,7 @@ def _search(struct) -> _SearchOutcome:
     :class:`SearchLimitError` names the budget and the depth.
     """
     n = struct.n
+    first_leaf: tuple[list[int], tuple[int, ...]] | None = None  # the first leaf's labelling and path
     leaves: dict[bytes, tuple[list[int], tuple[int, ...]]] = {}
     order = sorted(struct.colors)
     part = _Partition([bisect_right(order, c) - 1 for c in struct.colors])
@@ -639,11 +661,15 @@ def _search(struct) -> _SearchOutcome:
             stack.append([p, tries(len(stack), members), None, 0])
         else:
             labels = [c + 1 for c in colors]
-            data = struct.serialize(labels)
-            first, first_path = leaves.setdefault(data, (labels, tuple(path)))
-            if first is not labels:
-                found.append({v: p - 1 for v, p in enumerate(_compose(labels, first)) if p - 1 != v})
-                del stack[next(k for k, (v, w) in enumerate(zip(path, first_path)) if v != w) + 1 :]
+            if first_leaf is None:
+                first_leaf = (labels, tuple(path))
+            else:
+                if not leaves:  # a second leaf: write the first too, so that the two can be compared
+                    leaves[struct.serialize(first_leaf[0])] = first_leaf
+                first, first_path = leaves.setdefault(struct.serialize(labels), (labels, tuple(path)))
+                if first is not labels:
+                    found.append({v: p - 1 for v, p in enumerate(_compose(labels, first)) if p - 1 != v})
+                    del stack[next(k for k, (v, w) in enumerate(zip(path, first_path)) if v != w) + 1 :]
         while stack and (v := next(stack[-1][1], None)) is None:
             stack.pop()
         if not stack:
@@ -651,8 +677,10 @@ def _search(struct) -> _SearchOutcome:
         path[len(stack) - 1 :] = [v]
         part.individualise(v)
         _refine(struct, part, [v])
+    if not leaves:
+        return _SearchOutcome(tuple(first_leaf[0]), chains, struct)
     data = min(leaves)
-    return _SearchOutcome(tuple(leaves[data][0]), data, chains + found)
+    return _SearchOutcome(tuple(leaves[data][0]), chains + found, struct, data)
 
 
 def _structure_for(obj):
@@ -691,14 +719,17 @@ def _compose(labels1: tuple[int, ...], labels2: tuple[int, ...]) -> tuple[int, .
 
 
 def _match(s1, s2) -> tuple[int, ...] | None:
-    """The verified map carrying structure ``s1`` onto ``s2``, or ``None`` if their canonical data differ."""
+    """The map carrying structure ``s1`` onto ``s2`` if the composed canonical labellings do, or ``None``.
+
+    Both labellings are canonical, so the composed map carries ``s1`` onto
+    ``s2`` exactly when the two are equivalent: checking it on the inputs
+    decides the question, and no leaf's data is written.
+    """
     o1, o2 = _search(s1), _search(s2)
-    if o1.data != o2.data:
+    if len(o1.labels) != len(o2.labels):
         return None
     perm = _compose(o1.labels, o2.labels)
-    if s1.relabel(list(perm)) != s2.original():
-        raise RuntimeError("canonical relabelling failed verification")
-    return perm
+    return perm if s1.relabel(list(perm)) == s2.original() else None
 
 
 def forest_isomorphic(f1: ProximityForest, f2: ProximityForest) -> tuple[int, ...] | None:

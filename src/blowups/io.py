@@ -14,11 +14,14 @@ one of them is read again item by item, which names its first defect.
 
 ``canonical_json`` fixes the byte-level encoding used everywhere output
 must be deterministic: UTF-8, keys sorted, separators ``","`` and ``":"``,
-no whitespace.  A trace, and ``recover-all``'s list of every order, are
-written as that text directly, byte for byte what ``canonical_json``
-makes of :func:`trace_to_dict` and :func:`forest_to_dict`: an order
-shares most of its steps with the one before it, and only the rest are
-encoded again.
+no whitespace.  A trace, ``recover-all``'s list of every order, and a
+tensor document are written as that text directly, byte for byte what
+``canonical_json`` makes of :func:`trace_to_dict`, :func:`forest_to_dict`
+and :func:`tensor_to_dict`.  An order shares most of its steps with the
+one before it, and only the rest are encoded again.  A tensor's entries
+are each written from one template for its dimension; the ``tensor``,
+``contract`` and ``quotient`` commands and each written leaf of the
+canonical search share that writer.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import itertools
 import json
 import operator
 import sys
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 from .contraction import ContractionStep, ContractionTrace
 from .errors import SchemaError
@@ -199,6 +202,21 @@ def tensor_to_dict(tensor: IntersectionTensor) -> dict:
             for key, value in sorted(tensor.entries.items())
         ],
     }
+
+
+def _tensor_json(dimension: int, size: int, entries: Iterable[tuple[Sequence[int], int]]) -> str:
+    """The canonical JSON of a tensor document with these ``(index, value)`` entries, in any order.
+
+    Byte for byte what :func:`canonical_json` makes of :func:`tensor_to_dict`.
+    Each entry is written from one template for the dimension, made only
+    when there are entries, so a huge ``dimension`` with none costs nothing.
+    """
+    entries = sorted(entries)
+    text = ""
+    if entries:
+        template = '{"index":[%s],"value":%%d}' % ",".join(["%d"] * dimension)
+        text = ",".join([template % (*index, value) for index, value in entries])
+    return '{"dimension":%d,"entries":[%s],"size":%d}' % (dimension, text, size)
 
 
 def tensor_from_dict(obj: Any) -> IntersectionTensor:

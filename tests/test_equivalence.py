@@ -475,6 +475,30 @@ def count_calls(monkeypatch, name: str) -> list[int]:
     return calls
 
 
+def record_searches(monkeypatch) -> tuple[list[list[int]], list[int]]:
+    """``[leaves reached, serialize calls]`` of each search from now on, and the count of all ``serialize`` calls.
+
+    A search reaches a leaf each time a refinement, the root's included, ends in a discrete partition.
+    """
+    writes, searches = count_calls(monkeypatch, "serialize"), []
+
+    def refining(struct, part, touched, refine=equivalence._refine):
+        refine(struct, part, touched)
+        if len(set(part.colors)) == struct.n:
+            searches[-1][0] += 1
+
+    def searching(struct, search=equivalence._search):
+        searches.append([0, 0])
+        before = writes[0]
+        outcome = search(struct)
+        searches[-1][1] = writes[0] - before
+        return outcome
+
+    monkeypatch.setattr(equivalence, "_refine", refining)
+    monkeypatch.setattr(equivalence, "_search", searching)
+    return searches, writes
+
+
 def assert_partition_arrays_agree(part) -> None:
     """``elements`` and ``position`` are inverse, and every cell is the run of positions its colour and start name."""
     assert sorted(part.elements) == list(range(len(part.colors)))
@@ -567,14 +591,17 @@ class TestRefinement:
 
     @pytest.mark.parametrize("forest", [random_forest(8, 3, 8, 2), random_forest(2, 3, 10, 3)], ids=["d3 m8", "d3 m10"])
     def test_rigid_search_builds_one_document(self, monkeypatch, forest):
-        """Each leaf is serialised once, and a rigid object's search has one leaf."""
+        """A rigid object's search has one leaf and writes it only when read: by ``canonical_form``, once."""
         calls = count_calls(monkeypatch, "serialize")
-        for struct in (_DigraphStructure.of_forest(forest), _TensorStructure(tensor_from_forest(forest))):
+        for obj in (forest, tensor_from_forest(forest)):
+            struct = _structure_for(obj)
             calls[0] = 0
             outcome = equivalence._search(struct)
-            assert calls[0] == 1
             assert outcome.automorphisms == []
             assert _orbits(struct) == tuple((i,) for i in range(1, len(forest) + 1))
+            assert calls[0] == 0
+            canonical_form(obj)
+            assert calls[0] == 1
 
 
 class TestOneRelabelling:
@@ -616,6 +643,37 @@ class TestOneRelabelling:
                 relabels[0] = 0
                 assert decide(obj, obj) is not None
                 assert (inside[0], relabels[0]) == (0, verification)
+
+    def test_leaves_are_written_only_to_be_read(self, monkeypatch):
+        """A one-leaf search writes no leaf, and the decisions read none; past one leaf, each is written at most once.
+
+        ``canonical_form`` reads the canonical leaf's data, which the search
+        wrote if it compared leaves and which is otherwise written then, once.
+        """
+        searches, writes = record_searches(monkeypatch)
+        forest, other = self.forest, random_forest(1, 3, 8, 2)  # rigid, and inequivalent as forests and as tensors
+        shuffled, _ = random_relabel(forest, random.Random(0))
+        singletons = MarkedPartition.singletons(len(forest))
+        for a, b, c in ((forest, shuffled, other), tuple(map(tensor_from_forest, (forest, shuffled, other)))):
+            same = forest_isomorphic if isinstance(a, ProximityForest) else tensor_equivalent
+            marked = marked_forest_equivalent if isinstance(a, ProximityForest) else marked_tensor_equivalent
+            compatible = partition_compatible_sequence if isinstance(a, ProximityForest) else partition_compatible_morphism
+            searches.clear()
+            assert same(a, b) is not None and same(a, c) is None
+            assert marked(a, singletons, b, singletons) is not None and marked(a, singletons, c, singletons) is None
+            assert automorphism_orbits(a) == tuple((i,) for i in range(1, len(forest) + 1))
+            assert compatible(a, singletons)
+            assert searches and all(leaves == 1 for leaves, _ in searches)
+            assert writes[0] == 0
+        chains, _ = random_relabel(self.chains, random.Random(0))
+        for a, b in ((self.chains, chains), (tensor_from_forest(self.chains), tensor_from_forest(chains))):
+            same = forest_isomorphic if isinstance(a, ProximityForest) else tensor_equivalent
+            for decide in (lambda: same(a, b), lambda: automorphism_orbits(a), lambda: canonical_form(a).data):
+                searches.clear()
+                writes[0] = 0
+                decide()
+                assert all(1 < leaves and written <= leaves for leaves, written in searches)
+                assert writes[0] == sum(written for _, written in searches)
 
 
 @st.composite
@@ -964,6 +1022,50 @@ class TestTensorEquivalent:
             assert (witness is None) == (found is None)
             if witness is not None:
                 assert apply_permutation(a, witness).entries == b.entries
+
+
+def with_point(forest: ProximityForest) -> ProximityForest:
+    """``forest`` and one more root of degree 1."""
+    return ProximityForest.make(forest.dimension, *[(p.degree, p.proximate_to) for p in forest.points], (1, []))
+
+
+def symmetric_shapes(dimension: int) -> list[ProximityForest]:
+    """Shapes of 6 and 7 points, symmetric without twins, so that their searches reach several leaves."""
+    chain2 = ProximityForest.make(dimension, (1, []), (1, [1]))
+    chain3 = ProximityForest.make(dimension, (1, []), (1, [1]), (1, [2]))
+    tipped = ProximityForest.make(dimension, (1, []), (2, [1]))
+    shapes = [disjoint_copies(chain2, 3), disjoint_copies(chain3, 2), disjoint_copies(tipped, 3)]
+    return shapes + [with_point(shape) for shape in shapes]
+
+
+class TestSymmetricPairs:
+    """The decisions agree with brute force where the searches reach several leaves, not one."""
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_agrees_with_brute_force(self, monkeypatch, dimension):
+        searches, _ = record_searches(monkeypatch)
+        shapes = symmetric_shapes(dimension)
+        rng = random.Random(dimension)
+        for shape in shapes:
+            relabelled, _ = random_relabel(shape, rng)
+            # Each other shape of this size is inequivalent to it.
+            others = [other for other in shapes if other is not shape and len(other) == len(shape)]
+            for other in [relabelled, *others]:
+                found = forest_isomorphic(shape, other)
+                assert (found is None) == (brute_force_forest_isomorphic(shape, other) is None)
+                if found is not None:
+                    for i in range(1, len(shape) + 1):
+                        assert other.degree(found[i - 1]) == shape.degree(i)
+                        assert {found[j - 1] for j in shape.targets(i)} == other.targets(found[i - 1])
+            tensor = tensor_from_forest(shape)
+            partners = [tensor_from_forest(other) for other in [relabelled, *others]]
+            partners += [perturb(tensor_from_forest(relabelled), how, rng) for how in ("entry", "negate", "diagonal")]
+            for other in partners:
+                found = tensor_equivalent(tensor, other)
+                assert (found is None) == (brute_force_tensor_equivalent(tensor, other) is None)
+                if found is not None:
+                    assert apply_permutation(tensor, found).entries == other.entries
+        assert max(leaves for leaves, _ in searches) >= 2
 
 
 class TestOrbits:
