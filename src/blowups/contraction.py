@@ -17,6 +17,16 @@ finality; a vanishing pure power is never final.  Contraction rewrites
 only the stored keys that hold ``i``, so its cost follows the stored
 entries, not ``size^d``.
 
+A blow-up form is a sum of rank-one terms, one per point:
+``(-1)^{d-1} deg(k) v_k^d`` with ``v_k`` the basis vector of ``k`` less
+those of its targets.  Blowing down the last point only drops its own
+term.  So when the keys of a final ``i`` with ``n`` neighbours are all
+the multisets over ``i`` and its neighbours that hold ``i``, each with
+the value of the sign pattern, the blow-down removes them and adds
+``-(-1)^d T(i^d)`` at each of the ``C(n + d - 1, d)`` multisets of ``d``
+neighbours; see :func:`_spread`.  Only a stage that fails this premise,
+and so is no blow-up form, spreads its keys move by move.
+
 Recovery walks one mutable stage, in original labels: the entry dict;
 for each component its *narrow* keys (made of at most two components,
 held exactly) and its *wide* keys (three or more, of which some may have
@@ -28,10 +38,11 @@ finals it changed.  Replaying the log restores the parent when the walk
 backtracks, as the trail of a backtracking machine does, so each step
 costs the keys it touches and no stage is copied.  Finality reads only
 narrow keys, so it is decided again only for the components of a
-changed narrow key.  The moves a key spreads by depend only on its shape
-(see :func:`_transfer`); each shape's transfer list is built once per
-recovery and dropped with it, never kept across calls.  Current labels
-appear only in the steps.
+changed narrow key.  Off the premise, the moves a key spreads by depend
+only on its shape (see :func:`_transfer`); each shape's transfer list is
+built once per recovery, when a stage first needs it, and dropped with
+the recovery, never kept across calls.  Current labels appear only in
+the steps.
 """
 
 from __future__ import annotations
@@ -192,27 +203,59 @@ def _transfer(n: int, shape: tuple[int, ...]) -> list[tuple[operator.itemgetter,
 def _spread(entries: dict, keys: Iterable, i: int, neighbours: tuple[int, ...], transfers: dict) -> tuple[dict, dict]:
     """Blow ``entries`` down in place at the final ``i``, whose stored keys are ``keys``.
 
-    A stored key ``K`` holding ``k`` copies of ``i`` and others ``R0``
-    spreads its value over ``R0 + R`` for every multiset ``R`` of ``k``
-    neighbours, weighted by ``prod_a C(mult_{R0+R}(a), mult_R(a))``, the
-    number of slot choices of ``R0 + R`` that pull back to ``K``; a key
-    without ``i`` keeps its value.  Sums that cancel are dropped.  The
-    moves depend only on the number of neighbours and on the key in
-    local labels (see :func:`_transfer`), so ``transfers`` keeps each
-    such shape's moves.  A component of ``R0`` that meets no stored key of
-    ``i`` alone is carried along, and the written key is sorted back
-    into place.
+    On a blow-up form the part of the form at ``i`` is one rank-one term
+    less another: ``w (v^d - u^d)`` with ``w = T(i^d)``, ``u = -sum e_j``
+    over the ``n`` neighbours ``j`` and ``v = e_i + u``.  Under
+    ``e_j -> e_j + e_i`` every survivor pairs to 0 with ``v`` and every
+    neighbour to -1 with ``u``, so the blow-down drops the keys of ``i``
+    and adds ``-(-1)^d w`` at each of the ``C(n + d - 1, d)`` multisets of
+    ``d`` neighbours; keys without ``i`` keep their values.  Its premise
+    is read in one pass over the removed keys: every key of ``i`` is made
+    of ``i`` and its neighbours, one with ``c`` copies of ``i`` holds
+    ``(-1)^(d-c) w``, and there are ``C(n + d - 1, d - 1)`` of them, so
+    every such multiset is stored.
+
+    A stage that fails the premise is no blow-up form, and its keys
+    spread one by one: a key ``K`` holding ``k`` copies of ``i`` and
+    others ``R0`` spreads its value over ``R0 + R`` for every multiset
+    ``R`` of ``k`` neighbours, weighted by ``prod_a C(mult_{R0+R}(a),
+    mult_R(a))``, the number of slot choices of ``R0 + R`` that pull back
+    to ``K``.  Those moves depend only on the number of neighbours and on
+    the key in local labels (see :func:`_transfer`), so ``transfers``
+    keeps each such shape's moves.  A component of ``R0`` that meets no
+    stored key of ``i`` alone is carried along, and the written key is
+    sorted back into place.  Either way, sums that cancel are dropped.
 
     Returns each key removed or written with its old value (0 if it was
     absent), and the keys written, each with the sum it received.
     """
+    old = {key: entries.pop(key) for key in keys}
+    n, d = len(neighbours), len(next(iter(old)))
+    w = old[(i,) * d]
+    by_copies = [-w if (d - c) % 2 else w for c in range(d + 1)]  # the value of a key with c copies of i
+    members = {i, *neighbours}
+    if len(old) == math.comb(n + d - 1, d - 1) and all(
+        members.issuperset(key) and value == by_copies[key.count(i)] for key, value in old.items()
+    ):
+        sums = dict.fromkeys(itertools.combinations_with_replacement(neighbours, d), -by_copies[0])
+    else:
+        sums = _spread_by_transfers(old, i, neighbours, transfers.setdefault(n, {}))
+    for key, added in sums.items():
+        before = old[key] = entries.get(key, 0)
+        if before + added:
+            entries[key] = before + added
+        elif before:
+            del entries[key]
+    return old, sums
+
+
+def _spread_by_transfers(removed: dict, i: int, neighbours: tuple[int, ...], shapes: dict) -> dict:
+    """The sums each removed key of ``i`` spreads to, move by move; ``shapes`` keeps each shape's transfer list."""
     n = len(neighbours)
     local = {a: x for x, a in enumerate(neighbours)}
     local[i] = -1
-    shapes = transfers.setdefault(n, {})
-    old, sums = {}, {}
-    for key in keys:
-        value = old[key] = entries.pop(key)
+    sums: dict = {}
+    for key, value in removed.items():
         shape = tuple(map(local.get, key))
         labels = neighbours
         if None in shape:
@@ -227,13 +270,7 @@ def _spread(entries: dict, keys: Iterable, i: int, neighbours: tuple[int, ...], 
             if labels is not neighbours:
                 new = tuple(sorted(new))
             sums[new] = sums.get(new, 0) + value * weight
-    for key, added in sums.items():
-        before = old[key] = entries.get(key, 0)
-        if before + added:
-            entries[key] = before + added
-        elif before:
-            del entries[key]
-    return old, sums
+    return sums
 
 
 def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, ContractionStep]:

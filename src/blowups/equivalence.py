@@ -132,11 +132,15 @@ class _DigraphStructure:
     ``{"degrees": ..., "edges": ...}``, both as canonical JSON.
     """
 
-    def __init__(self, degrees: list[int], out: list[list[int]], colors: list, dimension: int | None = None):
+    def __init__(
+        self, degrees: list[int], out: list[list[int]], colors: list, dimension: int | None = None,
+        forest: ProximityForest | None = None,
+    ):
         self.degrees = degrees
         self.out = out
         self.colors = colors
         self.dimension = dimension
+        self.forest = forest  # the forest viewed, if the structure was built from one
         self.n = len(degrees)
         self.inn: list[list[int]] = [[] for _ in range(self.n)]
         for a, targets in enumerate(out):
@@ -152,7 +156,7 @@ class _DigraphStructure:
         depth: list[int] = []
         for targets in out:
             depth.append(1 + max(map(depth.__getitem__, targets), default=-1))
-        return cls(degrees, out, list(zip(depth, degrees)), forest.dimension)
+        return cls(degrees, out, list(zip(depth, degrees)), forest.dimension, forest)
 
     @classmethod
     def of_blocks(cls, forest: ProximityForest, partition: MarkedPartition) -> "_DigraphStructure":
@@ -173,7 +177,9 @@ class _DigraphStructure:
         return ProximityForest(self.dimension, points)
 
     def original(self) -> ProximityForest:
-        """The structure as ``relabel`` gives it, under the identity labelling."""
+        """The structure as ``relabel`` gives it under the identity labelling: the forest viewed, if there is one."""
+        if self.forest is not None:
+            return self.forest
         return self.relabel(list(range(1, self.n + 1)))
 
     def serialize(self, labels: list[int]) -> bytes:

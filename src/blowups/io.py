@@ -208,10 +208,13 @@ def _tensor_json(dimension: int, size: int, entries: Iterable[tuple[Sequence[int
     """The canonical JSON of a tensor document with these ``(index, value)`` entries, in any order.
 
     Byte for byte what :func:`canonical_json` makes of :func:`tensor_to_dict`.
-    Each entry is written from one template for the dimension, made only
-    when there are entries, so a huge ``dimension`` with none costs nothing.
+    The indices must be distinct, as both callers' are: the keys of an
+    entry dict, or those keys under a permutation.  So the entries sort by
+    index alone.  Each entry is written from one template for the
+    dimension, made only when there are entries, so a huge ``dimension``
+    with none costs nothing.
     """
-    entries = sorted(entries)
+    entries = sorted(entries, key=operator.itemgetter(0))
     text = ""
     if entries:
         template = '{"index":[%s],"value":%%d}' % ",".join(["%d"] * dimension)

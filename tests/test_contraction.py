@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -63,6 +64,28 @@ class CountingEntries(dict):
 
 # 3 is final with the one neighbour 2; its key (1, 2, 3) also holds 1, which shares no key with 3 alone.
 OUTSIDE_COMPONENT = IntersectionTensor(3, 3, {(1, 1, 1): 3, (2, 2, 3): 2, (2, 3, 3): -2, (3, 3, 3): 2, (1, 2, 3): -3})
+
+
+def off_premise(dimension: int, defect: str) -> IntersectionTensor:
+    """A blow-up form with one wide key of its final 3 spoiled, so 3 stays final but its part is no rank-one term.
+
+    3 meets 1 and 2; 4 is a point on its own.  The key of 1, 2 and 3 is
+    doubled (``"value"``), dropped (``"missing"``), or moved to a key of 1,
+    3 and 4 (``"outside"``), which keeps the count of keys holding 3.
+    """
+    forest = ProximityForest.make(dimension, (1, []), (1, [1]), (2, [1, 2]), (1, []))
+    entries = dict(tensor_from_forest(forest).entries)
+    key = (1, 2) + (3,) * (dimension - 2)
+    if defect == "value":
+        entries[key] *= 2
+    elif defect == "missing":
+        del entries[key]
+    else:
+        entries[(1,) + (3,) * (dimension - 2) + (4,)] = entries.pop(key)
+    return IntersectionTensor(dimension, 4, entries)
+
+
+OFF_PREMISE = [(d, defect) for d in (3, 4) for defect in ("value", "missing", "outside")]
 
 
 class TestEmptyIntersection:
@@ -261,6 +284,20 @@ class TestContract:
         assert smaller.entries == entries
         assert smaller.entries[(1, 2, 2)] == -6
 
+    @pytest.mark.parametrize("dimension, defect", OFF_PREMISE)
+    def test_matches_dense_oracle_where_the_rank_one_premise_fails(self, dimension, defect):
+        # The rank-one blow-down would write -(-1)^d T(3^d) at each multiset of 1 and 2 alone, which is wrong here.
+        tensor = off_premise(dimension, defect)
+        assert 3 in final_set(tensor)
+        smaller, step = contract(tensor, 3)
+        entries, degree, proximities, _ = oracle_contract(tensor, 3)
+        assert (step.degree, step.proximate_to_current) == (degree, proximities) == (2, (1, 2))
+        assert smaller.entries == entries
+        rank_one = {key: value for key, value in tensor.entries.items() if 3 not in key}
+        for key in itertools.combinations_with_replacement((1, 2), dimension):
+            rank_one[key] = rank_one.get(key, 0) - (-1) ** dimension * tensor.entries[(3,) * dimension]
+        assert smaller.entries != {key: value for key, value in rank_one.items() if value}
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
@@ -446,6 +483,12 @@ class TestLocalStages:
     # Blowing down 2 turns (1, 2, 3) into (1, 1, 3): 3 starts to meet 1 though it never met 2.
     @example(tensor=IntersectionTensor(3, 3, {(1, 1, 2): 3, (1, 2, 2): -3, (2, 2, 2): 3, (3, 3, 3): 1, (1, 2, 3): -3}))
     @example(tensor=OUTSIDE_COMPONENT)
+    @example(tensor=off_premise(3, "value"))
+    @example(tensor=off_premise(3, "missing"))
+    @example(tensor=off_premise(3, "outside"))
+    @example(tensor=off_premise(4, "value"))
+    @example(tensor=off_premise(4, "missing"))
+    @example(tensor=off_premise(4, "outside"))
     def test_walk_matches_chained_public_steps(self, tensor):
         try:
             walked = [trace for _, trace in recover_all_orders(tensor, limit=200)]
@@ -521,6 +564,30 @@ class TestLocalStages:
             recover_sequence(tensor)
         assert len(written) == 1 and len(written[0]) == k * (k + 1) // 2
         assert [keys.passes for keys in written] == [1]
+
+    def test_a_blow_up_form_builds_no_transfer_list(self, monkeypatch):
+        # Each blow-down subtracts the final's rank-one term: C(n + d - 1, d) keys of its n neighbours, no key moved.
+        transfers, blow_downs = [], []
+        transfer, spread = blowups.contraction._transfer, blowups.contraction._spread
+
+        def counting_transfer(*args):
+            transfers.append(args)
+            return transfer(*args)
+
+        def counting_spread(entries, keys, i, neighbours, shapes):
+            old, sums = spread(entries, keys, i, neighbours, shapes)
+            blow_downs.append((len(next(iter(old))), len(neighbours), len(sums)))
+            return old, sums
+
+        monkeypatch.setattr(blowups.contraction, "_transfer", counting_transfer)
+        monkeypatch.setattr(blowups.contraction, "_spread", counting_spread)
+        for seed in range(10):
+            for dimension in (2, 3, 4):
+                recover_sequence(tensor_from_forest(random_forest(seed, dimension, 16, 3)))
+                recover_all_orders(tensor_from_forest(random_forest(seed, dimension, 5, 3)))
+        assert transfers == []
+        assert all(written == math.comb(n + d - 1, d) for d, n, written in blow_downs)
+        assert max(n for _, n, _ in blow_downs) >= 3
 
 
 def traced_peak(run, tensor) -> int:
