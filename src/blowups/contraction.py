@@ -43,6 +43,15 @@ only on its shape (see :func:`_transfer`); each shape's transfer list is
 built once per recovery, when a stage first needs it, and dropped with
 the recovery, never kept across calls.  Current labels appear only in
 the steps.
+
+:func:`recover_all_orders` lists every order from one walk, and
+consecutive orders share a prefix of steps.  Beside its path the walk
+keeps, for each depth, the step, the creation targets it has met so far
+and, once every original it met is contracted, its point; and for each
+original the depths whose step met it.  A step down pushes them and a
+step back pops them, so an order costs only the steps it does not share
+with the one before it, and all orders take their points from one table
+of the walk.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ import bisect
 import itertools
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -413,16 +423,11 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     deepest stage derived on its path, and a path of frames: the
     :class:`_Node` reached, the last final tried there (or, below a
     stage reached before, an iterator over its edges) and the undo log of
-    the blow-down that derived it.  Beside the path, ``history`` holds
-    the step into each stage on it and its pair ``(original contracted,
-    originals met)``.  Backtracking out of a frame replays its undo log,
-    so the mutable stage is its parent again, and the next final is the
-    least one above the last tried.  At the leaf the steps are the trace,
-    and the forest follows from the pairs: step ``t`` of ``m`` creates
-    point ``m + 1 - t`` with the step's degree, proximate to the points
-    created by the originals it met.  Only steps use current labels:
-    renumbering keeps order, so original ``a`` has current label ``a``
-    less the number of contracted originals below it, counted in
+    the blow-down that derived it.  Backtracking out of a frame replays
+    its undo log, so the mutable stage is its parent again, and the next
+    final is the least one above the last tried.  Only steps use current
+    labels: renumbering keeps order, so original ``a`` has current label
+    ``a`` less the number of contracted originals below it, counted in
     ``contracted``.
 
     A stage is the pull-back of ``tensor`` along the composite of its
@@ -432,11 +437,27 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     order, so every edge below it is made already: the walk follows the
     memo below it and leaves the mutable stage alone.  The memo keeps
     only the stage nodes and their edges, and the transfer lists of
-    :func:`_spread` live as long as the walk.  So does ``points``, which
-    holds one :class:`Point` for each degree and set of targets, so that
-    every order shares the points it has in common with the others.
+    :func:`_spread` live as long as the walk.
+
+    Beside the path, lists indexed by depth hold what each step on it
+    adds to an order, pushed when the walk steps down and popped when it
+    steps back, so an order pays only for the steps it does not share
+    with the one before it.  The step at depth ``t`` creates point
+    ``m - t`` with the step's degree, proximate to the points created by
+    the originals it met, which are contracted deeper.  So ``targets[t]``
+    gathers those creation indices as the originals are contracted,
+    ``meeting[a]`` lists the depths whose step met original ``a``, and
+    ``made[t]`` holds the step's point once every original it met is
+    contracted.  The last step meets nothing and is not pushed: the leaf
+    copies ``made``, adds the last step's point, completes the points of
+    the steps that met its original, and the forest is that copy
+    reversed.  Points come from ``points`` (see :func:`_point`), so every
+    order shares the points it has in common with the others.
     """
     d, m = tensor.dimension, tensor.size
+    if not m:
+        yield ProximityForest(d, ()), ContractionTrace(())
+        return
     entries: dict = dict(tensor.entries)
     narrow: dict[int, set] = {}
     wide: dict[int, set] = {}
@@ -454,14 +475,16 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     contracted: list[int] = []  # originals contracted on the way to the mutable stage, ascending
     below = bisect.bisect_left
     path: list[list] = [[root, 0, None]]  # stage, last final tried or its edges, undo
-    history: list[tuple] = []  # (step, pair) into each stage on the path but the root
-    points: dict[tuple, Point] = {}  # (degree, *creation targets ascending) -> the one point
-    if not m:
-        yield _order(d, m, history, points)
-        return
+    steps: list[ContractionStep] = []  # the step into each stage on the path but the root
+    pairs: list[tuple] = []  # each step's pair (original contracted, originals met)
+    targets: list[list[int]] = []  # each step's creation targets so far, descending
+    made: list[Point | None] = []  # each step's point, once every original it met is contracted
+    meeting: defaultdict[int, list[int]] = defaultdict(list)  # original -> the depths whose step met it
+    points: dict[tuple, Point] = {}
     while path:
         frame = path[-1]
         node, tried, undo = frame
+        derived = None
         if not isinstance(tried, int):
             edge = next(tried, None)
         elif (at := bisect.bisect_right(ascending, tried)) < len(ascending):
@@ -473,49 +496,61 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
             child = _Node(node, pair)
             edge = node.edges[chosen] = step, pair, stages.setdefault(child, child)
             if edge[2] is child:
-                child_undo = _blow_down(d, stage, chosen)
+                derived = _blow_down(d, stage, chosen)
                 if len(path) < m:
                     bisect.insort(contracted, chosen)
-                    path.append([child, 0, child_undo])
-                    history.append((step, pair))
-                    continue
-                _restore(stage, child_undo)  # nothing is left to contract below the last step
+                else:
+                    _restore(stage, derived)  # nothing is left to contract below the last step
         elif not tried:
             raise NotContractibleError(f"no final component at stage {len(path)}")
         else:
             edge = None
         if edge is None:
             path.pop()
-            if history:
-                _, (original, _) = history.pop()
+            if path:
+                original, met = pairs.pop()
+                del steps[-1], targets[-1], made[-1]
+                for t in meeting[original]:
+                    targets[t].pop()
+                    made[t] = None
+                for b in met:
+                    meeting[b].pop()
                 if undo is not None:
                     _restore(stage, undo)
                     del contracted[below(contracted, original)]
-        elif len(path) == m:
-            history.append(edge[:2])
-            yield _order(d, m, history, points)
-            history.pop()
-        else:
-            step, pair, child = edge
-            path.append([child, iter(child.edges.values()), None])
-            history.append((step, pair))
+            continue
+        step, pair, child = edge
+        original, met = pair
+        if len(path) == m:
+            # The last step, which meets nothing: it completes the points of the steps that met its original.
+            forest = [*made, _point(points, step.degree, ())]
+            for t in meeting[original]:
+                forest[t] = _point(points, steps[t].degree, [*targets[t], 1])
+            forest.reverse()
+            yield ProximityForest(d, tuple(forest)), ContractionTrace((*steps, step))
+            continue
+        depth = len(steps)
+        steps.append(step)
+        pairs.append(pair)
+        targets.append([])
+        made.append(None if met else _point(points, step.degree, ()))
+        for b in met:
+            meeting[b].append(depth)
+        for t in meeting[original]:
+            got = targets[t]
+            got.append(m - depth)
+            if len(got) == len(pairs[t][1]):
+                made[t] = _point(points, steps[t].degree, got)
+        path.append([child, 0, derived] if derived is not None else [child, iter(child.edges.values()), None])
 
 
-def _order(d: int, m: int, history: list, points: dict) -> tuple[ProximityForest, ContractionTrace]:
-    """The forest and trace of a full contraction, from its steps, each with its pair ``(original, originals met)``.
-
-    Each point is taken from ``points``, keyed by its degree and its
-    ascending creation targets, and made there the first time.
-    """
-    creation = {original: m - t for t, (_, (original, _)) in enumerate(history)}
-    forest = []
-    for step, (_, met) in reversed(history):
-        key = (step.degree, *sorted(map(creation.__getitem__, met)))
-        point = points.get(key)
-        if point is None:
-            point = points[key] = Point(step.degree, frozenset(key[1:]))
-        forest.append(point)
-    return ProximityForest(d, tuple(forest)), ContractionTrace(tuple([step for step, _ in history]))
+def _point(points: dict, degree: int, targets: list[int]) -> Point:
+    """The one point of the walk with this degree and these creation targets, listed descending, made the first time."""
+    key = (degree, *targets)
+    point = points.get(key)
+    if point is None:
+        point = points[key] = Point(degree, frozenset(targets))
+    return point
 
 
 def recover_sequence(tensor: IntersectionTensor) -> tuple[ProximityForest, ContractionTrace]:

@@ -18,7 +18,9 @@ no whitespace.  A trace, ``recover-all``'s list of every order, and a
 tensor document are written as that text directly, byte for byte what
 ``canonical_json`` makes of :func:`trace_to_dict`, :func:`forest_to_dict`
 and :func:`tensor_to_dict`.  An order shares most of its steps with the
-one before it, and only the rest are encoded again.  A tensor's entries
+one before it: only the rest are encoded, and their index maps start from
+the survivors at the shared prefix.  A point is encoded once at each
+position it takes in the recovered forests.  A tensor's entries
 are each written from one template for its dimension; the ``tensor``,
 ``contract`` and ``quotient`` commands and each written leaf of the
 canonical search share that writer.
@@ -308,17 +310,21 @@ def trace_to_dict(trace: ContractionTrace) -> dict:
 
 _STEP_JSON = '{"contracted":%d,"degree":%d,"proximate_to_current":[%s]}'
 _POINT_JSON = '{"degree":%d,"id":%d,"proximate_to":[%s]}'
+_ORDER_JSON = '{"forest":{"dimension":%d,"points":[%s]},"trace":%s}'
 
 
 class _TraceWriter:
     """Writes traces as the canonical JSON of :func:`trace_to_dict`, each past the steps it shares with the last.
 
-    Steps are compared by identity: the orders of one walk share the step
-    objects of their common prefix, and an equal step made apart is just
-    encoded again.  Each distinct step is encoded once.  For the last
-    trace written, ``texts[t]`` and ``maps[t]`` hold the encodings of its
-    step ``t`` and of ``index_maps[t]``, and ``removed[t]`` the original
-    that step ``t`` contracted, as a decimal string.
+    Steps are compared by identity, and only between traces of one
+    length: the orders of one walk share the step objects of their common
+    prefix, and an equal step made apart is just encoded again.  Each
+    distinct step is encoded once.  For the last trace written,
+    ``texts[t]`` and ``maps[t]`` hold the encodings of its step ``t`` and
+    of ``index_maps[t]``, the survivors after step ``t``.  A new trace
+    keeps those of the shared prefix, reads the survivors at its end back
+    from the last map kept, and from there each step removes one survivor
+    and writes the map.
     """
 
     def __init__(self):
@@ -326,27 +332,29 @@ class _TraceWriter:
         self.encoded: dict[int, str] = {}  # id(step) -> its JSON; the caller keeps every step alive
         self.texts: list[str] = []
         self.maps: list[str] = []
-        self.removed: list[str] = []
 
     def write(self, trace: ContractionTrace) -> str:
-        steps, texts, maps, removed = trace.steps, self.texts, self.maps, self.removed
+        steps, texts, maps = trace.steps, self.texts, self.maps
         shared = 0
-        for new, old in zip(steps, self.steps):
-            if new is not old:
-                break
-            shared += 1
+        if len(steps) == len(self.steps):
+            for new, old in zip(steps, self.steps):
+                if new is not old:
+                    break
+                shared += 1
         self.steps = steps
-        del texts[shared:], maps[shared:], removed[shared:]
-        gone = set(removed)
-        alive = [a for a in map(str, range(1, len(steps) + 1)) if a not in gone]
-        for step in steps[shared:]:
-            text = self.encoded.get(id(step))
-            if text is None:
-                proximities = ",".join(map(str, step.proximate_to_current))
-                text = self.encoded[id(step)] = _STEP_JSON % (step.contracted, step.degree, proximities)
-            texts.append(text)
-            removed.append(alive.pop(step.contracted - 1))
-            maps.append("[%s]" % ",".join(alive))
+        del texts[shared:], maps[shared:]
+        if shared < len(steps):
+            # A map before the last step names at least one survivor, so its text splits back into them.
+            alive = maps[-1][1:-1].split(",") if shared else list(map(str, range(1, len(steps) + 1)))
+            encoded = self.encoded
+            for step in steps[shared:]:
+                text = encoded.get(id(step))
+                if text is None:
+                    proximities = ",".join(map(str, step.proximate_to_current))
+                    text = encoded[id(step)] = _STEP_JSON % (step.contracted, step.degree, proximities)
+                texts.append(text)
+                del alive[step.contracted - 1]
+                maps.append("[%s]" % ",".join(alive))
         return '{"index_maps":[%s],"steps":[%s]}' % (",".join(maps), ",".join(texts))
 
 
@@ -361,22 +369,25 @@ def _orders_json(results: list[tuple[ProximityForest, ContractionTrace]]) -> str
     That document is ``{"count", "results": [{"forest", "trace"}]}``, with
     each forest as :func:`forest_to_dict` and each trace as
     :func:`trace_to_dict` give it.  Consecutive orders share a prefix of
-    steps, past which :class:`_TraceWriter` derives each trace, and the
-    recovered forests share their points, each of whose targets is
-    encoded once.
+    steps, past which :class:`_TraceWriter` derives each trace.  The
+    recovered forests share their points, and a point is encoded once at
+    each position it takes: ``encoded[i]`` maps the id of a point at
+    position ``i + 1`` to its JSON there, so a forest is one lookup per
+    position and one join.
     """
     traces = _TraceWriter()
-    targets: dict[int, str] = {}  # id(point) -> its targets' JSON; results keep every point alive
+    # Results keep every point alive, so an id names one point for the whole call.
+    encoded: list[dict[int, str]] = [{} for _ in range(max((len(forest) for forest, _ in results), default=0))]
     parts = []
     for forest, trace in results:
-        points = []
-        for i, point in enumerate(forest.points, 1):
-            text = targets.get(id(point))
-            if text is None:
-                text = targets[id(point)] = ",".join(map(str, sorted(point.proximate_to)))
-            points.append(_POINT_JSON % (point.degree, i, text))
-        forest_json = '{"dimension":%d,"points":[%s]}' % (forest.dimension, ",".join(points))
-        parts.append('{"forest":%s,"trace":%s}' % (forest_json, traces.write(trace)))
+        points = forest.points
+        texts = list(map(dict.get, encoded, map(id, points)))
+        if not all(texts):
+            for i, point in enumerate(points):
+                if texts[i] is None:
+                    proximities = ",".join(map(str, sorted(point.proximate_to)))
+                    texts[i] = encoded[i][id(point)] = _POINT_JSON % (point.degree, i + 1, proximities)
+        parts.append(_ORDER_JSON % (forest.dimension, ",".join(texts), traces.write(trace)))
     return '{"count":%d,"results":[%s]}' % (len(results), ",".join(parts))
 
 

@@ -38,6 +38,7 @@ from blowups import (
     trace_from_dict,
     validate_forest,
 )
+import blowups.io
 from blowups import cli, contraction, equivalence
 from blowups.cli import build_parser, main
 from _oracles import (
@@ -687,6 +688,37 @@ class TestOrdersText:
         assert json.loads(out.getvalue())["count"] == len(results) == 720
         assert survivors == []
         assert len({id(point) for forest, _ in results for point in forest.points}) == 1
+
+
+class TestOrdersCost:
+    """``recover-all`` on 6 disjoint points: its 720 orders share 1,956 prefixes, and each order pays for its new steps."""
+
+    def test_points_are_made_per_prefix_and_written_per_position(self, monkeypatch, tmp_path):
+        path = tmp_path / "points.json"
+        path.write_text(canonical_json(tensor_to_dict(tensor_from_forest(ProximityForest.make(2, *[(1, [])] * 6)))))
+        written, looked_up = [], []
+
+        class CountingTemplate(str):
+            def __mod__(self, values):
+                written.append(values[1])
+                return str.__mod__(self, values)
+
+        point = contraction._point
+
+        def counting_point(*args):
+            looked_up.append(args[1:])
+            return point(*args)
+
+        monkeypatch.setattr(blowups.io, "_POINT_JSON", CountingTemplate(blowups.io._POINT_JSON))
+        monkeypatch.setattr(contraction, "_point", counting_point)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["recover-all", str(path)]) == 0
+        assert json.loads(out.getvalue())["count"] == 720
+        # One point at each of 6 positions, against 720 * 6 points written.
+        assert sorted(written) == [1, 2, 3, 4, 5, 6]
+        # A step's point is looked up once per prefix ending in it, against 720 * 6 steps.
+        assert len(looked_up) <= sum(math.perm(6, k) for k in range(1, 7)) == 1956
 
 
 class TestCanonText:

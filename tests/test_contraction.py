@@ -396,6 +396,25 @@ class TestRecoverAllOrders:
         )
         assert [trace for _, trace in recover_all_orders(tensor)] == list(chained_orders(tensor))
 
+    @pytest.mark.parametrize(
+        "dimension, points, count",
+        [
+            # 3 meets 1 and 2: its targets complete one or two levels below its step, as the disjoint 4 falls between.
+            (3, [(1, []), (1, []), (1, [1, 2]), (1, [])], 8),
+            (3, [(1, []), (1, []), (1, []), (1, [1, 3])], 8),
+            # 2 meets 1, which a sibling branch contracts a level deeper, after the disjoint 3.
+            (2, [(1, []), (2, [1]), (3, [])], 3),
+            (3, [(2, []), (1, [1]), (1, [1, 2]), (3, [])], 4),
+        ],
+    )
+    def test_backtracking_completes_each_point_again(self, dimension, points, count):
+        tensor = tensor_from_forest(ProximityForest.make(dimension, *points))
+        results = recover_all_orders(tensor)
+        assert len(results) == count
+        for forest, trace in results:
+            assert forest == oracle_forest(dimension, trace)
+        assert [trace for _, trace in results] == list(chained_orders(tensor))
+
     def test_limit(self):
         forest = ProximityForest.make(2, (1, []), (1, []))
         with pytest.raises(SearchLimitError):

@@ -13,8 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 import blowups.io
 
 from blowups import (
+    ContractionStep,
+    ContractionTrace,
     IntersectionTensor,
     MarkedPartition,
+    Point,
+    ProximityForest,
     SchemaError,
     canonical_json,
     forest_from_dict,
@@ -34,7 +38,14 @@ from blowups import (
     witness_to_dict,
 )
 
-from _oracles import TENSOR_DEFECTS, oracle_forest_from_dict, oracle_tensor_from_dict, spoil_tensor_entry
+from _oracles import (
+    TENSOR_DEFECTS,
+    oracle_forest_from_dict,
+    oracle_orders_document,
+    oracle_tensor_from_dict,
+    oracle_trace_dict,
+    spoil_tensor_entry,
+)
 
 GOOD_FOREST = {
     "dimension": 4,
@@ -464,6 +475,48 @@ class TestTraceFormat:
             tracemalloc.stop()
         assert str(failure.value) == f"index map 1 must be {list(range(2, steps + 1))}, as the steps imply"
         assert peak < 10_000_000
+
+
+class TestOrdersWriter:
+    """The ``recover-all`` writer keys its caches by object identity, position and shared prefix; it writes the oracle's bytes."""
+
+    @staticmethod
+    def check(results):
+        assert blowups.io._orders_json(results) == oracle_orders_document(results)
+        for _, trace in results:
+            assert blowups.io._trace_json(trace) == canonical_json(oracle_trace_dict(trace))
+
+    def test_equal_steps_and_points_made_apart(self):
+        def order():
+            steps = (ContractionStep(2, 1, (1,)), ContractionStep(1, 3, ()), ContractionStep(1, 2, ()))
+            return ProximityForest.make(2, (2, []), (3, []), (1, [1])), ContractionTrace(steps)
+
+        first, second = order(), order()
+        assert first == second and first[1].steps[0] is not second[1].steps[0]
+        self.check([first, second, order()])
+
+    def test_one_step_at_two_positions_after_different_prefixes(self):
+        last, other = ContractionStep(1, 1, ()), ContractionStep(2, 3, (1,))
+        point, proximate = Point(1), Point(3, frozenset({1}))
+        self.check(
+            [
+                (ProximityForest(2, (point, point, point)), ContractionTrace((last, last, last))),
+                (ProximityForest(2, (point, proximate, point)), ContractionTrace((other, last, last))),
+                (ProximityForest(2, (point, point, proximate)), ContractionTrace((last, other, last))),
+                (ProximityForest(2, (point, point, point)), ContractionTrace((last, last, last))),
+            ]
+        )
+
+    def test_a_trace_shorter_than_the_one_before(self):
+        step, point = ContractionStep(1, 1, ()), Point(1)
+        self.check(
+            [
+                (ProximityForest(3, (point,) * 3), ContractionTrace((step,) * 3)),
+                (ProximityForest(3, (point,) * 2), ContractionTrace((step,) * 2)),
+                (ProximityForest(3, ()), ContractionTrace(())),
+                (ProximityForest(3, (point,) * 3), ContractionTrace((step,) * 3)),
+            ]
+        )
 
 
 class TestReportAndWitness:
