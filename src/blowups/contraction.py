@@ -440,19 +440,21 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     :func:`_spread` live as long as the walk.
 
     Beside the path, lists indexed by depth hold what each step on it
-    adds to an order, pushed when the walk steps down and popped when it
-    steps back, so an order pays only for the steps it does not share
-    with the one before it.  The step at depth ``t`` creates point
-    ``m - t`` with the step's degree, proximate to the points created by
-    the originals it met, which are contracted deeper.  So ``targets[t]``
-    gathers those creation indices as the originals are contracted,
-    ``meeting[a]`` lists the depths whose step met original ``a``, and
-    ``made[t]`` holds the step's point once every original it met is
-    contracted.  The last step meets nothing and is not pushed: the leaf
-    copies ``made``, adds the last step's point, completes the points of
-    the steps that met its original, and the forest is that copy
-    reversed.  Points come from ``points`` (see :func:`_point`), so every
-    order shares the points it has in common with the others.
+    adds to an order, written when the walk steps down, so an order pays
+    only for the steps it does not share with the one before it.  The
+    step at depth ``t`` creates point ``m - t`` with the step's degree,
+    proximate to the points created by the originals it met, which are
+    contracted deeper.  So ``targets[t]`` gathers those creation indices
+    as the originals are contracted, ``meeting[a]`` lists the depths whose
+    step met original ``a``, and ``made[t]`` holds the step's point once
+    every original it met is contracted.  A step back takes out what its
+    step added to ``targets`` and ``meeting``.  It leaves ``made`` alone:
+    ``made`` is read only at a leaf, where every point is complete, and
+    each was made on the way to that leaf.  The last step meets nothing
+    and completes the points of the steps that met its original; the
+    forest is then ``made`` reversed.  Points come from ``points`` (see
+    :func:`_point`), so every order shares the points it has in common
+    with the others.
     """
     d, m = tensor.dimension, tensor.size
     if not m:
@@ -475,10 +477,12 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     contracted: list[int] = []  # originals contracted on the way to the mutable stage, ascending
     below = bisect.bisect_left
     path: list[list] = [[root, 0, None]]  # stage, last final tried or its edges, undo
-    steps: list[ContractionStep] = []  # the step into each stage on the path but the root
-    pairs: list[tuple] = []  # each step's pair (original contracted, originals met)
-    targets: list[list[int]] = []  # each step's creation targets so far, descending
-    made: list[Point | None] = []  # each step's point, once every original it met is contracted
+    # A blow-down writes keys over components of stored keys only, so the walk goes no deeper than there are of them.
+    reach = len(narrow.keys() | wide.keys())
+    steps: list = [None] * reach  # the step at each depth of the path
+    pairs: list = [None] * reach  # each step's pair (original contracted, originals met)
+    targets: list[list[int]] = [[] for _ in range(reach)]  # each step's creation targets so far, descending
+    made: list = [None] * reach  # each step's point, once every original it met is contracted
     meeting: defaultdict[int, list[int]] = defaultdict(list)  # original -> the depths whose step met it
     points: dict[tuple, Point] = {}
     while path:
@@ -508,11 +512,9 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
         if edge is None:
             path.pop()
             if path:
-                original, met = pairs.pop()
-                del steps[-1], targets[-1], made[-1]
+                original, met = pairs[len(path) - 1]
                 for t in meeting[original]:
                     targets[t].pop()
-                    made[t] = None
                 for b in met:
                     meeting[b].pop()
                 if undo is not None:
@@ -521,19 +523,18 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
             continue
         step, pair, child = edge
         original, met = pair
-        if len(path) == m:
-            # The last step, which meets nothing: it completes the points of the steps that met its original.
-            forest = [*made, _point(points, step.degree, ())]
+        depth = len(path) - 1
+        steps[depth] = step
+        if depth + 1 == m:
+            # The last step meets nothing, and completes the points of the steps that met its original.
+            made[depth] = _point(points, step.degree, ())
             for t in meeting[original]:
-                forest[t] = _point(points, steps[t].degree, [*targets[t], 1])
-            forest.reverse()
-            yield ProximityForest(d, tuple(forest)), ContractionTrace((*steps, step))
+                made[t] = _point(points, steps[t].degree, [*targets[t], 1])
+            yield ProximityForest(d, made[::-1]), ContractionTrace(tuple(steps))
             continue
-        depth = len(steps)
-        steps.append(step)
-        pairs.append(pair)
-        targets.append([])
-        made.append(None if met else _point(points, step.degree, ()))
+        pairs[depth] = pair
+        if not met:
+            made[depth] = _point(points, step.degree, ())
         for b in met:
             meeting[b].append(depth)
         for t in meeting[original]:
