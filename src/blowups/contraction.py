@@ -63,7 +63,7 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotContractibleError, SearchLimitError
 from .forest import Point, ProximityForest
@@ -545,7 +545,7 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
         path.append([child, 0, derived] if derived is not None else [child, iter(child.edges.values()), None])
 
 
-def _point(points: dict, degree: int, targets: list[int]) -> Point:
+def _point(points: dict, degree: int, targets: Sequence[int]) -> Point:
     """The one point of the walk with this degree and these creation targets, listed descending, made the first time."""
     key = (degree, *targets)
     point = points.get(key)
