@@ -46,12 +46,12 @@ the steps.
 
 :func:`recover_all_orders` lists every order from one walk, and
 consecutive orders share a prefix of steps.  Beside its path the walk
-keeps, for each depth, the step, the creation targets it has met so far
-and, once every original it met is contracted, its point; and for each
-original the depths whose step met it.  A step down pushes them and a
-step back pops them, so an order costs only the steps it does not share
-with the one before it, and all orders take their points from one table
-of the walk.
+keeps, for each depth, the step, the creation indices of the originals it
+met that are contracted so far and, once all of them are, its point; and
+for each original the depths whose step met it.  A step down writes them
+and a step back takes out what it added, so an order costs only the steps
+it does not share with the one before it, and all orders take their
+points from one table of the walk.
 """
 
 from __future__ import annotations
