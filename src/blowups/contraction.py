@@ -38,11 +38,7 @@ finals it changed.  Replaying the log restores the parent when the walk
 backtracks, as the trail of a backtracking machine does, so each step
 costs the keys it touches and no stage is copied.  Finality reads only
 narrow keys, so it is decided again only for the components of a
-changed narrow key.  Off the premise, the moves a key spreads by depend
-only on its shape (see :func:`_transfer`); each shape's transfer list is
-built once per recovery, when a stage first needs it, and dropped with
-the recovery, never kept across calls.  Current labels appear only in
-the steps.
+changed narrow key.  Current labels appear only in the steps.
 
 :func:`recover_all_orders` lists every order from one walk, and
 consecutive orders share a prefix of steps.  Beside its path the walk
@@ -59,7 +55,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -190,27 +185,7 @@ def final_set(tensor: IntersectionTensor) -> frozenset[int]:
     return frozenset(i for i in tensor._holding if is_final(tensor, i))
 
 
-def _transfer(n: int, shape: tuple[int, ...]) -> list[tuple[operator.itemgetter, int]]:
-    """How a stored key spreads, given as ``shape``: the key in the local labels of one blow-down.
-
-    The contracted component is labelled -1, its ``n`` neighbours
-    ``0 .. n-1`` in ascending order, and any other component of the key
-    ``n`` on.  For every multiset of neighbours, as many as the copies of
-    -1, one getter of the written key from the labelled components and
-    its weight.
-    """
-    rest = tuple(filter((-1).__lt__, shape))
-    moves = []
-    for spread in itertools.combinations_with_replacement(range(n), len(shape) - len(rest)):
-        weight = 1
-        for a in set(spread):
-            r = spread.count(a)
-            weight *= math.comb(rest.count(a) + r, r)
-        moves.append((operator.itemgetter(*sorted(rest + spread)), weight))
-    return moves
-
-
-def _spread(entries: dict, keys: Iterable, i: int, neighbours: tuple[int, ...], transfers: dict) -> tuple[dict, dict]:
+def _spread(entries: dict, keys: Iterable, i: int, neighbours: tuple[int, ...]) -> tuple[dict, dict]:
     """Blow ``entries`` down in place at the final ``i``, whose stored keys are ``keys``.
 
     On a blow-up form the part of the form at ``i`` is one rank-one term
@@ -230,11 +205,8 @@ def _spread(entries: dict, keys: Iterable, i: int, neighbours: tuple[int, ...], 
     others ``R0`` spreads its value over ``R0 + R`` for every multiset
     ``R`` of ``k`` neighbours, weighted by ``prod_a C(mult_{R0+R}(a),
     mult_R(a))``, the number of slot choices of ``R0 + R`` that pull back
-    to ``K``.  Those moves depend only on the number of neighbours and on
-    the key in local labels (see :func:`_transfer`), so ``transfers``
-    keeps each such shape's moves.  A component of ``R0`` that meets no
-    stored key of ``i`` alone is carried along, and the written key is
-    sorted back into place.  Either way, sums that cancel are dropped.
+    to ``K``.  Each written key is sorted back into place.  Either way,
+    sums that cancel are dropped.
 
     Returns each key removed or written with its old value (0 if it was
     absent), and the keys written, each with the sum it received.
@@ -249,7 +221,7 @@ def _spread(entries: dict, keys: Iterable, i: int, neighbours: tuple[int, ...], 
     ):
         sums = dict.fromkeys(itertools.combinations_with_replacement(neighbours, d), -by_copies[0])
     else:
-        sums = _spread_by_transfers(old, i, neighbours, transfers.setdefault(n, {}))
+        sums = _spread_by_moves(old, i, neighbours)
     for key, added in sums.items():
         before = old[key] = entries.get(key, 0)
         if before + added:
@@ -259,26 +231,14 @@ def _spread(entries: dict, keys: Iterable, i: int, neighbours: tuple[int, ...], 
     return old, sums
 
 
-def _spread_by_transfers(removed: dict, i: int, neighbours: tuple[int, ...], shapes: dict) -> dict:
-    """The sums each removed key of ``i`` spreads to, move by move; ``shapes`` keeps each shape's transfer list."""
-    n = len(neighbours)
-    local = {a: x for x, a in enumerate(neighbours)}
-    local[i] = -1
+def _spread_by_moves(removed: dict, i: int, neighbours: tuple[int, ...]) -> dict:
+    """The sums each removed key of ``i`` spreads to, move by move, as :func:`_spread` describes off its premise."""
     sums: dict = {}
     for key, value in removed.items():
-        shape = tuple(map(local.get, key))
-        labels = neighbours
-        if None in shape:
-            others = tuple(dict.fromkeys(a for a in key if a not in local))
-            labels += others
-            shape = tuple(map({**local, **{a: n + x for x, a in enumerate(others)}}.get, key))
-        moves = shapes.get(shape)
-        if moves is None:
-            moves = shapes[shape] = _transfer(n, shape)
-        for written, weight in moves:
-            new = written(labels)
-            if labels is not neighbours:
-                new = tuple(sorted(new))
+        rest = tuple(a for a in key if a != i)
+        for spread in itertools.combinations_with_replacement(neighbours, len(key) - len(rest)):
+            new = tuple(sorted(rest + spread))
+            weight = math.prod(math.comb(new.count(a), spread.count(a)) for a in set(spread))
             sums[new] = sums.get(new, 0) + value * weight
     return sums
 
@@ -296,7 +256,7 @@ def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, Co
     if proximities is None:
         raise ValueError(f"component {i} is not final")
     step = ContractionStep(i, (-1) ** (d - 1) * entries[(i,) * d], proximities)
-    _spread(entries, tensor._holding[i], i, proximities, {})
+    _spread(entries, tensor._holding[i], i, proximities)
     # No key holds ``i`` any more, so renumbering keeps the keys distinct and sorted.
     entries = {key if key[-1] < i else tuple(a - (a > i) for a in key): value for key, value in entries.items()}
     return IntersectionTensor._trusted(d, m - 1, entries), step
@@ -311,7 +271,7 @@ def _blow_down(d: int, stage: tuple, i: int) -> tuple:
     a changed narrow key can change a finality, so only its components
     are decided again.
     """
-    entries, narrow, wide, finals, ascending, transfers = stage
+    entries, narrow, wide, finals, ascending = stage
     narrow_keys, wide_keys = narrow.pop(i), wide.pop(i, set())
     changed = set()
     for key in narrow_keys:
@@ -320,7 +280,7 @@ def _blow_down(d: int, stage: tuple, i: int) -> tuple:
             narrow[j].discard(key)
             changed.add(j)
     stored = itertools.chain(narrow_keys, [key for key in wide_keys if key in entries])
-    old, written = _spread(entries, stored, i, finals[i], transfers)
+    old, written = _spread(entries, stored, i, finals[i])
     moved = []  # narrow keys written that came in or left
     for key in written:
         value, before = entries.get(key, 0), old[key]
@@ -351,7 +311,7 @@ def _blow_down(d: int, stage: tuple, i: int) -> tuple:
 
 def _restore(stage: tuple, undo: tuple) -> None:
     """Undo one :func:`_blow_down`: put back the old values, the narrow keys, the key sets of ``i`` and the finals."""
-    entries, narrow, wide, finals, ascending, _ = stage
+    entries, narrow, wide, finals, ascending = stage
     i, old, narrow_keys, wide_keys, moved, finals_before = undo
     for key in moved:
         came = key in entries
@@ -436,8 +396,7 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     reached a second time was reached first earlier in depth-first
     order, so every edge below it is made already: the walk follows the
     memo below it and leaves the mutable stage alone.  The memo keeps
-    only the stage nodes and their edges, and the transfer lists of
-    :func:`_spread` live as long as the walk.
+    only the stage nodes and their edges.
 
     Beside the path, lists indexed by depth hold what each step on it
     adds to an order, written when the walk steps down, so an order pays
@@ -471,7 +430,7 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     # A component in no narrow key has a zero pure power, so it is never final.
     finals = {a: n for a in narrow if (n := _final_neighbours(d, entries, narrow, a)) is not None}
     ascending = sorted(finals)
-    stage = entries, narrow, wide, finals, ascending, {}  # the last holds the transfer lists of this walk
+    stage = entries, narrow, wide, finals, ascending
     root = _Node(None, None)
     stages = {root: root}
     contracted: list[int] = []  # originals contracted on the way to the mutable stage, ascending

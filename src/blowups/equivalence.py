@@ -568,12 +568,12 @@ def _search(struct) -> _SearchOutcome:
     prefix of the class's chain and the rest of the chain fixes the path:
     in the target cell, the members of one class are one orbit.  A target
     cell inside one class is thus tried at its least member alone.  Any
-    other node, once it reaches its second member, keeps the leaf
-    automorphisms that fix its path: its nearest such ancestor's list,
-    less those that move a path vertex below that ancestor, plus every
-    one found later, which is found below the node and so fixes its path.
-    A union-find over its cell's classes and those automorphisms grows as
-    they arrive and names the orbit of each member it reads.
+    other node, once it reaches its second member, tests each leaf
+    automorphism once, as it first reads it, and keeps those that move no
+    vertex of its path.  One found while the node is open passes: a
+    repeated leaf whose earlier leaf lies outside the node backjumps above
+    it.  A union-find over its cell's classes and the kept automorphisms
+    grows as they arrive and names the orbit of each member it reads.
     The search holds one ordered partition, ``part``, refined in place and
     undone from its trail, in which a vertex's colour is the last position
     of its cell, and one ``path``, as in Junttila & Kaski, "Engineering an
@@ -584,14 +584,13 @@ def _search(struct) -> _SearchOutcome:
     ``v`` gives it the first position of its cell, as a cell of its own,
     so ``v`` is the one touched vertex.  The loop runs over an explicit
     stack with one entry per open node, in depth order: its target cell's
-    first position, a generator over the members it tries, which undoes
-    the trail back to the node's partition before it yields its next
-    member, and the node's automorphisms once it keeps them.  The loop
-    takes the next member from the deepest entry that still has one,
-    popping those that are done; backjumping to depth ``k`` is
-    ``del stack[k + 1:]``.  A node reads its target cell and what its
-    refinement touches, not every colour, but the budget still charges
-    it ``n`` colours scanned: past ``WORK_LIMIT`` of them
+    first position and a generator over the members it tries, which
+    undoes the trail back to the node's partition before it yields its
+    next member.  The loop takes the next member from the deepest entry
+    that still has one, popping those that are done; backjumping to depth
+    ``k`` is ``del stack[k + 1:]``.  A node reads its target cell and
+    what its refinement touches, not every colour, but the budget still
+    charges it ``n`` colours scanned: past ``WORK_LIMIT`` of them
     :class:`SearchLimitError` names the budget and the depth.
     """
     n = struct.n
@@ -609,28 +608,12 @@ def _search(struct) -> _SearchOutcome:
         twin[b] = twin[a]
     found: list[dict[int, int]] = []  # the automorphisms of repeated leaves
 
-    def fixing(depth: int) -> list[dict[int, int]]:
-        """The automorphisms in ``found`` that fix ``path[:depth]``, kept by the open node at ``depth``."""
-        if not depth:
-            return found  # every automorphism fixes the root's empty path
-        j = depth
-        while j and stack[j][2] is None:
-            j -= 1
-        base = found
-        if j:
-            node = stack[j]
-            node[2] += found[node[3] :]  # found below node ``j``, so they fix its path
-            node[3] = len(found)
-            base = node[2]
-        if j < depth:
-            fixed = set(path[j:depth])
-            stack[depth][2:] = [[s for s in base if fixed.isdisjoint(s)], len(found)]
-        return stack[depth][2]
-
     def tries(depth: int, members: list[int]):
         """The members of the target cell least of their orbit under the known automorphisms fixing the path."""
         mark = len(trail)
         yield members[0]
+        if len(members) == 1:
+            return
         orbits, joined = _Orbits(), 0
         least: dict[int, int] = {}
         for v in members if chains else ():  # the members of one twin class in the cell are one orbit
@@ -638,17 +621,17 @@ def _search(struct) -> _SearchOutcome:
                 orbits.union(least[t], v)
             else:
                 least[t] = v
+        fixed = set(path[:depth])
         for v in members[1:]:
             part.undo(mark)  # back to this node's partition
-            kept = fixing(depth)
-            for s in kept[joined:]:
-                orbits.add(s)
-            joined = len(kept)
+            for s in found[joined:]:
+                if fixed.isdisjoint(s):
+                    orbits.add(s)
+            joined = len(found)
             if orbits.find(v) == v:
                 yield v
 
-    # One entry per open node, ``stack[k]`` at depth ``k``:
-    # [target cell's first position, tries, automorphisms kept or None, how many of ``found`` they cover].
+    # One entry per open node, ``stack[k]`` at depth ``k``: [target cell's first position, tries].
     stack: list[list] = []
     path: list[int] = []
     work = 0
@@ -664,7 +647,7 @@ def _search(struct) -> _SearchOutcome:
                 members = [min(cell)]  # inside one twin class, whose members are one orbit
             else:
                 members = sorted(cell)
-            stack.append([p, tries(len(stack), members), None, 0])
+            stack.append([p, tries(len(stack), members)])
         else:
             labels = [c + 1 for c in colors]
             if first_leaf is None:

@@ -49,6 +49,9 @@ far from the root and the blow-downs of stages with many components.
 
 No call may exit 1 without printing a ``false`` decision.
 
+``tests/test_digests.py`` pins the ``orders``, ``recovery`` and ``twins``
+lines; the main corpus takes several seconds and stays a manual run.
+
 The file name starts with an underscore, so pytest does not collect it.
 """
 

@@ -10,7 +10,9 @@ every search's labelling, data and automorphisms.  Two checkouts that print
 the same line ran the same search: the same nodes, the same leaves in the
 same order and the same pruning.  ``_refine`` is counted by replacing
 ``blowups.equivalence._refine`` with a counting wrapper, so the count does
-not depend on the function's parameters.  The corpus:
+not depend on the function's parameters, and put back when the run ends,
+so ``tests/test_digests.py`` can call :func:`main` to pin the line.  The
+corpus:
 
 - random forest ``i`` at dimension ``2 + i % 3``, ``i % 9`` points and
   seed ``i``, for ``i < 300``, as a forest, as its tensor, as a
@@ -87,12 +89,15 @@ def main() -> None:
 
     equivalence._refine = counting
     sha, count, kept = hashlib.sha256(), 0, 0
-    for struct in structures():
-        outcome = equivalence._search(struct)
-        automorphisms = [sorted(a.items()) for a in outcome.automorphisms]
-        sha.update(repr((outcome.labels, outcome.data, automorphisms)).encode() + b"\n")
-        count += 1
-        kept += len(automorphisms)
+    try:
+        for struct in structures():
+            outcome = equivalence._search(struct)
+            automorphisms = [sorted(a.items()) for a in outcome.automorphisms]
+            sha.update(repr((outcome.labels, outcome.data, automorphisms)).encode() + b"\n")
+            count += 1
+            kept += len(automorphisms)
+    finally:
+        equivalence._refine = refine
     print(f"{count} structures, {calls[0]} refinements, {kept} automorphisms, {sha.hexdigest()}")
 
 

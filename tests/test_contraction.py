@@ -66,26 +66,34 @@ class CountingEntries(dict):
 OUTSIDE_COMPONENT = IntersectionTensor(3, 3, {(1, 1, 1): 3, (2, 2, 3): 2, (2, 3, 3): -2, (3, 3, 3): 2, (1, 2, 3): -3})
 
 
-def off_premise(dimension: int, defect: str) -> IntersectionTensor:
-    """A blow-up form with one wide key of its final 3 spoiled, so 3 stays final but its part is no rank-one term.
+def off_premise(dimension: int, defect: str, neighbours: int = 2) -> IntersectionTensor:
+    """A blow-up form with one wide key of its final spoiled, so the final stays final but its part is no rank-one term.
 
-    3 meets 1 and 2; 4 is a point on its own.  The key of 1, 2 and 3 is
-    doubled (``"value"``), dropped (``"missing"``), or moved to a key of 1,
-    3 and 4 (``"outside"``), which keeps the count of keys holding 3.
+    The final ``f = neighbours + 1`` meets ``1 .. neighbours``, of which 2
+    is proximate to 1 and the others are points on their own; ``f + 1`` is
+    a point on its own.  With more neighbours than ``dimension`` the final
+    is a fan no valid forest has, but its form is still a sum of rank-one
+    terms.  The key of 1, 2 and ``f`` is doubled (``"value"``), dropped
+    (``"missing"``), or moved to a key of 1, ``f`` and ``f + 1``
+    (``"outside"``), which keeps the count of keys holding ``f``.
     """
-    forest = ProximityForest.make(dimension, (1, []), (1, [1]), (2, [1, 2]), (1, []))
-    entries = dict(tensor_from_forest(forest).entries)
-    key = (1, 2) + (3,) * (dimension - 2)
+    final = neighbours + 1
+    points = [(1, []), (1, [1]), *[(1, [])] * (neighbours - 2), (2, range(1, final)), (1, [])]
+    entries = dict(tensor_from_forest(ProximityForest.make(dimension, *points)).entries)
+    key = (1, 2) + (final,) * (dimension - 2)
     if defect == "value":
         entries[key] *= 2
     elif defect == "missing":
         del entries[key]
     else:
-        entries[(1,) + (3,) * (dimension - 2) + (4,)] = entries.pop(key)
-    return IntersectionTensor(dimension, 4, entries)
+        entries[(1,) + (final,) * (dimension - 2) + (final + 1,)] = entries.pop(key)
+    return IntersectionTensor(dimension, final + 1, entries)
 
 
-OFF_PREMISE = [(d, defect) for d in (3, 4) for defect in ("value", "missing", "outside")]
+DEFECTS = ("value", "missing", "outside")
+OFF_PREMISE = [(d, defect) for d in (3, 4) for defect in DEFECTS]
+# Fans: a final with 8, 6 or 5 neighbours.  At d 2 every key of a final is narrow, so finality implies the premise.
+FANS = [(d, defect, n) for d, n in ((3, 8), (4, 6), (5, 5)) for defect in DEFECTS]
 
 
 class TestEmptyIntersection:
@@ -284,18 +292,22 @@ class TestContract:
         assert smaller.entries == entries
         assert smaller.entries[(1, 2, 2)] == -6
 
-    @pytest.mark.parametrize("dimension, defect", OFF_PREMISE)
-    def test_matches_dense_oracle_where_the_rank_one_premise_fails(self, dimension, defect):
-        # The rank-one blow-down would write -(-1)^d T(3^d) at each multiset of 1 and 2 alone, which is wrong here.
-        tensor = off_premise(dimension, defect)
-        assert 3 in final_set(tensor)
-        smaller, step = contract(tensor, 3)
-        entries, degree, proximities, _ = oracle_contract(tensor, 3)
-        assert (step.degree, step.proximate_to_current) == (degree, proximities) == (2, (1, 2))
+    @pytest.mark.parametrize(
+        "dimension, defect, neighbours",
+        [(d, defect, 2) for d, defect in OFF_PREMISE] + FANS,
+        ids=[f"{d}-{defect}" for d, defect in OFF_PREMISE] + [f"{d}-{defect}-fan{n}" for d, defect, n in FANS],
+    )
+    def test_matches_dense_oracle_where_the_rank_one_premise_fails(self, dimension, defect, neighbours):
+        # The rank-one blow-down would write -(-1)^d T(f^d) at each multiset of neighbours alone, which is wrong here.
+        tensor, final, met = off_premise(dimension, defect, neighbours), neighbours + 1, tuple(range(1, neighbours + 1))
+        assert final in final_set(tensor)
+        smaller, step = contract(tensor, final)
+        entries, degree, proximities, _ = oracle_contract(tensor, final)
+        assert (step.degree, step.proximate_to_current) == (degree, proximities) == (2, met)
         assert smaller.entries == entries
-        rank_one = {key: value for key, value in tensor.entries.items() if 3 not in key}
-        for key in itertools.combinations_with_replacement((1, 2), dimension):
-            rank_one[key] = rank_one.get(key, 0) - (-1) ** dimension * tensor.entries[(3,) * dimension]
+        rank_one = {key: value for key, value in tensor.entries.items() if final not in key}
+        for key in itertools.combinations_with_replacement(met, dimension):
+            rank_one[key] = rank_one.get(key, 0) - (-1) ** dimension * tensor.entries[(final,) * dimension]
         assert smaller.entries != {key: value for key, value in rank_one.items() if value}
 
     @settings(max_examples=60, deadline=None)
@@ -584,27 +596,27 @@ class TestLocalStages:
         assert len(written) == 1 and len(written[0]) == k * (k + 1) // 2
         assert [keys.passes for keys in written] == [1]
 
-    def test_a_blow_up_form_builds_no_transfer_list(self, monkeypatch):
+    def test_a_blow_up_form_moves_no_key(self, monkeypatch):
         # Each blow-down subtracts the final's rank-one term: C(n + d - 1, d) keys of its n neighbours, no key moved.
-        transfers, blow_downs = [], []
-        transfer, spread = blowups.contraction._transfer, blowups.contraction._spread
+        moved, blow_downs = [], []
+        spread_by_moves, spread = blowups.contraction._spread_by_moves, blowups.contraction._spread
 
-        def counting_transfer(*args):
-            transfers.append(args)
-            return transfer(*args)
+        def counting_moves(*args):
+            moved.append(args)
+            return spread_by_moves(*args)
 
-        def counting_spread(entries, keys, i, neighbours, shapes):
-            old, sums = spread(entries, keys, i, neighbours, shapes)
+        def counting_spread(entries, keys, i, neighbours):
+            old, sums = spread(entries, keys, i, neighbours)
             blow_downs.append((len(next(iter(old))), len(neighbours), len(sums)))
             return old, sums
 
-        monkeypatch.setattr(blowups.contraction, "_transfer", counting_transfer)
+        monkeypatch.setattr(blowups.contraction, "_spread_by_moves", counting_moves)
         monkeypatch.setattr(blowups.contraction, "_spread", counting_spread)
         for seed in range(10):
             for dimension in (2, 3, 4):
                 recover_sequence(tensor_from_forest(random_forest(seed, dimension, 16, 3)))
                 recover_all_orders(tensor_from_forest(random_forest(seed, dimension, 5, 3)))
-        assert transfers == []
+        assert moved == []
         assert all(written == math.comb(n + d - 1, d) for d, n, written in blow_downs)
         assert max(n for _, n, _ in blow_downs) >= 3
 
