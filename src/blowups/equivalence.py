@@ -29,20 +29,28 @@ known automorphisms with twin transpositions: two vertices of one root
 cell whose swap is an automorphism, chained along each class of such
 twins.  One test, exact on every structure, finds them: a vertex
 fingerprinted under the discrete labelling with the two exchanged must
-read what its twin reads under the discrete labelling.  This is the
+read what its twin reads under the discrete labelling.  Members of a
+cell with the same neighbours, or keys, and none in the cell are one
+class, found in one pass: one fingerprint each and one more.  This is the
 "known automorphisms" pruning of McKay & Piperno and the cheap-symmetry
 idea of Darga, Sakallah & Markov, saucy (DAC 2008); on a star the search
 then walks one path.  A node tries a vertex exactly when it is the least
 of its orbit under the known automorphisms fixing the path.  A target
-cell inside one twin class is one such orbit, so the node tries its
-least member alone, and a class of n twins costs n nodes that each read
-their target cell once.  A leaf that repeats an earlier leaf's data
-backjumps, as in McKay (1981), to where its path leaves the earlier one.
+cell that is one twin class is one such orbit, and since every
+permutation of the class is an automorphism, individualising a member
+splits no cell and leaves the rest of the class one cell.  The search
+thus individualises all of the class but its greatest member in one
+step, in ascending order and with no refinement, which puts on the path
+what a node per member trying its least member alone would: a class of n
+twins costs one step, not n nodes that each read their target cell.  A
+leaf that repeats an earlier leaf's data backjumps, as in McKay (1981),
+to where its path leaves the earlier one.
 The search does not recurse: it is one loop over an explicit stack of
 open nodes that share one ordered partition, held as cell arrays, refined
 in place and undone from a trail, in which a vertex's colour is the last
 position of its cell.  It is bounded by ``WORK_LIMIT``, a budget that
-charges each node ``n`` colours, not by Python's recursion limit.
+charges ``n`` colours for the root and for each vertex individualised,
+not by Python's recursion limit.
 Automorphisms are kept sparse, as the map of the points they move, so a
 transposition costs two entries whatever the size.
 The search's table of leaves is its outcome: the canonical labelling, its
@@ -490,7 +498,13 @@ def _twin_chains(struct, colors: list[int]) -> list[dict[int, int]]:
     label and every other vertex its own, since their swap fixes that
     labelling, so a cell's members are first bucketed by that fingerprint
     and only members of one bucket are tested against each other: a cell
-    of k vertices with no twins costs k fingerprints, not k(k+1)/2.
+    of k vertices with no twins costs k fingerprints, not k(k+1)/2.  A
+    bucket whose fingerprint reads no member of the cell is one class
+    found in one pass: its members have the same neighbours, or keys, and
+    none in the cell, so no edge or key holds two of them and a swap
+    carries each one's onto the other's.  Fingerprinting one member once
+    more, with the cell relabelled, tells such a bucket, so k twins cost
+    k + 1 fingerprints, and only the other buckets are tested pair by pair.
     """
     if len(set(colors)) == struct.n:  # a discrete colouring, as for most rigid objects, holds no two twins
         return []
@@ -508,11 +522,14 @@ def _twin_chains(struct, colors: list[int]) -> list[dict[int, int]]:
         for v in members:
             buckets.setdefault(struct.fingerprint(v, labels), []).append(v)
         for v in members:
+            labels[v] = -2  # a fingerprint that reads no member of the cell reads the same
+        twin_classes, mixed = [], []  # ``mixed``: the buckets whose fingerprint reads a member of the cell
+        for key, bucket in buckets.items():
+            if len(bucket) > 1:
+                (twin_classes if struct.fingerprint(bucket[0], labels) == key else mixed).append(bucket)
+        for v in members:
             labels[v] = v
-        twin_classes: list[list[int]] = []
-        for bucket in buckets.values():
-            if len(bucket) < 2:
-                continue
+        for bucket in mixed:
             classes: list[tuple[tuple, list[int]]] = []
             for v in bucket:
                 for key, twins in classes:
@@ -563,17 +580,24 @@ def _search(struct) -> _SearchOutcome:
     subtree searched before.  The search returns to that depth and goes
     on with the next sibling there.
     A node's orbits follow its path.  The unindividualised members of a
-    twin class share one cell, since their swaps fix the path, and each
-    node tries only the least of them, so the members on the path are a
-    prefix of the class's chain and the rest of the chain fixes the path:
-    in the target cell, the members of one class are one orbit.  A target
-    cell inside one class is thus tried at its least member alone.  Any
-    other node, once it reaches its second member, tests each leaf
-    automorphism once, as it first reads it, and keeps those that move no
-    vertex of its path.  One found while the node is open passes: a
-    repeated leaf whose earlier leaf lies outside the node backjumps above
-    it.  A union-find over its cell's classes and the kept automorphisms
-    grows as they arrive and names the orbit of each member it reads.
+    twin class share one cell, since their swaps fix the path, and only
+    the least of them is ever individualised next, so the members on the
+    path are a prefix of the class's chain and the rest of the chain fixes
+    the path: in the target cell, the members of one class are one orbit.
+    A target cell that is one whole class is individualised in one step.
+    Every permutation of the class is an automorphism, so individualising
+    its least member splits no other cell and leaves the rest one class: a
+    refinement would change nothing.  The step individualises all members
+    but the greatest in ascending order, with no refinement between them,
+    and pushes one entry per member with nothing left to try, so the path,
+    its depths and backjumps are those of one node per member that tries
+    its least member alone.  Any other node, once it reaches its second
+    member, tests each leaf automorphism once, as it first reads it, and
+    keeps those that move no vertex of its path.  One found while the node
+    is open passes: a repeated leaf whose earlier leaf lies outside the
+    node backjumps above it.  A union-find over its cell's classes and the
+    kept automorphisms grows as they arrive and names the orbit of each
+    member it reads.
     The search holds one ordered partition, ``part``, refined in place and
     undone from its trail, in which a vertex's colour is the last position
     of its cell, and one ``path``, as in Junttila & Kaski, "Engineering an
@@ -590,8 +614,11 @@ def _search(struct) -> _SearchOutcome:
     that still has one, popping those that are done; backjumping to depth
     ``k`` is ``del stack[k + 1:]``.  A node reads its target cell and
     what its refinement touches, not every colour, but the budget still
-    charges it ``n`` colours scanned: past ``WORK_LIMIT`` of them
-    :class:`SearchLimitError` names the budget and the depth.
+    charges ``n`` colours scanned for the root and for each vertex
+    individualised, a class step's members one by one: past
+    ``WORK_LIMIT`` of them :class:`SearchLimitError` names the budget and
+    the depth, inside a class the depth where a node per member would
+    have stopped, and nothing in the class is individualised.
     """
     n = struct.n
     first_leaf: tuple[list[int], tuple[int, ...]] | None = None  # the first leaf's labelling and path
@@ -612,8 +639,6 @@ def _search(struct) -> _SearchOutcome:
         """The members of the target cell least of their orbit under the known automorphisms fixing the path."""
         mark = len(trail)
         yield members[0]
-        if len(members) == 1:
-            return
         orbits, joined = _Orbits(), 0
         least: dict[int, int] = {}
         for v in members if chains else ():  # the members of one twin class in the cell are one orbit
@@ -643,11 +668,19 @@ def _search(struct) -> _SearchOutcome:
             p += 1
         if p < n:
             cell = elements[p : colors[elements[p]] + 1]
-            if len(set(map(twin.__getitem__, cell))) == 1:
-                members = [min(cell)]  # inside one twin class, whose members are one orbit
-            else:
-                members = sorted(cell)
-            stack.append([p, tries(len(stack), members)])
+            if len(set(map(twin.__getitem__, cell))) == 1:  # one twin class: one step, with nothing to refine
+                members = sorted(cell)[:-1]
+                # The first member is charged as this node; each other one as the node it would have been.
+                if work + (len(members) - 1) * n > WORK_LIMIT:
+                    depth = len(path) + (WORK_LIMIT - work) // n + 1
+                    raise SearchLimitError(f"canonical search exceeded {WORK_LIMIT} colours scanned at depth {depth}")
+                work += (len(members) - 1) * n
+                path[len(stack) :] = members
+                stack += [[q, iter(())] for q in range(p, p + len(members))]  # each a node with nothing left to try
+                for v in members:
+                    part.individualise(v)
+                continue
+            stack.append([p, tries(len(stack), sorted(cell))])
         else:
             labels = [c + 1 for c in colors]
             if first_leaf is None:

@@ -372,6 +372,35 @@ class TestErrorHandling:
         code, doc = run(capsys, "tensor", junk)
         assert code == 2 and doc["error"]["code"] == "schema"
 
+    @pytest.mark.parametrize(
+        "command, doc, read",
+        [
+            (
+                "tensor",
+                {"dimension": 2, "points": [{"id": 1, "degree": 1, "targets": []}]},
+                lambda doc: blowups.io._read_points(doc["points"]),
+            ),
+            (
+                "recover",
+                {"dimension": 2, "size": 1, "entries": [{"index": [1, 1], "val": -1}]},
+                lambda doc: blowups.io._read_entries(doc["entries"], 2, 1),
+            ),
+        ],
+        ids=["point", "entry"],
+    )
+    def test_bulk_check_hands_a_missing_field_to_the_item_reader(self, capsys, files, command, doc, read):
+        """An item with as many fields as it should have, one of them unknown, fails the bulk check on the field it lacks.
+
+        The document is then read item by item, and the one line printed is
+        the schema error that reader raises.
+        """
+        with pytest.raises(SchemaError) as expected:
+            read(doc)
+        assert main([command, files["write"]("doc.json", doc)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": {"code": "schema", "message": str(expected.value)}}
+
     def test_missing_file(self, capsys, tmp_path):
         code, doc = run(capsys, "tensor", str(tmp_path / "nope.json"))
         assert code == 2 and doc["error"]["code"] == "io"

@@ -19,7 +19,7 @@ def test_search_digest(capsys):
     _search_digest.main()
     assert equivalence._refine is refine
     assert capsys.readouterr().out == (
-        "1292 structures, 9707 refinements, 1681 automorphisms, "
+        "1292 structures, 6640 refinements, 1681 automorphisms, "
         "f6f17de904c83c9e50f815465e1eeb4d34a92036f8bcc77b84c1a55f874febbe\n"
     )
 

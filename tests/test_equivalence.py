@@ -205,6 +205,28 @@ class TestCanonicalForm:
         with pytest.raises(SearchLimitError, match="^canonical search exceeded 2000 colours scanned at depth 10$"):
             canonical_form(empty)
 
+    @pytest.mark.parametrize("k, depths", [(2, (1, 2, 2)), (50, (49, 50, 50)), (199, (198, 199, 199))])
+    def test_limits_at_the_edges_of_a_twin_class(self, monkeypatch, k, depths):
+        """The empty tensor of size 200 is one twin class, individualised in one step.
+
+        Under budgets of ``200 k - 1``, ``200 k`` and ``200 k + 1`` it stops
+        at the depths where a search with one node per member stopped.
+        """
+        empty = IntersectionTensor(2, 200, {})
+        for limit, depth in zip((200 * k - 1, 200 * k, 200 * k + 1), depths):
+            monkeypatch.setattr(equivalence, "WORK_LIMIT", limit)
+            message = f"^canonical search exceeded {limit} colours scanned at depth {depth}$"
+            with pytest.raises(SearchLimitError, match=message):
+                canonical_form(empty)
+
+    def test_limit_inside_a_long_twin_class(self):
+        """4,000 disjoint points, as a forest or as a tensor, stop at depth 2,500 of the 3,999 their class needs."""
+        points = ProximityForest.make(2, *[(1, [])] * 4000)
+        for obj in (points, tensor_from_forest(points)):
+            message = "^canonical search exceeded 10000000 colours scanned at depth 2500$"
+            with pytest.raises(SearchLimitError, match=message):
+                canonical_form(obj)
+
     def test_twin_search_holds_linear_memory(self):
         """500 twins search 499 levels deep holding one colouring, not one per open node: under a 3 MB peak."""
         isolated = ProximityForest.make(2, *[(1, [])] * 500)
@@ -437,6 +459,137 @@ class TestTwinSeeds:
             assert automorphism_orbits(obj) == (tuple(range(1, d + 1)), (d + 1,))
 
 
+def whole_class_structures(kind: str, dimension: int, k: int, rng: random.Random) -> list:
+    """Search structures whose refined root keeps a class of twins as one whole cell, of ``k`` twins but in ``crossed``.
+
+    ``crossed`` is two blocks that are proximate to each other; the blocks of 2-chains each carry a loop.
+    """
+    if kind == "blocks":
+        leaves = ProximityForest.make(dimension, (1, []), *[(1, [1])] * (2 * k))
+        pairs = MarkedPartition((frozenset({1}), *(frozenset({i, i + 1}) for i in range(2, 2 * k + 2, 2))))
+        chains = disjoint_copies(ProximityForest.make(dimension, (1, []), (1, [1])), k)
+        whole = MarkedPartition(tuple(frozenset({i, i + 1}) for i in range(1, 2 * k + 1, 2)))
+        crossed = ProximityForest.make(dimension, (1, []), (1, []), (1, [1]), (1, [2]))
+        swapped = MarkedPartition((frozenset({1, 4}), frozenset({2, 3})))
+        return [_DigraphStructure.of_blocks(f, p) for f, p in ((leaves, pairs), (chains, whole), (crossed, swapped))]
+    forest = {
+        "points": ProximityForest.make(dimension, *[(1, [])] * k),
+        "star": ProximityForest.make(dimension, (1, []), *[(1, [1])] * k),
+        "broom": ProximityForest.make(dimension, (1, []), (1, [1]), (1, [2]), *[(1, [3])] * k),
+    }[kind]
+    tensor = tensor_from_forest(forest)
+    perturbed = [_TensorStructure(perturb(tensor, how, rng)) for how in ("negate", "isolated")]
+    return [_DigraphStructure.of_forest(forest), _TensorStructure(tensor), *perturbed]
+
+
+def assert_class_step_refines_nothing(struct) -> int:
+    """Individualising the least member of a refined root cell that is one whole twin class splits no cell.
+
+    The refinement below it leaves the trail with the individualisation's
+    two records alone, so the rest of the class stays one cell.  Returns
+    the number of such cells.
+    """
+    root, cells = root_cells(struct)
+    twins = _orbit_ids(struct.n, _twin_chains(struct, root))
+    count = 0
+    for members in cells.values():
+        if len(members) > 1 and len({twins[v] for v in members}) == 1:
+            part = _Partition(root.copy())
+            v = min(members)
+            part.individualise(v)
+            individualised = list(part.trail)
+            _refine(struct, part, [v])
+            assert len(individualised) == 2 and part.trail == individualised
+            count += 1
+    return count
+
+
+class TestClassStep:
+    """A twin class is found in one pass and individualised in one step, with no refinement."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["points", "star", "broom", "blocks"]),
+        dimension=st.integers(2, 4),
+        k=st.integers(2, 12),
+        seed=st.integers(0, 10**6),
+    )
+    def test_individualising_a_whole_class_refines_nothing(self, kind, dimension, k, seed):
+        for struct in whole_class_structures(kind, dimension, k, random.Random(seed)):
+            assert assert_class_step_refines_nothing(struct) >= 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        dimension=st.integers(2, 4),
+        size=st.integers(0, 7),
+        how=st.sampled_from(["entry", "negate", "isolated", "diagonal"]),
+    )
+    def test_whole_classes_of_random_structures_refine_nothing(self, seed, dimension, size, how):
+        rng = random.Random(seed)
+        forest = random_forest(seed, dimension, size, 2)
+        tensor = tensor_from_forest(forest)
+        structs = [_DigraphStructure.of_forest(forest), _TensorStructure(tensor), _TensorStructure(perturb(tensor, how, rng))]
+        if size:
+            structs.append(_DigraphStructure.of_blocks(forest, random_partition(size, rng)))
+        for struct in structs:
+            assert_class_step_refines_nothing(struct)  # whatever whole classes the root keeps, often none
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: _DigraphStructure([1] * 3, [[1], [2], [0]], [(1, 0)] * 3),
+            lambda: _DigraphStructure([1] * 4, [[1], [0], [3], [2]], [(1, 0)] * 4),
+            lambda: _TensorStructure(IntersectionTensor(2, 4, {(1, 1): -1, (2, 2): -1, (3, 3): -1, (4, 4): -1, (1, 2): 1, (3, 4): 1})),
+        ],
+        ids=["directed 3-cycle", "two 2-cycles", "two paired keys"],
+    )
+    def test_a_bucket_that_reads_its_cell_is_tested_pair_by_pair(self, build):
+        """Members of one cell that read its members alike need not be twins, so such a bucket is not taken as one class."""
+        assert_twin_classes_exact(build())
+
+    @pytest.mark.parametrize(
+        "forest, hashes",
+        [
+            (
+                ProximityForest.make(2, *[(1, [])] * 2000),
+                (
+                    "afd9f8befdcee29a9ffa32bf4ab09d5c400792cc4b2010af02d7e1903593ac50",
+                    "2af8d7598f32395bdc80ca003be5a7cf06d5204cb64ded70f8f3f084baef8198",
+                ),
+            ),
+            (
+                star(2000),
+                (
+                    "a4babb1820eb94a6e254a47d4bcd54e83381232be5d69fa31481cd36b23944e3",
+                    "24025a295fef8171105bc831683291a8610834e90a3e522d38aac97a76c675d7",
+                ),
+            ),
+        ],
+        ids=["2000 points", "star 2000"],
+    )
+    def test_a_class_costs_the_root_refinement_and_linear_fingerprints(self, monkeypatch, forest, hashes):
+        """2,000 twins, forest or tensor: the root's refinement is the search's only one, and at most 2n + 2 fingerprints.
+
+        The twin test fingerprints each member once to bucket it and one
+        member of the bucket once more; the hashes are those of the
+        member-by-member search.
+        """
+        refinements = [0]
+
+        def counting(*args, refine=equivalence._refine):
+            refinements[0] += 1
+            return refine(*args)
+
+        monkeypatch.setattr(equivalence, "_refine", counting)
+        fingerprints = count_calls(monkeypatch, "fingerprint")
+        for obj, expected in zip((forest, tensor_from_forest(forest)), hashes):
+            refinements[0] = fingerprints[0] = 0
+            assert canonical_form(obj).hash == expected
+            assert refinements[0] == 1
+            assert fingerprints[0] <= 2 * 2000 + 2
+
+
 def disjoint_copies(forest: ProximityForest, copies: int) -> ProximityForest:
     """``copies`` disjoint copies of ``forest``, one after another."""
     m = len(forest)
@@ -478,7 +631,9 @@ def count_calls(monkeypatch, name: str) -> list[int]:
 def record_searches(monkeypatch) -> tuple[list[list[int]], list[int]]:
     """``[leaves reached, serialize calls]`` of each search from now on, and the count of all ``serialize`` calls.
 
-    A search reaches a leaf each time a refinement, the root's included, ends in a discrete partition.
+    A search reaches a leaf each time a refinement, the root's included,
+    ends in a discrete partition, on inputs that hold no twin class: a
+    class is individualised without refining.
     """
     writes, searches = count_calls(monkeypatch, "serialize"), []
 
@@ -1229,6 +1384,12 @@ class TestMarkedEquivalence:
         q = MarkedPartition.singletons(3)
         with pytest.raises(ValueError):
             marked_forest_equivalent(surface_chain, p, three_chain_mixed, q)
+
+    def test_tensor_dimension_mismatch(self):
+        p = MarkedPartition.singletons(1)
+        t2, t3 = IntersectionTensor(2, 1, {(1, 1): -1}), IntersectionTensor(3, 1, {(1, 1, 1): 1})
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+            marked_tensor_equivalent(t2, p, t3, p)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), shuffle_seed=st.integers(0, 10**6))
