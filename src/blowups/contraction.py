@@ -31,14 +31,21 @@ Recovery walks one mutable stage, in original labels: the entry dict;
 for each component its *narrow* keys (made of at most two components,
 held exactly) and its *wide* keys (three or more, of which some may have
 left the entries); and the finals with their neighbours, also listed in
-ascending order.  A blow-down rewrites the stage in place and returns an
-undo log: each removed or written key with its old value, the narrow
-keys that came in or left, the contracted component's key sets and the
-finals it changed.  Replaying the log restores the parent when the walk
+ascending order.  A blow-down rewrites the stage in place, writing and
+filing each key it adds in one pass, and returns an undo log: each
+removed or written key with its old value, the narrow keys that came in
+or left, the contracted component's key sets and the finals it
+changed.  Replaying the log restores the parent when the walk
 backtracks, as the trail of a backtracking machine does, so each step
 costs the keys it touches and no stage is copied.  Finality reads only
 narrow keys, so it is decided again only for the components of a
 changed narrow key.  Current labels appear only in the steps.
+
+:func:`recover_sequence` finds one order, and its walk never steps
+back: a stage with no final ends it with an error.  So it descends
+through the one stage, contracting the least final each time, and drops
+each undo log; it keeps only each step and the originals it met, and
+makes the points once the descent is done.
 
 :func:`recover_all_orders` lists every order from one walk, and
 consecutive orders share a prefix of steps.  Beside its path the walk
@@ -185,8 +192,8 @@ def final_set(tensor: IntersectionTensor) -> frozenset[int]:
     return frozenset(i for i in tensor._holding if is_final(tensor, i))
 
 
-def _spread(entries: dict, keys: Iterable, i: int, neighbours: tuple[int, ...]) -> tuple[dict, dict]:
-    """Blow ``entries`` down in place at the final ``i``, whose stored keys are ``keys``.
+def _spread(entries: dict, keys: Iterable, i: int, neighbours: tuple[int, ...]) -> tuple[dict, Iterable]:
+    """Take the stored keys ``keys`` of the final ``i`` out of ``entries``; return them and what its blow-down adds.
 
     On a blow-up form the part of the form at ``i`` is one rank-one term
     less another: ``w (v^d - u^d)`` with ``w = T(i^d)``, ``u = -sum e_j``
@@ -205,30 +212,24 @@ def _spread(entries: dict, keys: Iterable, i: int, neighbours: tuple[int, ...]) 
     others ``R0`` spreads its value over ``R0 + R`` for every multiset
     ``R`` of ``k`` neighbours, weighted by ``prod_a C(mult_{R0+R}(a),
     mult_R(a))``, the number of slot choices of ``R0 + R`` that pull back
-    to ``K``.  Each written key is sorted back into place.  Either way,
-    sums that cancel are dropped.
+    to ``K``.  Each written key is sorted back into place.
 
-    Returns each key removed or written with its old value (0 if it was
-    absent), and the keys written, each with the sum it received.
+    Returns the removed keys with their values, and the sums to add as
+    ``(key, sum)`` pairs.  The caller writes the sums; a key whose sum
+    cancels to 0 keeps its value, and one whose new value is 0 is dropped.
     """
     old = {key: entries.pop(key) for key in keys}
     n, d = len(neighbours), len(next(iter(old)))
     w = old[(i,) * d]
-    by_copies = [-w if (d - c) % 2 else w for c in range(d + 1)]  # the value of a key with c copies of i
     members = {i, *neighbours}
-    if len(old) == math.comb(n + d - 1, d - 1) and all(
-        members.issuperset(key) and value == by_copies[key.count(i)] for key, value in old.items()
-    ):
-        sums = dict.fromkeys(itertools.combinations_with_replacement(neighbours, d), -by_copies[0])
-    else:
-        sums = _spread_by_moves(old, i, neighbours)
-    for key, added in sums.items():
-        before = old[key] = entries.get(key, 0)
-        if before + added:
-            entries[key] = before + added
-        elif before:
-            del entries[key]
-    return old, sums
+    if len(old) == math.comb(n + d - 1, d - 1):
+        for key, value in old.items():
+            if value != (-w if (d - key.count(i)) % 2 else w) or not members.issuperset(key):
+                break
+        else:
+            sums = dict.fromkeys(itertools.combinations_with_replacement(neighbours, d), w if d % 2 else -w)
+            return old, sums.items()
+    return old, _spread_by_moves(old, i, neighbours).items()
 
 
 def _spread_by_moves(removed: dict, i: int, neighbours: tuple[int, ...]) -> dict:
@@ -256,7 +257,11 @@ def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, Co
     if proximities is None:
         raise ValueError(f"component {i} is not final")
     step = ContractionStep(i, (-1) ** (d - 1) * entries[(i,) * d], proximities)
-    _spread(entries, tensor._holding[i], i, proximities)
+    for key, added in _spread(entries, tensor._holding[i], i, proximities)[1]:
+        if value := entries.get(key, 0) + added:
+            entries[key] = value
+        else:
+            entries.pop(key, None)
     # No key holds ``i`` any more, so renumbering keeps the keys distinct and sorted.
     entries = {key if key[-1] < i else tuple(a - (a > i) for a in key): value for key, value in entries.items()}
     return IntersectionTensor._trusted(d, m - 1, entries), step
@@ -265,47 +270,57 @@ def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, Co
 def _blow_down(d: int, stage: tuple, i: int) -> tuple:
     """Blow the stage down at its final ``i`` in place; return the undo log that :func:`_restore` reads.
 
+    The walk of :func:`_orders` keeps the log to step back; the descent of
+    :func:`recover_sequence` never steps back and drops it.
+
     Narrow key sets hold exactly the stored keys.  A wide key that leaves
     the entries stays in its components' wide sets, which are read
-    through the entries, so only a wide key that comes in is filed.  Only
-    a changed narrow key can change a finality, so only its components
-    are decided again.
+    through the entries, so only a wide key that comes in is filed.  Every
+    narrow key of ``i`` but its pure power is made of ``i`` and one
+    neighbour, so one pass over them drops them from the neighbours'
+    sets.  One pass over the sums that :func:`_spread` returns writes each
+    key, logs its old value and files it: it is narrow when its first and
+    last components make up all its ``d`` slots.  Only a changed narrow
+    key can change a finality, so only the neighbours and the components
+    of a changed narrow key are decided again.
     """
     entries, narrow, wide, finals, ascending = stage
-    narrow_keys, wide_keys = narrow.pop(i), wide.pop(i, set())
-    changed = set()
+    neighbours, narrow_keys, wide_keys = finals[i], narrow.pop(i), wide.pop(i, ())
     for key in narrow_keys:
         if key[0] != key[-1]:
-            j = key[-1] if key[0] == i else key[0]
-            narrow[j].discard(key)
-            changed.add(j)
-    stored = itertools.chain(narrow_keys, [key for key in wide_keys if key in entries])
-    old, written = _spread(entries, stored, i, finals[i])
+            narrow[key[-1] if key[0] == i else key[0]].discard(key)
+    old, sums = _spread(entries, itertools.chain(narrow_keys, filter(entries.__contains__, wide_keys)), i, neighbours)
+    changed = set(neighbours)
     moved = []  # narrow keys written that came in or left
-    for key in written:
-        value, before = entries.get(key, 0), old[key]
-        if value == before:
-            continue
-        components = set(key)
-        if len(components) > 2:
+    for key, added in sums:
+        if not added:
+            continue  # a move-by-move sum that cancels leaves its key as it was
+        before = old[key] = entries.get(key, 0)
+        if value := before + added:
+            entries[key] = value
+        else:
+            del entries[key]
+        a, b = key[0], key[-1]
+        if a != b and key.count(a) + key.count(b) < d:
             if not before:
-                for a in components:
-                    wide.setdefault(a, set()).add(key)
+                for c in set(key):
+                    wide.setdefault(c, set()).add(key)
             continue
-        changed |= components
+        changed.add(a)
+        changed.add(b)
         if not (value and before):
             moved.append(key)
-            for a in components:
+            for c in {a, b}:
                 if value:
-                    narrow.setdefault(a, set()).add(key)
+                    narrow.setdefault(c, set()).add(key)
                 else:
-                    narrow[a].discard(key)
-    finals_before = {i: finals[i]}
+                    narrow[c].discard(key)
+    finals_before = {i: neighbours}
     _set_final(finals, ascending, i, None)
     for a in changed:
-        if (neighbours := _final_neighbours(d, entries, narrow, a)) != (before := finals.get(a)):
+        if (now := _final_neighbours(d, entries, narrow, a)) != (before := finals.get(a)):
             finals_before[a] = before
-            _set_final(finals, ascending, a, neighbours)
+            _set_final(finals, ascending, a, now)
     return i, old, narrow_keys, wide_keys, moved, finals_before
 
 
@@ -375,15 +390,30 @@ class _Node:
         return pairs
 
 
+def _stage(tensor: IntersectionTensor) -> tuple:
+    """The root stage of a walk over ``tensor``: entries, narrow and wide key sets, finals and the finals ascending."""
+    d, entries = tensor.dimension, dict(tensor.entries)
+    narrow: dict[int, set] = {}
+    wide: dict[int, set] = {}
+    for key in entries:
+        components = set(key)
+        index = narrow if len(components) <= 2 else wide
+        for a in components:
+            index.setdefault(a, set()).add(key)
+    # A component in no narrow key has a zero pure power, so it is never final.
+    finals = {a: n for a in narrow if (n := _final_neighbours(d, entries, narrow, a)) is not None}
+    return entries, narrow, wide, finals, sorted(finals)
+
+
 def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, ContractionTrace]]:
     """Every full contraction of ``tensor``, depth first by ascending final index.
 
     Yields in lexicographic order of the contracted index sequences.  The
-    walk holds one mutable stage (see the module docstring) for the
-    deepest stage derived on its path, and a path of frames: the
-    :class:`_Node` reached, the last final tried there (or, below a
-    stage reached before, an iterator over its edges) and the undo log of
-    the blow-down that derived it.  Backtracking out of a frame replays
+    walk holds one mutable stage (see the module docstring and
+    :func:`_stage`) for the deepest stage derived on its path, and a path
+    of frames: the :class:`_Node` reached, the last final tried there (or,
+    below a stage reached before, an iterator over its edges) and the undo
+    log of the blow-down that derived it.  Backtracking out of a frame replays
     its undo log, so the mutable stage is its parent again, and the next
     final is the least one above the last tried.  Only steps use current
     labels: renumbering keeps order, so original ``a`` has current label
@@ -413,24 +443,15 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     and completes the points of the steps that met its original; the
     forest is then ``made`` reversed.  Points come from ``points`` (see
     :func:`_point`), so every order shares the points it has in common
-    with the others.
+    with the others.  This memo, the undo logs and the lists by depth
+    serve only the orders after the first: :func:`recover_sequence`, which
+    needs the first alone, descends without them.
     """
     d, m = tensor.dimension, tensor.size
     if not m:
         yield ProximityForest(d, ()), ContractionTrace(())
         return
-    entries: dict = dict(tensor.entries)
-    narrow: dict[int, set] = {}
-    wide: dict[int, set] = {}
-    for key in entries:
-        components = set(key)
-        index = narrow if len(components) <= 2 else wide
-        for a in components:
-            index.setdefault(a, set()).add(key)
-    # A component in no narrow key has a zero pure power, so it is never final.
-    finals = {a: n for a in narrow if (n := _final_neighbours(d, entries, narrow, a)) is not None}
-    ascending = sorted(finals)
-    stage = entries, narrow, wide, finals, ascending
+    stage = entries, narrow, wide, finals, ascending = _stage(tensor)
     root = _Node(None, None)
     stages = {root: root}
     contracted: list[int] = []  # originals contracted on the way to the mutable stage, ascending
@@ -522,8 +543,38 @@ def recover_sequence(tensor: IntersectionTensor) -> tuple[ProximityForest, Contr
     lists.  Raises :class:`NotContractibleError` when a nonempty stage has
     no final component, i.e. the input is not the intersection form of any
     blow-up sequence.
+
+    The first order never steps back, so this is a straight descent
+    through one mutable stage (see the module docstring): it blows the
+    stage down with :func:`_blow_down` and drops each undo log, skips the
+    blow-down after the last step, and keeps no memo of stages and no
+    lists by depth.  It keeps each step and its pair ``(original
+    contracted, originals met)``; at the end the original contracted at
+    step ``t`` (from 0) has creation index ``m - t``, and each point's
+    targets are the creation indices of the originals its step met.
     """
-    return next(_orders(tensor))
+    d, m = tensor.dimension, tensor.size
+    stage = entries, _, _, finals, ascending = _stage(tensor)
+    contracted: list[int] = []  # originals contracted so far, ascending
+    steps, pairs = [], []  # each step, and its pair (original contracted, originals met)
+    for t in range(m):
+        if not ascending:
+            raise NotContractibleError(f"no final component at stage {t + 1}")
+        chosen = ascending[0]
+        neighbours = finals[chosen]
+        c, *met = (a - bisect.bisect_left(contracted, a) for a in (chosen, *neighbours))
+        steps.append(ContractionStep(c, (-1) ** (d - 1) * entries[(chosen,) * d], tuple(met)))
+        pairs.append((chosen, neighbours))
+        if t + 1 < m:  # nothing is left to contract below the last step
+            _blow_down(d, stage, chosen)
+            bisect.insort(contracted, chosen)
+    created = {original: m - t for t, (original, _) in enumerate(pairs)}
+    points: dict[tuple, Point] = {}
+    made = [
+        _point(points, step.degree, sorted(map(created.__getitem__, met), reverse=True))
+        for step, (_, met) in zip(steps, pairs)
+    ]
+    return ProximityForest(d, made[::-1]), ContractionTrace(tuple(steps))
 
 
 def recover_all_orders(

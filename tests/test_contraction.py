@@ -506,20 +506,33 @@ def near_blow_up_tensors(draw):
     return tensor if how == "none" else perturb(tensor, how, random.Random(seed))
 
 
+LOCAL_STAGES = [
+    # Blowing down 2 turns (1, 2, 3) into (1, 1, 3): 3 starts to meet 1 though it never met 2.
+    IntersectionTensor(3, 3, {(1, 1, 2): 3, (1, 2, 2): -3, (2, 2, 2): 3, (3, 3, 3): 1, (1, 2, 3): -3}),
+    OUTSIDE_COMPONENT,
+    *(off_premise(d, defect) for d, defect in OFF_PREMISE),
+    # 1 is final with neighbours 2 and 3, but T(1 2 3) = 1 is off the premise: spread move by move,
+    # the sums at (2, 2, 3) and (2, 3, 3) cancel, so those keys keep their values.
+    IntersectionTensor(
+        3, 3, {(1, 1, 1): 2, (1, 1, 2): -2, (1, 1, 3): -2, (1, 2, 2): 2, (1, 2, 3): 1, (1, 3, 3): 2,
+               (2, 2, 2): 3, (2, 2, 3): 2, (2, 3, 3): -1, (3, 3, 3): 1},
+    ),
+]
+
+
+def local_stage_examples(test):
+    """Run ``test`` on each of ``LOCAL_STAGES`` besides what it draws."""
+    for tensor in LOCAL_STAGES:
+        test = example(tensor=tensor)(test)
+    return test
+
+
 class TestLocalStages:
     """The walk keeps each stage in original labels and re-decides only what a blow-down touches."""
 
     @settings(max_examples=150, deadline=None)
     @given(tensor=near_blow_up_tensors())
-    # Blowing down 2 turns (1, 2, 3) into (1, 1, 3): 3 starts to meet 1 though it never met 2.
-    @example(tensor=IntersectionTensor(3, 3, {(1, 1, 2): 3, (1, 2, 2): -3, (2, 2, 2): 3, (3, 3, 3): 1, (1, 2, 3): -3}))
-    @example(tensor=OUTSIDE_COMPONENT)
-    @example(tensor=off_premise(3, "value"))
-    @example(tensor=off_premise(3, "missing"))
-    @example(tensor=off_premise(3, "outside"))
-    @example(tensor=off_premise(4, "value"))
-    @example(tensor=off_premise(4, "missing"))
-    @example(tensor=off_premise(4, "outside"))
+    @local_stage_examples
     def test_walk_matches_chained_public_steps(self, tensor):
         try:
             walked = [trace for _, trace in recover_all_orders(tensor, limit=200)]
@@ -530,6 +543,23 @@ class TestLocalStages:
         except NotContractibleError as exc:
             chained = str(exc)
         assert walked == ("more than 200 contraction orders" if isinstance(chained, list) and len(chained) > 200 else chained)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tensor=near_blow_up_tensors())
+    @local_stage_examples
+    def test_descent_matches_chained_public_steps(self, tensor):
+        # recover_sequence descends without the walk: it must meet the first chained order, or its error.
+        try:
+            first = next(chained_orders(tensor))
+        except NotContractibleError as exc:
+            first = str(exc)
+        try:
+            forest, trace = recover_sequence(tensor)
+        except NotContractibleError as exc:
+            assert str(exc) == first
+        else:
+            assert trace == first
+            assert forest == oracle_forest(tensor.dimension, trace)
 
     @pytest.mark.parametrize(
         "forest",
