@@ -27,34 +27,46 @@ the value of the sign pattern, the blow-down removes them and adds
 neighbours; see :func:`_spread`.  Only a stage that fails this premise,
 and so is no blow-up form, spreads its keys move by move.
 
-Recovery walks one mutable stage, in original labels: the entry dict;
-for each component its *narrow* keys (made of at most two components,
-held exactly) and its *wide* keys (three or more, of which some may have
-left the entries); and the finals with their neighbours, also listed in
-ascending order.  A blow-down rewrites the stage in place, writing and
-filing each key it adds in one pass, and returns an undo log: each
-removed or written key with its old value, the narrow keys that came in
-or left, the contracted component's key sets and the finals it
+:func:`recover_sequence` needs one order, and tries a *premise descent*
+first: one mutable stage that files only narrow keys (made of at most two
+components) and keeps no undo log.  Each blow-down of the least final
+``i`` pops the ``C(n + d - 1, d - 1)`` multisets over ``i`` and its
+neighbours that hold ``i``, each of which must hold its value in the sign
+pattern, and writes the rank-one sums.  A stored key of ``i`` that is not
+among them holds a component that is not a neighbour of ``i``.  No later
+blow-down pops or writes a key that holds a contracted component, so such
+a key survives to the end.  So the descent has left the premise exactly
+when a popped key is missing or holds another value, when a key is left
+beside the last pure power, or when a stage with no final still stores a
+key that holds a contracted component; :func:`recover_sequence` then
+answers with the first order of the walk below.  Otherwise every
+blow-down met the premise of :func:`_spread` and wrote what the walk
+writes, so the descent is the walk's first order, and a completed descent
+certifies that the input is the form of the recovered forest: each
+blow-down removed exactly its point's rank-one term, and nothing is left
+beside the last one.
+
+The walk of :func:`recover_all_orders` holds one mutable stage, in
+original labels: the entry dict; for each component its narrow keys
+(held exactly) and its *wide* keys (three or more components, of which
+some may have left the entries); and the finals with their neighbours,
+also listed in ascending order.  A blow-down rewrites the stage in place,
+writing and filing each key it adds in one pass, and returns an undo log:
+each removed or written key with its old value, the narrow keys that came
+in or left, the contracted component's key sets and the finals it
 changed.  Replaying the log restores the parent when the walk
 backtracks, as the trail of a backtracking machine does, so each step
 costs the keys it touches and no stage is copied.  Finality reads only
 narrow keys, so it is decided again only for the components of a
 changed narrow key.  Current labels appear only in the steps.
 
-:func:`recover_sequence` finds one order, and its walk never steps
-back: a stage with no final ends it with an error.  So it descends
-through the one stage, contracting the least final each time, and drops
-each undo log; it keeps only each step and the originals it met, and
-makes the points once the descent is done.
-
-:func:`recover_all_orders` lists every order from one walk, and
-consecutive orders share a prefix of steps.  Beside its path the walk
-keeps, for each depth, the step, the creation indices of the originals it
-met that are contracted so far and, once all of them are, its point; and
-for each original the depths whose step met it.  A step down writes them
-and a step back takes out what it added, so an order costs only the steps
-it does not share with the one before it, and all orders take their
-points from one table of the walk.
+The walk lists every order, and consecutive orders share a prefix of
+steps.  Beside its path it keeps, for each depth, the step, the creation
+indices of the originals it met that are contracted so far and, once all
+of them are, its point; and for each original the depths whose step met
+it.  A step down writes them and a step back takes out what it added, so
+an order costs only the steps it does not share with the one before it,
+and all orders take their points from one table of the walk.
 """
 
 from __future__ import annotations
@@ -201,11 +213,11 @@ def _spread(entries: dict, keys: Iterable, i: int, neighbours: tuple[int, ...]) 
     ``e_j -> e_j + e_i`` every survivor pairs to 0 with ``v`` and every
     neighbour to -1 with ``u``, so the blow-down drops the keys of ``i``
     and adds ``-(-1)^d w`` at each of the ``C(n + d - 1, d)`` multisets of
-    ``d`` neighbours; keys without ``i`` keep their values.  Its premise
-    is read in one pass over the removed keys: every key of ``i`` is made
-    of ``i`` and its neighbours, one with ``c`` copies of ``i`` holds
-    ``(-1)^(d-c) w``, and there are ``C(n + d - 1, d - 1)`` of them, so
-    every such multiset is stored.
+    ``d`` neighbours (:func:`_rank_one`); keys without ``i`` keep their
+    values.  Its premise is read in one pass over the removed keys: every
+    key of ``i`` is made of ``i`` and its neighbours, one with ``c`` copies
+    of ``i`` holds ``(-1)^(d-c) w``, and there are ``C(n + d - 1, d - 1)``
+    of them, so every such multiset is stored.
 
     A stage that fails the premise is no blow-up form, and its keys
     spread one by one: a key ``K`` holding ``k`` copies of ``i`` and
@@ -227,9 +239,26 @@ def _spread(entries: dict, keys: Iterable, i: int, neighbours: tuple[int, ...]) 
             if value != (-w if (d - key.count(i)) % 2 else w) or not members.issuperset(key):
                 break
         else:
-            sums = dict.fromkeys(itertools.combinations_with_replacement(neighbours, d), w if d % 2 else -w)
-            return old, sums.items()
+            return old, _rank_one(d, neighbours, w)
     return old, _spread_by_moves(old, i, neighbours).items()
+
+
+def _pop_premise(entries: dict, d: int, i: int, neighbours: tuple[int, ...], w: int) -> bool:
+    """Pop the multisets of ``d`` over ``i`` and its neighbours that hold ``i``; whether each held the premise's value.
+
+    That value is ``(-1)^(d-c) w`` for ``c`` copies of ``i``, as in
+    :func:`_spread`.  The pops stop at the first key that is missing or
+    holds another value.
+    """
+    for key in itertools.combinations_with_replacement(sorted((i, *neighbours)), d):
+        if (c := key.count(i)) and entries.pop(key, None) != (-w if (d - c) % 2 else w):
+            return False
+    return True
+
+
+def _rank_one(d: int, neighbours: tuple[int, ...], w: int) -> Iterable:
+    """The sums of an on-premise blow-down: ``-(-1)^d w`` at each multiset of ``d`` neighbours."""
+    return zip(itertools.combinations_with_replacement(neighbours, d), itertools.repeat(w if d % 2 else -w))
 
 
 def _spread_by_moves(removed: dict, i: int, neighbours: tuple[int, ...]) -> dict:
@@ -268,43 +297,58 @@ def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, Co
 
 
 def _blow_down(d: int, stage: tuple, i: int) -> tuple:
-    """Blow the stage down at its final ``i`` in place; return the undo log that :func:`_restore` reads.
+    """Blow the stage of the walk down at its final ``i`` in place; return the undo log that :func:`_restore` reads.
 
-    The walk of :func:`_orders` keeps the log to step back; the descent of
-    :func:`recover_sequence` never steps back and drops it.
+    :func:`_spread` takes every stored key of ``i`` out, found through its
+    narrow and wide sets, and :func:`_rewrite` writes the sums.  A wide
+    key that leaves the entries stays in its components' wide sets, which
+    are read through the entries, so only a wide key that comes in is
+    filed.
+    """
+    entries, narrow, wide, finals, _ = stage
+    wide_keys = wide.pop(i, ())
+    old, sums = _spread(entries, itertools.chain(narrow[i], filter(entries.__contains__, wide_keys)), i, finals[i])
+    return (i, old, wide_keys, *_rewrite(d, stage, i, sums, old))
 
-    Narrow key sets hold exactly the stored keys.  A wide key that leaves
-    the entries stays in its components' wide sets, which are read
-    through the entries, so only a wide key that comes in is filed.  Every
-    narrow key of ``i`` but its pure power is made of ``i`` and one
+
+def _rewrite(d: int, stage: tuple, i: int, sums: Iterable, old: dict | None = None) -> tuple:
+    """Finish a blow-down at the final ``i``, whose keys are out of the entries: write ``sums`` and decide finality again.
+
+    Every narrow key of ``i`` but its pure power is made of ``i`` and one
     neighbour, so one pass over them drops them from the neighbours'
-    sets.  One pass over the sums that :func:`_spread` returns writes each
-    key, logs its old value and files it: it is narrow when its first and
-    last components make up all its ``d`` slots.  Only a changed narrow
-    key can change a finality, so only the neighbours and the components
-    of a changed narrow key are decided again.
+    sets.  One pass over the ``(key, sum)`` pairs writes each key and
+    files it: it is narrow when its first and last components make up all
+    its ``d`` slots.  Only a changed narrow key can change a finality, so
+    only the neighbours and the components of a changed narrow key are
+    decided again.  With ``old``, the walk's undo log, each written key's
+    old value is logged there, and a stage with wide sets files each wide
+    key that comes in; the descent of :func:`recover_sequence` has
+    neither.  Returns the rest of the undo log: the narrow keys of ``i``,
+    the narrow keys written that came in or left, and the finals changed
+    with their neighbours before.
     """
     entries, narrow, wide, finals, ascending = stage
-    neighbours, narrow_keys, wide_keys = finals[i], narrow.pop(i), wide.pop(i, ())
+    neighbours, narrow_keys = finals[i], narrow.pop(i)
     for key in narrow_keys:
         if key[0] != key[-1]:
             narrow[key[-1] if key[0] == i else key[0]].discard(key)
-    old, sums = _spread(entries, itertools.chain(narrow_keys, filter(entries.__contains__, wide_keys)), i, neighbours)
     changed = set(neighbours)
     moved = []  # narrow keys written that came in or left
     for key, added in sums:
         if not added:
             continue  # a move-by-move sum that cancels leaves its key as it was
-        before = old[key] = entries.get(key, 0)
+        before = entries.get(key, 0)
+        if old is not None:
+            old[key] = before
         if value := before + added:
             entries[key] = value
         else:
             del entries[key]
         a, b = key[0], key[-1]
-        if a != b and key.count(a) + key.count(b) < d:
-            if not before:
+        if a != b and key[key.count(a)] != b:
+            if wide is not None and not before:
                 for c in set(key):
-                    wide.setdefault(c, set()).add(key)
+                    wide[c].add(key)
             continue
         changed.add(a)
         changed.add(b)
@@ -312,7 +356,7 @@ def _blow_down(d: int, stage: tuple, i: int) -> tuple:
             moved.append(key)
             for c in {a, b}:
                 if value:
-                    narrow.setdefault(c, set()).add(key)
+                    narrow[c].add(key)
                 else:
                     narrow[c].discard(key)
     finals_before = {i: neighbours}
@@ -321,13 +365,13 @@ def _blow_down(d: int, stage: tuple, i: int) -> tuple:
         if (now := _final_neighbours(d, entries, narrow, a)) != (before := finals.get(a)):
             finals_before[a] = before
             _set_final(finals, ascending, a, now)
-    return i, old, narrow_keys, wide_keys, moved, finals_before
+    return narrow_keys, moved, finals_before
 
 
 def _restore(stage: tuple, undo: tuple) -> None:
     """Undo one :func:`_blow_down`: put back the old values, the narrow keys, the key sets of ``i`` and the finals."""
     entries, narrow, wide, finals, ascending = stage
-    i, old, narrow_keys, wide_keys, moved, finals_before = undo
+    i, old, wide_keys, narrow_keys, moved, finals_before = undo
     for key in moved:
         came = key in entries
         for a in set(key):
@@ -390,16 +434,26 @@ class _Node:
         return pairs
 
 
-def _stage(tensor: IntersectionTensor) -> tuple:
-    """The root stage of a walk over ``tensor``: entries, narrow and wide key sets, finals and the finals ascending."""
+def _stage(tensor: IntersectionTensor, wide: dict | None = None) -> tuple:
+    """The root stage over ``tensor``: entries, narrow key sets, wide key sets, finals and the finals ascending.
+
+    A key is narrow when its first and last components make up all its
+    ``d`` slots.  The walk passes an empty ``defaultdict(set)`` for
+    ``wide``, and each wide key is filed there under its components; the
+    descent of :func:`recover_sequence` files none.
+    """
     d, entries = tensor.dimension, dict(tensor.entries)
-    narrow: dict[int, set] = {}
-    wide: dict[int, set] = {}
+    narrow: defaultdict[int, set] = defaultdict(set)
     for key in entries:
-        components = set(key)
-        index = narrow if len(components) <= 2 else wide
-        for a in components:
-            index.setdefault(a, set()).add(key)
+        a, b = key[0], key[-1]
+        if a == b:
+            narrow[a].add(key)
+        elif key[key.count(a)] == b:  # keys are sorted: made of a and b alone iff b follows the copies of a
+            narrow[a].add(key)
+            narrow[b].add(key)
+        elif wide is not None:
+            for c in set(key):
+                wide[c].add(key)
     # A component in no narrow key has a zero pure power, so it is never final.
     finals = {a: n for a in narrow if (n := _final_neighbours(d, entries, narrow, a)) is not None}
     return entries, narrow, wide, finals, sorted(finals)
@@ -445,13 +499,14 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     :func:`_point`), so every order shares the points it has in common
     with the others.  This memo, the undo logs and the lists by depth
     serve only the orders after the first: :func:`recover_sequence`, which
-    needs the first alone, descends without them.
+    needs the first alone, descends without them and calls the walk only
+    when its descent leaves the rank-one premise.
     """
     d, m = tensor.dimension, tensor.size
     if not m:
         yield ProximityForest(d, ()), ContractionTrace(())
         return
-    stage = entries, narrow, wide, finals, ascending = _stage(tensor)
+    stage = entries, narrow, wide, finals, ascending = _stage(tensor, defaultdict(set))
     root = _Node(None, None)
     stages = {root: root}
     contracted: list[int] = []  # originals contracted on the way to the mutable stage, ascending
@@ -544,14 +599,25 @@ def recover_sequence(tensor: IntersectionTensor) -> tuple[ProximityForest, Contr
     no final component, i.e. the input is not the intersection form of any
     blow-up sequence.
 
-    The first order never steps back, so this is a straight descent
-    through one mutable stage (see the module docstring): it blows the
-    stage down with :func:`_blow_down` and drops each undo log, skips the
-    blow-down after the last step, and keeps no memo of stages and no
-    lists by depth.  It keeps each step and its pair ``(original
-    contracted, originals met)``; at the end the original contracted at
-    step ``t`` (from 0) has creation index ``m - t``, and each point's
-    targets are the creation indices of the originals its step met.
+    This is a premise descent through one mutable stage that files only
+    narrow keys (see the module docstring).  Each blow-down of the least
+    final ``i`` pops the multisets over ``i`` and its neighbours that hold
+    ``i``, each of which must hold its premise value (:func:`_pop_premise`),
+    and writes :func:`_rank_one`'s sums with :func:`_rewrite`; no undo log is
+    kept and the blow-down after the last step is skipped.  A completed
+    descent certifies that the input is the recovered forest's form: every
+    blow-down removed exactly its point's rank-one term, and nothing is
+    left beside the last pure power.  The descent leaves the premise when a
+    popped key is missing or holds another value, when a key is left
+    beside the last pure power, or when a stage with no final still stores
+    a key that holds a contracted component; the answer is then the walk's
+    first order, ``next(_orders(tensor))``, which at ``d >= 3`` can be a
+    forest whose form is not the input.
+
+    It keeps each step and its pair ``(original contracted, originals
+    met)``; at the end the original contracted at step ``t`` (from 0) has
+    creation index ``m - t``, and each point's targets are the creation
+    indices of the originals its step met.
     """
     d, m = tensor.dimension, tensor.size
     stage = entries, _, _, finals, ascending = _stage(tensor)
@@ -559,15 +625,24 @@ def recover_sequence(tensor: IntersectionTensor) -> tuple[ProximityForest, Contr
     steps, pairs = [], []  # each step, and its pair (original contracted, originals met)
     for t in range(m):
         if not ascending:
+            done = set(contracted)
+            if any(not done.isdisjoint(key) for key in entries):
+                return next(_orders(tensor))
             raise NotContractibleError(f"no final component at stage {t + 1}")
         chosen = ascending[0]
         neighbours = finals[chosen]
+        w = entries[(chosen,) * d]
         c, *met = (a - bisect.bisect_left(contracted, a) for a in (chosen, *neighbours))
-        steps.append(ContractionStep(c, (-1) ** (d - 1) * entries[(chosen,) * d], tuple(met)))
+        steps.append(ContractionStep(c, (-1) ** (d - 1) * w, tuple(met)))
         pairs.append((chosen, neighbours))
-        if t + 1 < m:  # nothing is left to contract below the last step
-            _blow_down(d, stage, chosen)
+        if t + 1 == m:
+            if len(entries) > 1:  # a key beside the last pure power holds a contracted component
+                return next(_orders(tensor))
+        elif _pop_premise(entries, d, chosen, neighbours, w):
+            _rewrite(d, stage, chosen, _rank_one(d, neighbours, w))
             bisect.insort(contracted, chosen)
+        else:
+            return next(_orders(tensor))
     created = {original: m - t for t, (original, _) in enumerate(pairs)}
     points: dict[tuple, Point] = {}
     made = [

@@ -28,6 +28,7 @@ from blowups import (
 from _oracles import (
     apply_permutation,
     brute_force_forest_isomorphic,
+    enumerate_forests,
     oracle_contract,
     oracle_disjoint,
     oracle_final,
@@ -499,9 +500,9 @@ def chained_orders(tensor):
 
 
 @st.composite
-def near_blow_up_tensors(draw):
+def near_blow_up_tensors(draw, max_dimension=4, min_size=1):
     seed = draw(st.integers(0, 10**6))
-    tensor = tensor_from_forest(random_forest(seed, draw(st.integers(2, 4)), draw(st.integers(1, 7)), 3))
+    tensor = tensor_from_forest(random_forest(seed, draw(st.integers(2, max_dimension)), draw(st.integers(min_size, 7)), 3))
     how = draw(st.sampled_from(["none", "entry", "negate", "isolated", "diagonal"]))
     return tensor if how == "none" else perturb(tensor, how, random.Random(seed))
 
@@ -606,7 +607,7 @@ class TestLocalStages:
         k = 40
         tensor = IntersectionTensor(2, k + 1, {(1, 1): -1, **{(1, j): 1 for j in range(2, k + 2)}})
         written = []
-        spread = blowups.contraction._spread
+        rewrite = blowups.contraction._rewrite
 
         class CountingKeys(set):
             passes = 0
@@ -615,40 +616,125 @@ class TestLocalStages:
                 self.passes += 1
                 return super().__iter__()
 
-        def counting(*args):
-            sums, touched = spread(*args)
-            written.append(CountingKeys(touched))
-            return sums, written[-1]
+        def counting(d, stage, i, sums, *log):
+            written.append(CountingKeys(sums))
+            return rewrite(d, stage, i, written[-1], *log)
 
-        monkeypatch.setattr(blowups.contraction, "_spread", counting)
-        with pytest.raises(NotContractibleError, match="no final component at stage 2"):
-            recover_sequence(tensor)
-        assert len(written) == 1 and len(written[0]) == k * (k + 1) // 2
-        assert [keys.passes for keys in written] == [1]
+        monkeypatch.setattr(blowups.contraction, "_rewrite", counting)
+        for recover in (recover_sequence, recover_all_orders):
+            written.clear()
+            with pytest.raises(NotContractibleError, match="no final component at stage 2"):
+                recover(tensor)
+            assert len(written) == 1 and len(written[0]) == k * (k + 1) // 2
+            assert [keys.passes for keys in written] == [1]
 
     def test_a_blow_up_form_moves_no_key(self, monkeypatch):
         # Each blow-down subtracts the final's rank-one term: C(n + d - 1, d) keys of its n neighbours, no key moved.
         moved, blow_downs = [], []
-        spread_by_moves, spread = blowups.contraction._spread_by_moves, blowups.contraction._spread
+        spread_by_moves, rewrite = blowups.contraction._spread_by_moves, blowups.contraction._rewrite
 
         def counting_moves(*args):
             moved.append(args)
             return spread_by_moves(*args)
 
-        def counting_spread(entries, keys, i, neighbours):
-            old, sums = spread(entries, keys, i, neighbours)
-            blow_downs.append((len(next(iter(old))), len(neighbours), len(sums)))
-            return old, sums
+        def counting_rewrite(d, stage, i, sums, *log):
+            sums = list(sums)
+            blow_downs.append((d, len(stage[3][i]), len(sums)))
+            return rewrite(d, stage, i, sums, *log)
 
         monkeypatch.setattr(blowups.contraction, "_spread_by_moves", counting_moves)
-        monkeypatch.setattr(blowups.contraction, "_spread", counting_spread)
+        monkeypatch.setattr(blowups.contraction, "_rewrite", counting_rewrite)
         for seed in range(10):
             for dimension in (2, 3, 4):
-                recover_sequence(tensor_from_forest(random_forest(seed, dimension, 16, 3)))
-                recover_all_orders(tensor_from_forest(random_forest(seed, dimension, 5, 3)))
+                for recover, size in ((recover_sequence, 16), (recover_all_orders, 5)):
+                    before = len(blow_downs)
+                    recover(tensor_from_forest(random_forest(seed, dimension, size, 3)))
+                    # recover_sequence blows down once per step but the last, and the walk at least as often.
+                    assert len(blow_downs) - before >= size - 1
         assert moved == []
         assert all(written == math.comb(n + d - 1, d) for d, n, written in blow_downs)
         assert max(n for _, n, _ in blow_downs) >= 3
+
+
+def count_walks(monkeypatch) -> list:
+    """Patch the walk so that each call of ``_orders`` appends its tensor to the returned list."""
+    calls, orders = [], blowups.contraction._orders
+
+    def counting(tensor):
+        calls.append(tensor)
+        return orders(tensor)
+
+    monkeypatch.setattr(blowups.contraction, "_orders", counting)
+    return calls
+
+
+def first_order(recover, tensor):
+    """``recover(tensor)``, or the text of the error it raises."""
+    try:
+        return recover(tensor)
+    except NotContractibleError as exc:
+        return str(exc)
+
+
+def walk_first(tensor):
+    """The first order of the walk, which answers for ``recover_sequence`` off the premise."""
+    return next(blowups.contraction._orders(tensor))
+
+
+def relabelled_form_is_input(tensor, recovered, trace) -> bool:
+    creation = trace.creation_indices()
+    perm = tuple(creation[i] for i in range(1, tensor.size + 1))
+    return apply_permutation(tensor, perm).entries == tensor_from_forest(recovered).entries
+
+
+class TestPremiseDescent:
+    """``recover_sequence`` descends on the rank-one premise and hands every input off it to the walk."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tensor=near_blow_up_tensors(max_dimension=5, min_size=0))
+    @local_stage_examples
+    def test_descent_answers_what_the_walk_answers(self, tensor):
+        assert first_order(recover_sequence, tensor) == first_order(walk_first, tensor)
+
+    @pytest.mark.parametrize(
+        "tensor, walks, answer",
+        [
+            # Every blow-down meets the premise, but (1, 2, 3) holds no neighbour of 1: it is left beside T(3^3).
+            # The walk answers three disjoint points, whose form has no key (1, 2, 3).
+            (IntersectionTensor(3, 3, {(1, 1, 1): 1, (2, 2, 2): 1, (3, 3, 3): 1, (1, 2, 3): 5}), 1, None),
+            # The final 3 meets 1 and 2, and its premise key of 1, 2 and 3 is missing or holds twice its value.
+            (off_premise(3, "missing"), 1, "no final component at stage 3"),
+            (off_premise(3, "value"), 1, "no final component at stage 3"),
+            (off_premise(4, "missing"), 1, "no final component at stage 3"),
+            (off_premise(4, "value"), 1, "no final component at stage 3"),
+            # Stage 2 has no final, and (1, 2, 3) still holds the contracted 1.
+            (IntersectionTensor(3, 3, {(1, 1, 1): 1, (2, 2, 2): -1, (3, 3, 3): -1, (1, 2, 3): 5}), 1,
+             "no final component at stage 2"),
+            # Stage 2 has no final, and no key holds the contracted 1.
+            (IntersectionTensor(3, 2, {(1, 1, 1): 1, (2, 2, 2): -1}), 0, "no final component at stage 2"),
+            (IntersectionTensor(2, 3, {(1, 1): -1, (2, 2): 1, (2, 3): 1, (3, 3): 1}), 0, "no final component at stage 2"),
+        ],
+        ids=["left-at-the-end", "3-missing", "3-value", "4-missing", "4-value", "no-final-contracted-key", "no-final-3",
+             "no-final-2"],
+    )
+    def test_each_way_off_the_premise(self, tensor, walks, answer, monkeypatch):
+        # The walk answers exactly when the descent leaves the premise; answer None is a forest.
+        walk = first_order(walk_first, tensor)
+        calls = count_walks(monkeypatch)
+        assert first_order(recover_sequence, tensor) == walk
+        assert len(calls) == walks
+        assert (walk if isinstance(walk, str) else None) == answer
+
+    def test_forms_never_take_the_walk(self, monkeypatch):
+        # Census: every forest at d 2-5, m <= 4, degrees 1-2, and 500 random forests at d 2-6, m <= 12.
+        calls = count_walks(monkeypatch)
+        forests = [forest for d in range(2, 6) for m in range(5) for forest in enumerate_forests(d, m, 2)]
+        forests += [random_forest(seed, 2 + seed % 5, seed % 13, 5) for seed in range(500)]
+        for forest in forests:
+            tensor = tensor_from_forest(forest)
+            assert relabelled_form_is_input(tensor, *recover_sequence(tensor))
+        assert len(forests) == 4768
+        assert calls == []
 
 
 def traced_peak(run, tensor) -> int:
