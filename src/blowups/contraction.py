@@ -20,45 +20,46 @@ entries, not ``size^d``.
 A blow-up form is a sum of rank-one terms, one per point:
 ``(-1)^{d-1} deg(k) v_k^d`` with ``v_k`` the basis vector of ``k`` less
 those of its targets.  Blowing down the last point only drops its own
-term.  So when the keys of a final ``i`` with ``n`` neighbours are all
-the multisets over ``i`` and its neighbours that hold ``i``, each with
-the value of the sign pattern, the blow-down removes them and adds
-``-(-1)^d T(i^d)`` at each of the ``C(n + d - 1, d)`` multisets of ``d``
-neighbours; see :func:`_spread`.  Only a stage that fails this premise,
-and so is no blow-up form, spreads its keys move by move.
+term.  So the keys of a final ``i`` with ``n`` neighbours are the
+``C(n + d - 1, d - 1)`` multisets over ``i`` and its neighbours that hold
+``i``, each with the value of the sign pattern, and the blow-down removes
+them and adds ``-(-1)^d T(i^d)`` at each of the ``C(n + d - 1, d)``
+multisets of ``d`` neighbours.  Recovery blows down by this rank-one step
+alone (:func:`_blow_down`), and the public :func:`contract` by the
+pull-back, which is exact on any tensor.
 
-:func:`recover_sequence` needs one order, and tries a *premise descent*
-first: one mutable stage that files only narrow keys (made of at most two
-components) and keeps no undo log.  Each blow-down of the least final
-``i`` pops the ``C(n + d - 1, d - 1)`` multisets over ``i`` and its
-neighbours that hold ``i``, each of which must hold its value in the sign
-pattern, and writes the rank-one sums.  A stored key of ``i`` that is not
-among them holds a component that is not a neighbour of ``i``.  No later
+Recovery refuses a tensor as soon as the rank-one step does not fit it.
+:func:`_pop_premise` pops the multisets over ``i`` and its neighbours
+that hold ``i`` and raises :class:`NotContractibleError` at one that is
+missing or holds another value.  A stored key of ``i`` that is not among
+them holds a component that is not a neighbour of ``i``.  No later
 blow-down pops or writes a key that holds a contracted component, so such
-a key survives to the end.  So the descent has left the premise exactly
-when a popped key is missing or holds another value, when a key is left
-beside the last pure power, or when a stage with no final still stores a
-key that holds a contracted component; :func:`recover_sequence` then
-answers with the first order of the walk below.  Otherwise every
-blow-down met the premise of :func:`_spread` and wrote what the walk
-writes, so the descent is the walk's first order, and a completed descent
-certifies that the input is the form of the recovered forest: each
-blow-down removed exactly its point's rank-one term, and nothing is left
-beside the last one.
+a key survives to the end, and recovery refuses it there: a key left
+beside the last pure power.  So a recovery that completes is certified:
+each blow-down removed exactly its point's rank-one term and nothing is
+left beside the last one, so the input is the form of the recovered
+forest.  Conversely a blow-up form meets the premise at every stage of
+every order: its finals are the points no point is proximate to, whose
+basis vector enters no other point's term.  The tests check this on
+every order of a census of forests.  A rank-one blow-down writes only
+over the neighbours of its final, so a component in no narrow key (made
+of at most two components) never gets one and is never final; recovery
+refuses it before any blow-down.
 
 The walk of :func:`recover_all_orders` holds one mutable stage, in
-original labels: the entry dict; for each component its narrow keys
-(held exactly) and its *wide* keys (three or more components, of which
-some may have left the entries); and the finals with their neighbours,
-also listed in ascending order.  A blow-down rewrites the stage in place,
-writing and filing each key it adds in one pass, and returns an undo log:
-each removed or written key with its old value, the narrow keys that came
-in or left, the contracted component's key sets and the finals it
-changed.  Replaying the log restores the parent when the walk
-backtracks, as the trail of a backtracking machine does, so each step
+original labels: the entry dict; for each component its narrow keys; and
+the finals with their neighbours, also listed in ascending order.  A
+blow-down rewrites the stage in place, writing and filing each key it
+adds in one pass, and returns an undo record: the final, its pure power,
+its narrow keys and the finals it changed.  :func:`_restore` subtracts
+the rank-one sums again and puts the popped premise values back, so the
+walk backtracks as the trail of a backtracking machine does: each step
 costs the keys it touches and no stage is copied.  Finality reads only
-narrow keys, so it is decided again only for the components of a
-changed narrow key.  Current labels appear only in the steps.
+narrow keys, and every key a blow-down pops or writes is made of the
+final and its neighbours, so finality is decided again only for the
+neighbours.  Current labels appear only in the steps.
+:func:`recover_sequence` follows the walk's first path through the same
+blow-down, without the undo records, the memo and the lists by depth.
 
 The walk lists every order, and consecutive orders share a prefix of
 steps.  Beside its path it keeps, for each depth, the step, the creation
@@ -204,65 +205,34 @@ def final_set(tensor: IntersectionTensor) -> frozenset[int]:
     return frozenset(i for i in tensor._holding if is_final(tensor, i))
 
 
-def _spread(entries: dict, keys: Iterable, i: int, neighbours: tuple[int, ...]) -> tuple[dict, Iterable]:
-    """Take the stored keys ``keys`` of the final ``i`` out of ``entries``; return them and what its blow-down adds.
-
-    On a blow-up form the part of the form at ``i`` is one rank-one term
-    less another: ``w (v^d - u^d)`` with ``w = T(i^d)``, ``u = -sum e_j``
-    over the ``n`` neighbours ``j`` and ``v = e_i + u``.  Under
-    ``e_j -> e_j + e_i`` every survivor pairs to 0 with ``v`` and every
-    neighbour to -1 with ``u``, so the blow-down drops the keys of ``i``
-    and adds ``-(-1)^d w`` at each of the ``C(n + d - 1, d)`` multisets of
-    ``d`` neighbours (:func:`_rank_one`); keys without ``i`` keep their
-    values.  Its premise is read in one pass over the removed keys: every
-    key of ``i`` is made of ``i`` and its neighbours, one with ``c`` copies
-    of ``i`` holds ``(-1)^(d-c) w``, and there are ``C(n + d - 1, d - 1)``
-    of them, so every such multiset is stored.
-
-    A stage that fails the premise is no blow-up form, and its keys
-    spread one by one: a key ``K`` holding ``k`` copies of ``i`` and
-    others ``R0`` spreads its value over ``R0 + R`` for every multiset
-    ``R`` of ``k`` neighbours, weighted by ``prod_a C(mult_{R0+R}(a),
-    mult_R(a))``, the number of slot choices of ``R0 + R`` that pull back
-    to ``K``.  Each written key is sorted back into place.
-
-    Returns the removed keys with their values, and the sums to add as
-    ``(key, sum)`` pairs.  The caller writes the sums; a key whose sum
-    cancels to 0 keeps its value, and one whose new value is 0 is dropped.
-    """
-    old = {key: entries.pop(key) for key in keys}
-    n, d = len(neighbours), len(next(iter(old)))
-    w = old[(i,) * d]
-    members = {i, *neighbours}
-    if len(old) == math.comb(n + d - 1, d - 1):
-        for key, value in old.items():
-            if value != (-w if (d - key.count(i)) % 2 else w) or not members.issuperset(key):
-                break
-        else:
-            return old, _rank_one(d, neighbours, w)
-    return old, _spread_by_moves(old, i, neighbours).items()
-
-
-def _pop_premise(entries: dict, d: int, i: int, neighbours: tuple[int, ...], w: int) -> bool:
-    """Pop the multisets of ``d`` over ``i`` and its neighbours that hold ``i``; whether each held the premise's value.
-
-    That value is ``(-1)^(d-c) w`` for ``c`` copies of ``i``, as in
-    :func:`_spread`.  The pops stop at the first key that is missing or
-    holds another value.
-    """
+def _premise(d: int, i: int, neighbours: tuple[int, ...], w: int) -> Iterator[tuple[tuple, int]]:
+    """The keys of the final ``i`` on the rank-one premise: each multiset of ``d`` over ``i`` and its neighbours that holds ``c > 0`` copies of ``i``, with ``(-1)^(d-c) w``."""
     for key in itertools.combinations_with_replacement(sorted((i, *neighbours)), d):
-        if (c := key.count(i)) and entries.pop(key, None) != (-w if (d - c) % 2 else w):
-            return False
-    return True
+        if c := key.count(i):
+            yield key, -w if (d - c) % 2 else w
+
+
+def _pop_premise(entries: dict, d: int, i: int, neighbours: tuple[int, ...], w: int) -> None:
+    """Pop the keys :func:`_premise` names; raise :class:`NotContractibleError` at the first that is missing or holds another value."""
+    for key, value in _premise(d, i, neighbours, w):
+        if (held := entries.pop(key, 0)) != value:
+            raise NotContractibleError(f"final component {i} is no blown-up point: key {list(key)} holds {held}, not {value}")
 
 
 def _rank_one(d: int, neighbours: tuple[int, ...], w: int) -> Iterable:
-    """The sums of an on-premise blow-down: ``-(-1)^d w`` at each multiset of ``d`` neighbours."""
+    """The sums of a blow-down: ``-(-1)^d w`` at each multiset of ``d`` neighbours."""
     return zip(itertools.combinations_with_replacement(neighbours, d), itertools.repeat(w if d % 2 else -w))
 
 
 def _spread_by_moves(removed: dict, i: int, neighbours: tuple[int, ...]) -> dict:
-    """The sums each removed key of ``i`` spreads to, move by move, as :func:`_spread` describes off its premise."""
+    """The sums the removed keys of the final ``i`` spread to under ``e_j -> e_j + e_i`` at each neighbour ``j``.
+
+    A key ``K`` holding ``k`` copies of ``i`` and others ``R0`` spreads its
+    value over ``R0 + R`` for every multiset ``R`` of ``k`` neighbours,
+    weighted by ``prod_a C(mult_{R0+R}(a), mult_R(a))``, the number of slot
+    choices of ``R0 + R`` that pull back to ``K``.  Each written key is
+    sorted back into place.  Keys without ``i`` keep their values.
+    """
     sums: dict = {}
     for key, value in removed.items():
         rest = tuple(a for a in key if a != i)
@@ -277,8 +247,10 @@ def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, Co
     """Blow down the final component ``i`` and renumber the survivors.
 
     The contracted form is the pull-back along ``e_j -> e_j + e_i`` at
-    every neighbour ``j`` of ``i``, computed by :func:`_spread` from the
-    stored keys that hold ``i``.
+    every neighbour ``j`` of ``i``, computed by :func:`_spread_by_moves`
+    from the stored keys that hold ``i``.  It is the numerical blow-down
+    on any tensor, a blow-up form or not; on a form it writes what the
+    rank-one step of recovery writes.
     """
     _check_index(tensor, i)
     d, m, entries = tensor.dimension, tensor.size, dict(tensor.entries)
@@ -286,7 +258,8 @@ def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, Co
     if proximities is None:
         raise ValueError(f"component {i} is not final")
     step = ContractionStep(i, (-1) ** (d - 1) * entries[(i,) * d], proximities)
-    for key, added in _spread(entries, tensor._holding[i], i, proximities)[1]:
+    removed = {key: entries.pop(key) for key in tensor._holding[i]}
+    for key, added in _spread_by_moves(removed, i, proximities).items():
         if value := entries.get(key, 0) + added:
             entries[key] = value
         else:
@@ -296,102 +269,84 @@ def contract(tensor: IntersectionTensor, i: int) -> tuple[IntersectionTensor, Co
     return IntersectionTensor._trusted(d, m - 1, entries), step
 
 
+def _file(narrow: dict, key: tuple, stored: int) -> None:
+    """If ``key`` is narrow, file it under its components when it is ``stored``, else take it out.
+
+    A key is narrow when it is made of at most two components: keys are
+    sorted, so its last component follows the copies of its first.
+    """
+    a, b = key[0], key[-1]
+    if a == b or key[key.count(a)] == b:
+        for c in {a, b}:
+            if stored:
+                narrow[c].add(key)
+            else:
+                narrow[c].discard(key)
+
+
 def _blow_down(d: int, stage: tuple, i: int) -> tuple:
-    """Blow the stage of the walk down at its final ``i`` in place; return the undo log that :func:`_restore` reads.
+    """Blow the stage down at its final ``i`` in place by the rank-one step; return the undo record :func:`_restore` reads.
 
-    :func:`_spread` takes every stored key of ``i`` out, found through its
-    narrow and wide sets, and :func:`_rewrite` writes the sums.  A wide
-    key that leaves the entries stays in its components' wide sets, which
-    are read through the entries, so only a wide key that comes in is
-    filed.
+    :func:`_pop_premise` takes the keys of ``i`` out, or refuses the
+    tensor.  Every narrow key of ``i`` but its pure power is made of ``i``
+    and one neighbour, so one pass over them drops them from the
+    neighbours' sets.  One pass over :func:`_rank_one`'s sums writes each
+    key and files it when it came in or left.  Every key popped or written
+    is made of ``i`` and its neighbours, so only the neighbours are decided
+    again.  The undo record holds ``i``, its pure power, its narrow keys
+    and the finals changed with their neighbours before.
     """
-    entries, narrow, wide, finals, _ = stage
-    wide_keys = wide.pop(i, ())
-    old, sums = _spread(entries, itertools.chain(narrow[i], filter(entries.__contains__, wide_keys)), i, finals[i])
-    return (i, old, wide_keys, *_rewrite(d, stage, i, sums, old))
-
-
-def _rewrite(d: int, stage: tuple, i: int, sums: Iterable, old: dict | None = None) -> tuple:
-    """Finish a blow-down at the final ``i``, whose keys are out of the entries: write ``sums`` and decide finality again.
-
-    Every narrow key of ``i`` but its pure power is made of ``i`` and one
-    neighbour, so one pass over them drops them from the neighbours'
-    sets.  One pass over the ``(key, sum)`` pairs writes each key and
-    files it: it is narrow when its first and last components make up all
-    its ``d`` slots.  Only a changed narrow key can change a finality, so
-    only the neighbours and the components of a changed narrow key are
-    decided again.  With ``old``, the walk's undo log, each written key's
-    old value is logged there, and a stage with wide sets files each wide
-    key that comes in; the descent of :func:`recover_sequence` has
-    neither.  Returns the rest of the undo log: the narrow keys of ``i``,
-    the narrow keys written that came in or left, and the finals changed
-    with their neighbours before.
-    """
-    entries, narrow, wide, finals, ascending = stage
-    neighbours, narrow_keys = finals[i], narrow.pop(i)
+    entries, narrow, finals, ascending = stage
+    neighbours, w = finals[i], entries[(i,) * d]
+    _pop_premise(entries, d, i, neighbours, w)
+    narrow_keys = narrow.pop(i)
     for key in narrow_keys:
         if key[0] != key[-1]:
             narrow[key[-1] if key[0] == i else key[0]].discard(key)
-    changed = set(neighbours)
-    moved = []  # narrow keys written that came in or left
-    for key, added in sums:
-        if not added:
-            continue  # a move-by-move sum that cancels leaves its key as it was
+    for key, added in _rank_one(d, neighbours, w):
         before = entries.get(key, 0)
-        if old is not None:
-            old[key] = before
         if value := before + added:
             entries[key] = value
         else:
             del entries[key]
-        a, b = key[0], key[-1]
-        if a != b and key[key.count(a)] != b:
-            if wide is not None and not before:
-                for c in set(key):
-                    wide[c].add(key)
-            continue
-        changed.add(a)
-        changed.add(b)
         if not (value and before):
-            moved.append(key)
-            for c in {a, b}:
-                if value:
-                    narrow[c].add(key)
-                else:
-                    narrow[c].discard(key)
+            _file(narrow, key, value)
     finals_before = {i: neighbours}
     _set_final(finals, ascending, i, None)
-    for a in changed:
-        if (now := _final_neighbours(d, entries, narrow, a)) != (before := finals.get(a)):
-            finals_before[a] = before
+    for a in neighbours:
+        if (now := _final_neighbours(d, entries, narrow, a)) != (was := finals.get(a)):
+            finals_before[a] = was
             _set_final(finals, ascending, a, now)
-    return narrow_keys, moved, finals_before
+    return i, w, narrow_keys, finals_before
 
 
-def _restore(stage: tuple, undo: tuple) -> None:
-    """Undo one :func:`_blow_down`: put back the old values, the narrow keys, the key sets of ``i`` and the finals."""
-    entries, narrow, wide, finals, ascending = stage
-    i, old, wide_keys, narrow_keys, moved, finals_before = undo
-    for key in moved:
-        came = key in entries
-        for a in set(key):
-            if came:
-                narrow[a].discard(key)
-            else:
-                narrow[a].add(key)
-    for key, value in old.items():
-        if value:
-            entries[key] = value
+def _restore(d: int, stage: tuple, undo: tuple) -> None:
+    """Undo one :func:`_blow_down`: subtract the rank-one sums, put the premise back, and restore the narrow keys and the finals."""
+    entries, narrow, finals, ascending = stage
+    i, w, narrow_keys, finals_before = undo
+    neighbours = finals_before[i]
+    for key, added in _rank_one(d, neighbours, w):
+        after = entries.get(key, 0)
+        if before := after - added:
+            entries[key] = before
         else:
-            entries.pop(key, None)
+            del entries[key]
+        if not (before and after):
+            _file(narrow, key, before)
+    entries.update(_premise(d, i, neighbours, w))
     for key in narrow_keys:
         if key[0] != key[-1]:
             narrow[key[-1] if key[0] == i else key[0]].add(key)
     narrow[i] = narrow_keys
-    if wide_keys:
-        wide[i] = wide_keys
-    for a, neighbours in finals_before.items():
-        _set_final(finals, ascending, a, neighbours)
+    for a, was in finals_before.items():
+        _set_final(finals, ascending, a, was)
+
+
+def _last(entries: dict) -> None:
+    """Refuse a last stage that stores a key beside the last pure power: such a key holds a contracted component."""
+    if len(entries) > 1:
+        key = min(key for key in entries if key[0] != key[-1])
+        raise NotContractibleError(f"key {list(key)} is left over beside the last component's pure power")
 
 
 def _set_final(finals: dict, ascending: list, a: int, neighbours: tuple[int, ...] | None) -> None:
@@ -434,29 +389,26 @@ class _Node:
         return pairs
 
 
-def _stage(tensor: IntersectionTensor, wide: dict | None = None) -> tuple:
-    """The root stage over ``tensor``: entries, narrow key sets, wide key sets, finals and the finals ascending.
+def _stage(tensor: IntersectionTensor) -> tuple:
+    """The root stage over ``tensor``: entries, narrow key sets, finals and the finals ascending.
 
-    A key is narrow when its first and last components make up all its
-    ``d`` slots.  The walk passes an empty ``defaultdict(set)`` for
-    ``wide``, and each wide key is filed there under its components; the
-    descent of :func:`recover_sequence` files none.
+    A component in no narrow key has no pure power and meets no other
+    component, and a rank-one blow-down files no narrow key under it, so
+    it is never final: the tensor is refused here, before any blow-down.
+    The least such component is among the first ``len(narrow) + 1``.
     """
-    d, entries = tensor.dimension, dict(tensor.entries)
+    d, m, entries = tensor.dimension, tensor.size, dict(tensor.entries)
     narrow: defaultdict[int, set] = defaultdict(set)
-    for key in entries:
+    for key in entries:  # files each narrow key as :func:`_file` does, inline on this pass over every key
         a, b = key[0], key[-1]
-        if a == b:
-            narrow[a].add(key)
-        elif key[key.count(a)] == b:  # keys are sorted: made of a and b alone iff b follows the copies of a
+        if a == b or key[key.count(a)] == b:
             narrow[a].add(key)
             narrow[b].add(key)
-        elif wide is not None:
-            for c in set(key):
-                wide[c].add(key)
-    # A component in no narrow key has a zero pure power, so it is never final.
+    if len(narrow) < m:
+        a = min(set(range(1, len(narrow) + 2)).difference(narrow))
+        raise NotContractibleError(f"component {a} has no pure power and meets no other component, so it is never final")
     finals = {a: n for a in narrow if (n := _final_neighbours(d, entries, narrow, a)) is not None}
-    return entries, narrow, wide, finals, sorted(finals)
+    return entries, narrow, finals, sorted(finals)
 
 
 def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, ContractionTrace]]:
@@ -467,12 +419,13 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     :func:`_stage`) for the deepest stage derived on its path, and a path
     of frames: the :class:`_Node` reached, the last final tried there (or,
     below a stage reached before, an iterator over its edges) and the undo
-    log of the blow-down that derived it.  Backtracking out of a frame replays
-    its undo log, so the mutable stage is its parent again, and the next
-    final is the least one above the last tried.  Only steps use current
-    labels: renumbering keeps order, so original ``a`` has current label
-    ``a`` less the number of contracted originals below it, counted in
-    ``contracted``.
+    record of the blow-down that derived it.  Backtracking out of a frame
+    restores from its undo record, so the mutable stage is its parent
+    again, and the next final is the least one above the last tried.  The
+    last step blows nothing down: its stage must hold the last pure power
+    alone (:func:`_last`).  Only steps use current labels: renumbering
+    keeps order, so original ``a`` has current label ``a`` less the number
+    of contracted originals below it, counted in ``contracted``.
 
     A stage is the pull-back of ``tensor`` along the composite of its
     steps, which is fixed by its pairs.  Each stage is derived once by
@@ -497,27 +450,24 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     and completes the points of the steps that met its original; the
     forest is then ``made`` reversed.  Points come from ``points`` (see
     :func:`_point`), so every order shares the points it has in common
-    with the others.  This memo, the undo logs and the lists by depth
+    with the others.  This memo, the undo records and the lists by depth
     serve only the orders after the first: :func:`recover_sequence`, which
-    needs the first alone, descends without them and calls the walk only
-    when its descent leaves the rank-one premise.
+    needs the first alone, descends without them.
     """
     d, m = tensor.dimension, tensor.size
     if not m:
         yield ProximityForest(d, ()), ContractionTrace(())
         return
-    stage = entries, narrow, wide, finals, ascending = _stage(tensor, defaultdict(set))
+    stage = entries, _, finals, ascending = _stage(tensor)
     root = _Node(None, None)
     stages = {root: root}
     contracted: list[int] = []  # originals contracted on the way to the mutable stage, ascending
     below = bisect.bisect_left
     path: list[list] = [[root, 0, None]]  # stage, last final tried or its edges, undo
-    # A blow-down writes keys over components of stored keys only, so the walk goes no deeper than there are of them.
-    reach = len(narrow.keys() | wide.keys())
-    steps: list = [None] * reach  # the step at each depth of the path
-    pairs: list = [None] * reach  # each step's pair (original contracted, originals met)
-    targets: list[list[int]] = [[] for _ in range(reach)]  # each step's creation targets so far, descending
-    made: list = [None] * reach  # each step's point, once every original it met is contracted
+    steps: list = [None] * m  # the step at each depth of the path
+    pairs: list = [None] * m  # each step's pair (original contracted, originals met)
+    targets: list[list[int]] = [[] for _ in range(m)]  # each step's creation targets so far, descending
+    made: list = [None] * m  # each step's point, once every original it met is contracted
     meeting: defaultdict[int, list[int]] = defaultdict(list)  # original -> the depths whose step met it
     points: dict[tuple, Point] = {}
     while path:
@@ -534,12 +484,11 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
             pair = chosen, neighbours
             child = _Node(node, pair)
             edge = node.edges[chosen] = step, pair, stages.setdefault(child, child)
-            if edge[2] is child:
+            if len(path) == m:
+                _last(entries)
+            elif edge[2] is child:
                 derived = _blow_down(d, stage, chosen)
-                if len(path) < m:
-                    bisect.insort(contracted, chosen)
-                else:
-                    _restore(stage, derived)  # nothing is left to contract below the last step
+                bisect.insort(contracted, chosen)
         elif not tried:
             raise NotContractibleError(f"no final component at stage {len(path)}")
         else:
@@ -553,7 +502,7 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
                 for b in met:
                     meeting[b].pop()
                 if undo is not None:
-                    _restore(stage, undo)
+                    _restore(d, stage, undo)
                     del contracted[below(contracted, original)]
             continue
         step, pair, child = edge
@@ -595,54 +544,37 @@ def recover_sequence(tensor: IntersectionTensor) -> tuple[ProximityForest, Contr
     At every stage the smallest final index is contracted; the point
     contracted at step ``t`` of ``m`` receives creation index
     ``m + 1 - t``; the result is the first that :func:`recover_all_orders`
-    lists.  Raises :class:`NotContractibleError` when a nonempty stage has
-    no final component, i.e. the input is not the intersection form of any
-    blow-up sequence.
+    lists.  Raises :class:`NotContractibleError` when the input is not the
+    intersection form of any blow-up sequence: a component is never final
+    (:func:`_stage`), a nonempty stage has no final component, a blow-down
+    does not fit the rank-one premise (:func:`_pop_premise`), or a key is
+    left beside the last pure power (:func:`_last`).  A descent that
+    completes certifies that the input is the recovered forest's form (see
+    the module docstring).
 
-    This is a premise descent through one mutable stage that files only
-    narrow keys (see the module docstring).  Each blow-down of the least
-    final ``i`` pops the multisets over ``i`` and its neighbours that hold
-    ``i``, each of which must hold its premise value (:func:`_pop_premise`),
-    and writes :func:`_rank_one`'s sums with :func:`_rewrite`; no undo log is
-    kept and the blow-down after the last step is skipped.  A completed
-    descent certifies that the input is the recovered forest's form: every
-    blow-down removed exactly its point's rank-one term, and nothing is
-    left beside the last pure power.  The descent leaves the premise when a
-    popped key is missing or holds another value, when a key is left
-    beside the last pure power, or when a stage with no final still stores
-    a key that holds a contracted component; the answer is then the walk's
-    first order, ``next(_orders(tensor))``, which at ``d >= 3`` can be a
-    forest whose form is not the input.
-
-    It keeps each step and its pair ``(original contracted, originals
-    met)``; at the end the original contracted at step ``t`` (from 0) has
-    creation index ``m - t``, and each point's targets are the creation
-    indices of the originals its step met.
+    This is the walk's first path through one mutable stage, blown down at
+    the least final by :func:`_blow_down`, with no undo record, memo or
+    lists by depth.  It keeps each step and its pair ``(original
+    contracted, originals met)``; at the end the original contracted at
+    step ``t`` (from 0) has creation index ``m - t``, and each point's
+    targets are the creation indices of the originals its step met.
     """
     d, m = tensor.dimension, tensor.size
-    stage = entries, _, _, finals, ascending = _stage(tensor)
+    stage = entries, _, finals, ascending = _stage(tensor)
     contracted: list[int] = []  # originals contracted so far, ascending
     steps, pairs = [], []  # each step, and its pair (original contracted, originals met)
     for t in range(m):
         if not ascending:
-            done = set(contracted)
-            if any(not done.isdisjoint(key) for key in entries):
-                return next(_orders(tensor))
             raise NotContractibleError(f"no final component at stage {t + 1}")
         chosen = ascending[0]
         neighbours = finals[chosen]
-        w = entries[(chosen,) * d]
         c, *met = (a - bisect.bisect_left(contracted, a) for a in (chosen, *neighbours))
-        steps.append(ContractionStep(c, (-1) ** (d - 1) * w, tuple(met)))
+        steps.append(ContractionStep(c, (-1) ** (d - 1) * entries[(chosen,) * d], tuple(met)))
         pairs.append((chosen, neighbours))
-        if t + 1 == m:
-            if len(entries) > 1:  # a key beside the last pure power holds a contracted component
-                return next(_orders(tensor))
-        elif _pop_premise(entries, d, chosen, neighbours, w):
-            _rewrite(d, stage, chosen, _rank_one(d, neighbours, w))
+        if t + 1 < m:
+            _blow_down(d, stage, chosen)
             bisect.insort(contracted, chosen)
-        else:
-            return next(_orders(tensor))
+    _last(entries)
     created = {original: m - t for t, (original, _) in enumerate(pairs)}
     points: dict[tuple, Point] = {}
     made = [
@@ -659,8 +591,10 @@ def recover_all_orders(
 
     Results are in lexicographic order of the contracted index sequences.
     Raises :class:`SearchLimitError` if more than ``limit`` complete
-    orders exist and :class:`NotContractibleError` if any branch reaches a
-    nonempty stage with no final component.
+    orders exist, and :class:`NotContractibleError` at the first branch
+    that shows the input is no blow-up form, in the ways
+    :func:`recover_sequence` names.  Every order listed is certified: the
+    input is the form of its forest.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")

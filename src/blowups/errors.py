@@ -14,7 +14,7 @@ class SchemaError(BlowupsError):
 
 
 class NotContractibleError(BlowupsError):
-    """A tensor admits no final component at some nonempty stage."""
+    """A tensor is not the intersection form of any blow-up sequence."""
 
 
 class SearchLimitError(BlowupsError):

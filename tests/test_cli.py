@@ -193,7 +193,8 @@ class TestLargeSizeFewEntries:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 2 and doc["error"] == {"code": "not-contractible", "message": "no final component at stage 2"}
+        message = "component 2 has no pure power and meets no other component, so it is never final"
+        assert code == 2 and doc["error"] == {"code": "not-contractible", "message": message}
         assert peak < 1_000_000
 
     def test_contract_keeps_the_other_components(self, capsys, files):

@@ -396,7 +396,7 @@ class TestRecoverAllOrders:
         monkeypatch.setattr(blowups.contraction, "_blow_down", counting_blow_down)
         monkeypatch.setattr(ContractionStep, "__init__", counting_init)
         results = recover_all_orders(tensor)
-        assert len(derived) == 2**6 - 1
+        assert len(derived) == 2**6 - 2  # the last step blows nothing down, so the leaf stage is never derived
         assert len(steps) == 6 * 2**5
         assert [trace.original_order() for _, trace in results] == list(itertools.permutations(range(1, 7)))
         assert results[0] == recover_sequence(tensor)
@@ -484,16 +484,24 @@ class TestRecoverAllOrders:
 
 
 def chained_orders(tensor):
-    """Every contraction order by chaining the public ``final_set`` and ``contract``, as the walk lists them."""
-    def walk(tensor, steps):
-        if not tensor.size:
-            yield ContractionTrace(steps)
+    """Every contraction order by chaining the public ``final_set`` and ``contract``, as the walk lists them.
+
+    A leaf whose forest's relabelled form is not ``tensor`` raises
+    :class:`NotContractibleError`, so an input that is no blow-up form is
+    refused, as recovery refuses it, though not always with the same text.
+    """
+    def walk(stage, steps):
+        if not stage.size:
+            trace = ContractionTrace(steps)
+            if not relabelled_form_is_input(tensor, oracle_forest(tensor.dimension, trace), trace):
+                raise NotContractibleError("the form of the recovered forest is not the input")
+            yield trace
             return
-        finals = sorted(final_set(tensor))
+        finals = sorted(final_set(stage))
         if not finals:
             raise NotContractibleError(f"no final component at stage {len(steps) + 1}")
         for i in finals:
-            smaller, step = contract(tensor, i)
+            smaller, step = contract(stage, i)
             yield from walk(smaller, steps + (step,))
 
     return walk(tensor, ())
@@ -518,6 +526,9 @@ LOCAL_STAGES = [
         3, 3, {(1, 1, 1): 2, (1, 1, 2): -2, (1, 1, 3): -2, (1, 2, 2): 2, (1, 2, 3): 1, (1, 3, 3): 2,
                (2, 2, 2): 3, (2, 2, 3): 2, (2, 3, 3): -1, (3, 3, 3): 1},
     ),
+    # Three points on their own and a key of all three: every blow-down fits the premise, and the key is left at the end.
+    *(IntersectionTensor(d, 3, {**{(a,) * d: (-1) ** (d - 1) for a in (1, 2, 3)}, (1, 2) + (3,) * (d - 2): 5})
+      for d in (3, 4, 5)),
 ]
 
 
@@ -535,29 +546,32 @@ class TestLocalStages:
     @given(tensor=near_blow_up_tensors())
     @local_stage_examples
     def test_walk_matches_chained_public_steps(self, tensor):
+        # The walk refuses at the first blow-down off the rank-one premise, the oracle at a stuck stage or a leaf.
         try:
             walked = [trace for _, trace in recover_all_orders(tensor, limit=200)]
-        except (NotContractibleError, SearchLimitError) as exc:
+        except NotContractibleError:
+            walked = NotContractibleError
+        except SearchLimitError as exc:
             walked = str(exc)
         try:
             chained = list(itertools.islice(chained_orders(tensor), 201))
-        except NotContractibleError as exc:
-            chained = str(exc)
+        except NotContractibleError:
+            chained = NotContractibleError
         assert walked == ("more than 200 contraction orders" if isinstance(chained, list) and len(chained) > 200 else chained)
 
     @settings(max_examples=150, deadline=None)
     @given(tensor=near_blow_up_tensors())
     @local_stage_examples
     def test_descent_matches_chained_public_steps(self, tensor):
-        # recover_sequence descends without the walk: it must meet the first chained order, or its error.
+        # recover_sequence descends without the walk: it must meet the first chained order, or refuse where it refuses.
         try:
             first = next(chained_orders(tensor))
-        except NotContractibleError as exc:
-            first = str(exc)
+        except NotContractibleError:
+            first = NotContractibleError
         try:
             forest, trace = recover_sequence(tensor)
-        except NotContractibleError as exc:
-            assert str(exc) == first
+        except NotContractibleError:
+            assert first is NotContractibleError
         else:
             assert trace == first
             assert forest == oracle_forest(tensor.dimension, trace)
@@ -588,7 +602,7 @@ class TestLocalStages:
 
     @pytest.mark.parametrize("recover", [recover_sequence, recover_all_orders])
     def test_root_finality_reads_only_stored_components(self, recover, monkeypatch):
-        # Components 2..size are in no stored key, so their pure powers vanish and none is final.
+        # Components 2..size are in no stored key, so none is ever final: the tensor is refused before any finality test.
         tensor = IntersectionTensor(2, 100_000, {(1, 1): -1})
         calls = []
         final_neighbours = blowups.contraction._final_neighbours
@@ -598,16 +612,16 @@ class TestLocalStages:
             return final_neighbours(*args)
 
         monkeypatch.setattr(blowups.contraction, "_final_neighbours", counting)
-        with pytest.raises(NotContractibleError, match="no final component at stage 2"):
+        with pytest.raises(NotContractibleError, match="component 2 has no pure power and meets no other component"):
             recover(tensor)
-        assert calls == [1]
+        assert calls == []
 
     def test_fan_out_blow_down_reads_its_written_keys_once(self, monkeypatch):
         # 1 is final with 40 neighbours: T(1^2) = -1 and T(1 j) = 1, so its blow-down writes C(41, 2) keys.
         k = 40
         tensor = IntersectionTensor(2, k + 1, {(1, 1): -1, **{(1, j): 1 for j in range(2, k + 2)}})
         written = []
-        rewrite = blowups.contraction._rewrite
+        rank_one = blowups.contraction._rank_one
 
         class CountingKeys(set):
             passes = 0
@@ -616,11 +630,11 @@ class TestLocalStages:
                 self.passes += 1
                 return super().__iter__()
 
-        def counting(d, stage, i, sums, *log):
-            written.append(CountingKeys(sums))
-            return rewrite(d, stage, i, written[-1], *log)
+        def counting(*args):
+            written.append(CountingKeys(rank_one(*args)))
+            return written[-1]
 
-        monkeypatch.setattr(blowups.contraction, "_rewrite", counting)
+        monkeypatch.setattr(blowups.contraction, "_rank_one", counting)
         for recover in (recover_sequence, recover_all_orders):
             written.clear()
             with pytest.raises(NotContractibleError, match="no final component at stage 2"):
@@ -630,20 +644,21 @@ class TestLocalStages:
 
     def test_a_blow_up_form_moves_no_key(self, monkeypatch):
         # Each blow-down subtracts the final's rank-one term: C(n + d - 1, d) keys of its n neighbours, no key moved.
+        # The walk's restores write the same sums back, so they are counted too.
         moved, blow_downs = [], []
-        spread_by_moves, rewrite = blowups.contraction._spread_by_moves, blowups.contraction._rewrite
+        spread_by_moves, rank_one = blowups.contraction._spread_by_moves, blowups.contraction._rank_one
 
         def counting_moves(*args):
             moved.append(args)
             return spread_by_moves(*args)
 
-        def counting_rewrite(d, stage, i, sums, *log):
-            sums = list(sums)
-            blow_downs.append((d, len(stage[3][i]), len(sums)))
-            return rewrite(d, stage, i, sums, *log)
+        def counting_rank_one(d, neighbours, w):
+            sums = list(rank_one(d, neighbours, w))
+            blow_downs.append((d, len(neighbours), len(sums)))
+            return sums
 
         monkeypatch.setattr(blowups.contraction, "_spread_by_moves", counting_moves)
-        monkeypatch.setattr(blowups.contraction, "_rewrite", counting_rewrite)
+        monkeypatch.setattr(blowups.contraction, "_rank_one", counting_rank_one)
         for seed in range(10):
             for dimension in (2, 3, 4):
                 for recover, size in ((recover_sequence, 16), (recover_all_orders, 5)):
@@ -677,7 +692,7 @@ def first_order(recover, tensor):
 
 
 def walk_first(tensor):
-    """The first order of the walk, which answers for ``recover_sequence`` off the premise."""
+    """The first order of the walk, which follows the path of ``recover_sequence``."""
     return next(blowups.contraction._orders(tensor))
 
 
@@ -688,7 +703,7 @@ def relabelled_form_is_input(tensor, recovered, trace) -> bool:
 
 
 class TestPremiseDescent:
-    """``recover_sequence`` descends on the rank-one premise and hands every input off it to the walk."""
+    """``recover_sequence`` and the walk blow down by one rank-one step and refuse every input off its premise."""
 
     @settings(max_examples=200, deadline=None)
     @given(tensor=near_blow_up_tensors(max_dimension=5, min_size=0))
@@ -696,34 +711,49 @@ class TestPremiseDescent:
     def test_descent_answers_what_the_walk_answers(self, tensor):
         assert first_order(recover_sequence, tensor) == first_order(walk_first, tensor)
 
+    @settings(max_examples=200, deadline=None)
+    @given(tensor=near_blow_up_tensors(max_dimension=5, min_size=0))
+    @local_stage_examples
+    def test_every_answer_is_the_form_of_its_forest(self, tensor):
+        # Recovery refuses, or the relabelled form of what it returns is the input: for recover and every listed order.
+        try:
+            answers = [recover_sequence(tensor)]
+        except NotContractibleError:
+            answers = []
+        try:
+            answers += recover_all_orders(tensor, limit=200)
+        except (NotContractibleError, SearchLimitError):
+            pass
+        for recovered, trace in answers:
+            assert relabelled_form_is_input(tensor, recovered, trace)
+
     @pytest.mark.parametrize(
-        "tensor, walks, answer",
+        "tensor, answer",
         [
             # Every blow-down meets the premise, but (1, 2, 3) holds no neighbour of 1: it is left beside T(3^3).
-            # The walk answers three disjoint points, whose form has no key (1, 2, 3).
-            (IntersectionTensor(3, 3, {(1, 1, 1): 1, (2, 2, 2): 1, (3, 3, 3): 1, (1, 2, 3): 5}), 1, None),
+            (IntersectionTensor(3, 3, {(1, 1, 1): 1, (2, 2, 2): 1, (3, 3, 3): 1, (1, 2, 3): 5}),
+             "key [1, 2, 3] is left over beside the last component's pure power"),
             # The final 3 meets 1 and 2, and its premise key of 1, 2 and 3 is missing or holds twice its value.
-            (off_premise(3, "missing"), 1, "no final component at stage 3"),
-            (off_premise(3, "value"), 1, "no final component at stage 3"),
-            (off_premise(4, "missing"), 1, "no final component at stage 3"),
-            (off_premise(4, "value"), 1, "no final component at stage 3"),
+            (off_premise(3, "missing"), "final component 3 is no blown-up point: key [1, 2, 3] holds 0, not 2"),
+            (off_premise(3, "value"), "final component 3 is no blown-up point: key [1, 2, 3] holds 4, not 2"),
+            (off_premise(4, "missing"), "final component 3 is no blown-up point: key [1, 2, 3, 3] holds 0, not -2"),
+            (off_premise(4, "value"), "final component 3 is no blown-up point: key [1, 2, 3, 3] holds -4, not -2"),
             # Stage 2 has no final, and (1, 2, 3) still holds the contracted 1.
-            (IntersectionTensor(3, 3, {(1, 1, 1): 1, (2, 2, 2): -1, (3, 3, 3): -1, (1, 2, 3): 5}), 1,
+            (IntersectionTensor(3, 3, {(1, 1, 1): 1, (2, 2, 2): -1, (3, 3, 3): -1, (1, 2, 3): 5}),
              "no final component at stage 2"),
             # Stage 2 has no final, and no key holds the contracted 1.
-            (IntersectionTensor(3, 2, {(1, 1, 1): 1, (2, 2, 2): -1}), 0, "no final component at stage 2"),
-            (IntersectionTensor(2, 3, {(1, 1): -1, (2, 2): 1, (2, 3): 1, (3, 3): 1}), 0, "no final component at stage 2"),
+            (IntersectionTensor(3, 2, {(1, 1, 1): 1, (2, 2, 2): -1}), "no final component at stage 2"),
+            (IntersectionTensor(2, 3, {(1, 1): -1, (2, 2): 1, (2, 3): 1, (3, 3): 1}), "no final component at stage 2"),
         ],
         ids=["left-at-the-end", "3-missing", "3-value", "4-missing", "4-value", "no-final-contracted-key", "no-final-3",
              "no-final-2"],
     )
-    def test_each_way_off_the_premise(self, tensor, walks, answer, monkeypatch):
-        # The walk answers exactly when the descent leaves the premise; answer None is a forest.
+    def test_each_way_off_the_premise(self, tensor, answer, monkeypatch):
+        # recover_sequence and the walk refuse with the same text, and recover_sequence never starts the walk.
         walk = first_order(walk_first, tensor)
         calls = count_walks(monkeypatch)
-        assert first_order(recover_sequence, tensor) == walk
-        assert len(calls) == walks
-        assert (walk if isinstance(walk, str) else None) == answer
+        assert first_order(recover_sequence, tensor) == walk == answer
+        assert calls == []
 
     def test_forms_never_take_the_walk(self, monkeypatch):
         # Census: every forest at d 2-5, m <= 4, degrees 1-2, and 500 random forests at d 2-6, m <= 12.
@@ -735,6 +765,18 @@ class TestPremiseDescent:
             assert relabelled_form_is_input(tensor, *recover_sequence(tensor))
         assert len(forests) == 4768
         assert calls == []
+
+    def test_every_order_of_a_form_meets_the_premise(self):
+        # Census over every order: forms are never refused, so refusing off the premise turns no form away.
+        forests = [forest for d in range(2, 6) for m in range(5) for forest in enumerate_forests(d, m, 2)]
+        forests += [random_forest(seed, 2 + seed % 5, seed % 8, 5) for seed in range(500)]
+        orders = 0
+        for forest in forests:
+            tensor = tensor_from_forest(forest)
+            for recovered, trace in recover_all_orders(tensor, limit=5040):
+                assert relabelled_form_is_input(tensor, recovered, trace)
+                orders += 1
+        assert (len(forests), orders) == (4768, 36652)
 
 
 def traced_peak(run, tensor) -> int:

@@ -32,9 +32,9 @@ def test_cli_digest_orders_recovery_and_twins(tmp_path, monkeypatch):
     _cli_digest.twin_commands(twins)
     assert orders.lines()[-1] == 'da67c069f447126ec66183e3798774531bd625b80e5e2088a50fba0320a347fb 18 {"0":18}'
     assert recovery.lines() == [
-        "recover 39d299adf51bfc28fdffefb7fbb8289bfe6dc6725fc3d29f5752d4a7dd2e1a09 36",
-        "recover-all bf587e3df283ec7c261a10ff00de558a0360c284781e3abc62bf6e9cffb9fa0c 36",
-        'fe97c94af0046c6757f7753c7921a9a6131b200427dfb82ab9ef9811ed7dab5e 72 {"0":20,"2":32,"3":20}',
+        "recover 27125141831ac63d4ce51f2a3f74a0c781cccc58522a54bed6f444a789de804c 36",
+        "recover-all f59196d3acc1c3fc852f0d0ac9b3c5502fd1fd8f50df5ba9c6d43ffa4103b0c5 36",
+        '15b8ba09a121b838b38fe215e2141cb2a925682340cdd480aefe72c6cac547c4 72 {"0":20,"2":32,"3":20}',
     ]
     assert twins.lines() == [
         "canon 8f9b5b3d8c663f14d1644b7d8c4c1353fb7b6cbb3dc610f3df39a38f972ad899 24",
