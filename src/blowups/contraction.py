@@ -39,35 +39,49 @@ beside the last pure power.  So a recovery that completes is certified:
 each blow-down removed exactly its point's rank-one term and nothing is
 left beside the last one, so the input is the form of the recovered
 forest.  Conversely a blow-up form meets the premise at every stage of
-every order: its finals are the points no point is proximate to, whose
-basis vector enters no other point's term.  The tests check this on
-every order of a census of forests.  A rank-one blow-down writes only
-over the neighbours of its final, so a component in no narrow key (made
-of at most two components) never gets one and is never final; recovery
-refuses it before any blow-down.
+every order: by the lemma below, its finals are the points no point is
+proximate to, whose basis vector enters no other point's term.  A
+rank-one blow-down writes only over the neighbours of its final, so a
+component in no narrow key (made of at most two components) never gets
+one and is never final; recovery refuses it before any blow-down.
 
-The walk of :func:`recover_all_orders` holds one mutable stage, in
-original labels: the entry dict; for each component its narrow keys; and
-the finals with their neighbours, also listed in ascending order.  A
-blow-down rewrites the stage in place, writing and filing each key it
-adds in one pass, and returns an undo record: the final, its pure power,
-its narrow keys and the finals it changed.  :func:`_restore` subtracts
-the rank-one sums again and puts the popped premise values back, so the
-walk backtracks as the trail of a backtracking machine does: each step
-costs the keys it touches and no stage is copied.  Finality reads only
-narrow keys, and every key a blow-down pops or writes is made of the
-final and its neighbours, so finality is decided again only for the
-neighbours.  Current labels appear only in the steps.
-:func:`recover_sequence` follows the walk's first path through the same
-blow-down, without the undo records, the memo and the lists by depth.
+Every order of a certified form can then be listed without the tensor.
+Let ``T = (-1)^{d-1} sum_{p in R} g_p v_p^d`` with all ``g_p > 0``,
+over a set ``R`` of points that holds the targets of its points.
 
-The walk lists every order, and consecutive orders share a prefix of
-steps.  Beside its path it keeps, for each depth, the step, the creation
-indices of the originals it met that are contracted so far and, once all
-of them are, its point; and for each original the depths whose step met
-it.  A step down writes them and a step back takes out what it added, so
-an order costs only the steps it does not share with the one before it,
-and all orders take their points from one table of the walk.
+*Lemma.* A component ``i`` of ``R`` is final iff no point of ``R`` is
+proximate to it, and then its neighbours are its targets ``T(i)``.
+
+*Proof.* If no point of ``R`` is proximate to ``i``, only ``i``'s own
+term ``(-1)^{d-1} g_i v_i^d`` holds ``e_i``, and it has the sign pattern
+with exactly the neighbours ``T(i)``.  Otherwise let ``p*`` be the
+last-created point of ``R`` proximate to ``i``.  A point proximate to
+``p*`` is created after it, so no point of ``R`` is proximate to both
+``i`` and ``p*``, and ``T(i^{d-1} p*) = g_{p*}``.  With ``G`` the sum
+of ``g_p`` over the points of ``R`` proximate to ``i``, ``T(i^d) =
+(-1)^{d-1} (g_i + (-1)^d G)``.  Finality asks ``T(i^{d-1} p*) =
+-T(i^d)``.  For even ``d`` that is ``g_{p*} = g_i + G``, so ``g_i <=
+g_{p*} - G <= 0``.  For odd ``d`` it is ``T(i^d) = -g_{p*} < 0``,
+against ``(-1)^{d-1} T(i^d) > 0``.  Either way ``i`` is not final.
+
+This is the numerical side of the classical fact that a point can be
+blown down last iff no point is proximate to it (Campillo,
+Gonzalez-Sprinberg and Lejeune-Jalabert, "Clusters of infinitely near
+points", Math. Ann. 1996).
+
+A blow-down at a final removes exactly its point's term, and no point of
+what is left has that point as a target.  So by induction every stage of
+every order is such a sum over a set closed under targets, and the
+lemma names its finals, their neighbours and their degrees ``g_i``.  A
+descent that completes certifies the input as such a sum over every
+point, with the degrees ``(-1)^{d-1} T(i^d)`` it read, which finality
+makes positive.  :func:`recover_all_orders` therefore runs the descent
+of :func:`recover_sequence` once and then lists every order from the
+recovered proximities alone: at each stage the finals are the remaining
+points that no remaining point met, and a step is named by current
+labels taken from the sorted list of contracted originals.  The tests
+check this against the public :func:`final_set` and :func:`contract`
+on every order of a census of forests.
 """
 
 from __future__ import annotations
@@ -284,8 +298,8 @@ def _file(narrow: dict, key: tuple, stored: int) -> None:
                 narrow[c].discard(key)
 
 
-def _blow_down(d: int, stage: tuple, i: int) -> tuple:
-    """Blow the stage down at its final ``i`` in place by the rank-one step; return the undo record :func:`_restore` reads.
+def _blow_down(d: int, stage: tuple, i: int) -> None:
+    """Blow the stage down at its final ``i`` in place by the rank-one step.
 
     :func:`_pop_premise` takes the keys of ``i`` out, or refuses the
     tensor.  Every narrow key of ``i`` but its pure power is made of ``i``
@@ -293,14 +307,12 @@ def _blow_down(d: int, stage: tuple, i: int) -> tuple:
     neighbours' sets.  One pass over :func:`_rank_one`'s sums writes each
     key and files it when it came in or left.  Every key popped or written
     is made of ``i`` and its neighbours, so only the neighbours are decided
-    again.  The undo record holds ``i``, its pure power, its narrow keys
-    and the finals changed with their neighbours before.
+    again.
     """
     entries, narrow, finals, ascending = stage
     neighbours, w = finals[i], entries[(i,) * d]
     _pop_premise(entries, d, i, neighbours, w)
-    narrow_keys = narrow.pop(i)
-    for key in narrow_keys:
+    for key in narrow.pop(i):
         if key[0] != key[-1]:
             narrow[key[-1] if key[0] == i else key[0]].discard(key)
     for key, added in _rank_one(d, neighbours, w):
@@ -311,35 +323,9 @@ def _blow_down(d: int, stage: tuple, i: int) -> tuple:
             del entries[key]
         if not (value and before):
             _file(narrow, key, value)
-    finals_before = {i: neighbours}
     _set_final(finals, ascending, i, None)
     for a in neighbours:
-        if (now := _final_neighbours(d, entries, narrow, a)) != (was := finals.get(a)):
-            finals_before[a] = was
-            _set_final(finals, ascending, a, now)
-    return i, w, narrow_keys, finals_before
-
-
-def _restore(d: int, stage: tuple, undo: tuple) -> None:
-    """Undo one :func:`_blow_down`: subtract the rank-one sums, put the premise back, and restore the narrow keys and the finals."""
-    entries, narrow, finals, ascending = stage
-    i, w, narrow_keys, finals_before = undo
-    neighbours = finals_before[i]
-    for key, added in _rank_one(d, neighbours, w):
-        after = entries.get(key, 0)
-        if before := after - added:
-            entries[key] = before
-        else:
-            del entries[key]
-        if not (before and after):
-            _file(narrow, key, before)
-    entries.update(_premise(d, i, neighbours, w))
-    for key in narrow_keys:
-        if key[0] != key[-1]:
-            narrow[key[-1] if key[0] == i else key[0]].add(key)
-    narrow[i] = narrow_keys
-    for a, was in finals_before.items():
-        _set_final(finals, ascending, a, was)
+        _set_final(finals, ascending, a, _final_neighbours(d, entries, narrow, a))
 
 
 def _last(entries: dict) -> None:
@@ -357,36 +343,6 @@ def _set_final(finals: dict, ascending: list, a: int, neighbours: tuple[int, ...
         finals[a] = neighbours
     elif finals.pop(a, None) is not None:
         del ascending[bisect.bisect_left(ascending, a)]
-
-
-class _Node:
-    """A stage the walk has reached, named by its pairs ``(original contracted, originals met)``.
-
-    The set is a chain of pairs to the parent that first reached the
-    stage, and its hash the sum of the pairs' hashes, so naming a child
-    costs one step; only stages with equal hashes compare their sets.
-    ``edges`` maps each final contracted out of the stage, in ascending
-    order, to the step, the pair and the stage reached.
-    """
-
-    __slots__ = ("parent", "pair", "hash", "edges")
-
-    def __init__(self, parent: "_Node | None", pair: tuple | None):
-        self.parent, self.pair, self.edges = parent, pair, {}
-        self.hash = parent.hash + hash(pair) if parent else 0
-
-    def __hash__(self) -> int:
-        return self.hash
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Node) and self.hash == other.hash and self._pairs() == other._pairs()
-
-    def _pairs(self) -> set:
-        pairs, stage = set(), self
-        while stage.parent:
-            pairs.add(stage.pair)
-            stage = stage.parent
-        return pairs
 
 
 def _stage(tensor: IntersectionTensor) -> tuple:
@@ -411,29 +367,50 @@ def _stage(tensor: IntersectionTensor) -> tuple:
     return entries, narrow, finals, sorted(finals)
 
 
+def _descent(tensor: IntersectionTensor) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Blow ``tensor`` down at the least final of each stage; list each point contracted as ``(original, degree, originals met)``.
+
+    Raises :class:`NotContractibleError` when the input is no blow-up
+    form: a component is never final (:func:`_stage`), a nonempty stage
+    has no final component, a blow-down does not fit the rank-one premise
+    (:func:`_pop_premise`), or a key is left beside the last pure power
+    (:func:`_last`).  The last step blows nothing down.  A descent that
+    completes certifies the input as the form of the forest it lists (see
+    the module docstring).
+    """
+    d, m = tensor.dimension, tensor.size
+    stage = entries, _, finals, ascending = _stage(tensor)
+    descent = []
+    for t in range(m):
+        if not ascending:
+            raise NotContractibleError(f"no final component at stage {t + 1}")
+        chosen = ascending[0]
+        descent.append((chosen, (-1) ** (d - 1) * entries[(chosen,) * d], finals[chosen]))
+        if t + 1 < m:
+            _blow_down(d, stage, chosen)
+    _last(entries)
+    return descent
+
+
 def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, ContractionTrace]]:
     """Every full contraction of ``tensor``, depth first by ascending final index.
 
-    Yields in lexicographic order of the contracted index sequences.  The
-    walk holds one mutable stage (see the module docstring and
-    :func:`_stage`) for the deepest stage derived on its path, and a path
-    of frames: the :class:`_Node` reached, the last final tried there (or,
-    below a stage reached before, an iterator over its edges) and the undo
-    record of the blow-down that derived it.  Backtracking out of a frame
-    restores from its undo record, so the mutable stage is its parent
-    again, and the next final is the least one above the last tried.  The
-    last step blows nothing down: its stage must hold the last pure power
-    alone (:func:`_last`).  Only steps use current labels: renumbering
-    keeps order, so original ``a`` has current label ``a`` less the number
-    of contracted originals below it, counted in ``contracted``.
-
-    A stage is the pull-back of ``tensor`` along the composite of its
-    steps, which is fixed by its pairs.  Each stage is derived once by
-    :func:`_blow_down`, and each edge out of it is made once.  A stage
-    reached a second time was reached first earlier in depth-first
-    order, so every edge below it is made already: the walk follows the
-    memo below it and leaves the mutable stage alone.  The memo keeps
-    only the stage nodes and their edges.
+    Yields in lexicographic order of the contracted index sequences.
+    :func:`_descent` certifies the input first, or refuses it, and the
+    walk then reads only the points it recovered: by the lemma of the
+    module docstring, the finals of a stage are the remaining originals
+    that no remaining original met, each with its own degree and with the
+    originals it met as neighbours.  ``above[a]`` counts the remaining
+    originals that met ``a``, and ``ascending`` lists the remaining
+    originals with none.  The path holds the original tried last at each
+    depth.  A step down takes its original out of ``ascending`` and puts
+    in each original it met that no remaining original meets any more; a
+    step back undoes that, so the next final is the least one above the
+    last tried.  Steps use current labels: renumbering keeps order, so
+    original ``a`` has current label ``a`` less the number of contracted
+    originals below it, counted in ``contracted``.  Each distinct step is
+    made once, keyed by its degree and current labels, since equal labels
+    at different stages can name originals of different degree.
 
     Beside the path, lists indexed by depth hold what each step on it
     adds to an order, written when the walk steps down, so an order pays
@@ -450,64 +427,52 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
     and completes the points of the steps that met its original; the
     forest is then ``made`` reversed.  Points come from ``points`` (see
     :func:`_point`), so every order shares the points it has in common
-    with the others.  This memo, the undo records and the lists by depth
-    serve only the orders after the first: :func:`recover_sequence`, which
-    needs the first alone, descends without them.
+    with the others.
     """
     d, m = tensor.dimension, tensor.size
+    descent = _descent(tensor)
     if not m:
         yield ProximityForest(d, ()), ContractionTrace(())
         return
-    stage = entries, _, finals, ascending = _stage(tensor)
-    root = _Node(None, None)
-    stages = {root: root}
-    contracted: list[int] = []  # originals contracted on the way to the mutable stage, ascending
+    degree, meets, above = {}, {}, [0] * (m + 1)
+    for original, g, met in descent:
+        degree[original], meets[original] = g, met
+        for b in met:
+            above[b] += 1
+    ascending = [a for a in range(1, m + 1) if not above[a]]
+    contracted: list[int] = []  # originals contracted on the path, ascending
     below = bisect.bisect_left
-    path: list[list] = [[root, 0, None]]  # stage, last final tried or its edges, undo
+    path = [0]  # the original tried last at each depth
     steps: list = [None] * m  # the step at each depth of the path
-    pairs: list = [None] * m  # each step's pair (original contracted, originals met)
+    distinct: dict[tuple, ContractionStep] = {}  # each step made, by degree and current labels
     targets: list[list[int]] = [[] for _ in range(m)]  # each step's creation targets so far, descending
     made: list = [None] * m  # each step's point, once every original it met is contracted
-    meeting: defaultdict[int, list[int]] = defaultdict(list)  # original -> the depths whose step met it
+    meeting: list[list[int]] = [[] for _ in range(m + 1)]  # for each original, the depths whose step met it
     points: dict[tuple, Point] = {}
     while path:
-        frame = path[-1]
-        node, tried, undo = frame
-        derived = None
-        if not isinstance(tried, int):
-            edge = next(tried, None)
-        elif (at := bisect.bisect_right(ascending, tried)) < len(ascending):
-            chosen = frame[1] = ascending[at]
-            neighbours = finals[chosen]
-            c, *met = (a - below(contracted, a) for a in (chosen, *neighbours))
-            step = ContractionStep(c, (-1) ** (d - 1) * entries[(chosen,) * d], tuple(met))
-            pair = chosen, neighbours
-            child = _Node(node, pair)
-            edge = node.edges[chosen] = step, pair, stages.setdefault(child, child)
-            if len(path) == m:
-                _last(entries)
-            elif edge[2] is child:
-                derived = _blow_down(d, stage, chosen)
-                bisect.insort(contracted, chosen)
-        elif not tried:
-            raise NotContractibleError(f"no final component at stage {len(path)}")
-        else:
-            edge = None
-        if edge is None:
+        depth = len(path) - 1
+        at = bisect.bisect_right(ascending, path[-1])
+        if at == len(ascending):
             path.pop()
             if path:
-                original, met = pairs[len(path) - 1]
+                original = path[-1]
                 for t in meeting[original]:
                     targets[t].pop()
-                for b in met:
+                for b in meets[original]:
                     meeting[b].pop()
-                if undo is not None:
-                    _restore(d, stage, undo)
-                    del contracted[below(contracted, original)]
+                    if not above[b]:
+                        del ascending[below(ascending, b)]
+                    above[b] += 1
+                del contracted[below(contracted, original)]
+                bisect.insort(ascending, original)
             continue
-        step, pair, child = edge
-        original, met = pair
-        depth = len(path) - 1
+        original = path[-1] = ascending[at]
+        met = meets[original]
+        c = original - below(contracted, original)
+        labels = [a - below(contracted, a) for a in met] if met else ()
+        step = distinct.get(key := (degree[original], c, *labels))
+        if step is None:
+            step = distinct[key] = ContractionStep(c, degree[original], tuple(labels))
         steps[depth] = step
         if depth + 1 == m:
             # The last step meets nothing, and completes the points of the steps that met its original.
@@ -516,17 +481,21 @@ def _orders(tensor: IntersectionTensor) -> Iterator[tuple[ProximityForest, Contr
                 made[t] = _point(points, steps[t].degree, [*targets[t], 1])
             yield ProximityForest(d, made[::-1]), ContractionTrace(tuple(steps))
             continue
-        pairs[depth] = pair
         if not met:
             made[depth] = _point(points, step.degree, ())
-        for b in met:
-            meeting[b].append(depth)
         for t in meeting[original]:
             got = targets[t]
             got.append(m - depth)
-            if len(got) == len(pairs[t][1]):
+            if len(got) == len(meets[path[t]]):
                 made[t] = _point(points, steps[t].degree, got)
-        path.append([child, 0, derived] if derived is not None else [child, iter(child.edges.values()), None])
+        del ascending[at]
+        for b in met:
+            meeting[b].append(depth)
+            above[b] -= 1
+            if not above[b]:
+                bisect.insort(ascending, b)
+        bisect.insort(contracted, original)
+        path.append(0)
 
 
 def _point(points: dict, degree: int, targets: Sequence[int]) -> Point:
@@ -545,42 +514,25 @@ def recover_sequence(tensor: IntersectionTensor) -> tuple[ProximityForest, Contr
     contracted at step ``t`` of ``m`` receives creation index
     ``m + 1 - t``; the result is the first that :func:`recover_all_orders`
     lists.  Raises :class:`NotContractibleError` when the input is not the
-    intersection form of any blow-up sequence: a component is never final
-    (:func:`_stage`), a nonempty stage has no final component, a blow-down
-    does not fit the rank-one premise (:func:`_pop_premise`), or a key is
-    left beside the last pure power (:func:`_last`).  A descent that
-    completes certifies that the input is the recovered forest's form (see
-    the module docstring).
+    intersection form of any blow-up sequence, in the ways
+    :func:`_descent` names.  A descent that completes certifies that the
+    input is the recovered forest's form (see the module docstring).
 
-    This is the walk's first path through one mutable stage, blown down at
-    the least final by :func:`_blow_down`, with no undo record, memo or
-    lists by depth.  It keeps each step and its pair ``(original
-    contracted, originals met)``; at the end the original contracted at
-    step ``t`` (from 0) has creation index ``m - t``, and each point's
-    targets are the creation indices of the originals its step met.
+    The original contracted at step ``t`` (from 0) has creation index
+    ``m - t``, its step takes current labels from the originals
+    contracted before it, and its point's targets are the creation
+    indices of the originals it met.
     """
     d, m = tensor.dimension, tensor.size
-    stage = entries, _, finals, ascending = _stage(tensor)
+    descent = _descent(tensor)
+    created = {original: m - t for t, (original, _, _) in enumerate(descent)}
     contracted: list[int] = []  # originals contracted so far, ascending
-    steps, pairs = [], []  # each step, and its pair (original contracted, originals met)
-    for t in range(m):
-        if not ascending:
-            raise NotContractibleError(f"no final component at stage {t + 1}")
-        chosen = ascending[0]
-        neighbours = finals[chosen]
-        c, *met = (a - bisect.bisect_left(contracted, a) for a in (chosen, *neighbours))
-        steps.append(ContractionStep(c, (-1) ** (d - 1) * entries[(chosen,) * d], tuple(met)))
-        pairs.append((chosen, neighbours))
-        if t + 1 < m:
-            _blow_down(d, stage, chosen)
-            bisect.insort(contracted, chosen)
-    _last(entries)
-    created = {original: m - t for t, (original, _) in enumerate(pairs)}
-    points: dict[tuple, Point] = {}
-    made = [
-        _point(points, step.degree, sorted(map(created.__getitem__, met), reverse=True))
-        for step, (_, met) in zip(steps, pairs)
-    ]
+    steps, made, points = [], [], {}
+    for original, degree, met in descent:
+        c, *now = (a - bisect.bisect_left(contracted, a) for a in (original, *met))
+        steps.append(ContractionStep(c, degree, tuple(now)))
+        made.append(_point(points, degree, sorted(map(created.__getitem__, met), reverse=True)))
+        bisect.insort(contracted, original)
     return ProximityForest(d, made[::-1]), ContractionTrace(tuple(steps))
 
 
@@ -591,10 +543,11 @@ def recover_all_orders(
 
     Results are in lexicographic order of the contracted index sequences.
     Raises :class:`SearchLimitError` if more than ``limit`` complete
-    orders exist, and :class:`NotContractibleError` at the first branch
-    that shows the input is no blow-up form, in the ways
-    :func:`recover_sequence` names.  Every order listed is certified: the
-    input is the form of its forest.
+    orders exist, and :class:`NotContractibleError` when the input is no
+    blow-up form, in the ways :func:`_descent` names.  Refusals come only
+    from the descent of the first order, which certifies the input as the
+    form of its forest; after it no branch can fail, and every order
+    listed is certified too (see the lemma of the module docstring).
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")

@@ -379,8 +379,8 @@ class TestRecoverAllOrders:
         assert orders == set(itertools.permutations((1, 2, 3)))
 
     def test_shared_stages_contract_each_edge_once(self, monkeypatch):
-        # 6 disjoint points: 720 orders through 2^6 stages joined by 6 * 2^5 edges.
-        # Each stage below the root is derived once, from its first parent; each edge makes its step once.
+        # 6 disjoint points: 720 orders, whose steps take 6 distinct values, contracting label 1 .. 6 with degree 1.
+        # Only the first order's descent blows down; the walk then makes each distinct step once.
         tensor = tensor_from_forest(ProximityForest.make(2, *[(1, [])] * 6))
         derived, steps = [], []
         blow_down, init = blowups.contraction._blow_down, ContractionStep.__init__
@@ -396,8 +396,8 @@ class TestRecoverAllOrders:
         monkeypatch.setattr(blowups.contraction, "_blow_down", counting_blow_down)
         monkeypatch.setattr(ContractionStep, "__init__", counting_init)
         results = recover_all_orders(tensor)
-        assert len(derived) == 2**6 - 2  # the last step blows nothing down, so the leaf stage is never derived
-        assert len(steps) == 6 * 2**5
+        assert len(derived) == 5  # the descent's steps but the last, which blows nothing down
+        assert len(steps) == 6
         assert [trace.original_order() for _, trace in results] == list(itertools.permutations(range(1, 7)))
         assert results[0] == recover_sequence(tensor)
 
@@ -644,7 +644,6 @@ class TestLocalStages:
 
     def test_a_blow_up_form_moves_no_key(self, monkeypatch):
         # Each blow-down subtracts the final's rank-one term: C(n + d - 1, d) keys of its n neighbours, no key moved.
-        # The walk's restores write the same sums back, so they are counted too.
         moved, blow_downs = [], []
         spread_by_moves, rank_one = blowups.contraction._spread_by_moves, blowups.contraction._rank_one
 
@@ -664,7 +663,7 @@ class TestLocalStages:
                 for recover, size in ((recover_sequence, 16), (recover_all_orders, 5)):
                     before = len(blow_downs)
                     recover(tensor_from_forest(random_forest(seed, dimension, size, 3)))
-                    # recover_sequence blows down once per step but the last, and the walk at least as often.
+                    # Both blow down once per step of their one descent but the last.
                     assert len(blow_downs) - before >= size - 1
         assert moved == []
         assert all(written == math.comb(n + d - 1, d) for d, n, written in blow_downs)
@@ -778,6 +777,37 @@ class TestPremiseDescent:
                 orders += 1
         assert (len(forests), orders) == (4768, 36652)
 
+    def test_every_order_of_a_form_meets_the_chained_public_steps(self):
+        # Census against the oracle: the walk lists orders from the descent's proximities, chained_orders by final_set
+        # and contract at every stage.
+        forests = [forest for d in range(2, 6) for m in range(5) for forest in enumerate_forests(d, m, 2)]
+        orders = 0
+        for forest in forests:
+            tensor = tensor_from_forest(forest)
+            walked = recover_all_orders(tensor)
+            assert walked == [(oracle_forest(forest.dimension, trace), trace) for trace in chained_orders(tensor)]
+            orders += len(walked)
+        assert (len(forests), orders) == (4268, 20556)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_forests_with_many_targets_list_the_chained_orders(self, data):
+        # Up to d + 2 targets a point, which random_forest never draws: such a form is still a sum of rank-one terms.
+        d = data.draw(st.integers(2, 4))
+        points = []
+        for i in range(1, data.draw(st.integers(0, 7)) + 1):
+            count = data.draw(st.integers(0, min(d + 2, i - 1)))
+            targets = data.draw(st.lists(st.integers(1, i - 1), min_size=count, max_size=count, unique=True)) if count else []
+            points.append((data.draw(st.integers(1, 3)), targets))
+        forest = ProximityForest.make(d, *points)
+        tensor = tensor_from_forest(forest)
+        try:
+            walked = recover_all_orders(tensor, limit=2000)
+        except SearchLimitError:
+            assert len(list(itertools.islice(chained_orders(tensor), 2001))) > 2000
+            return
+        assert walked == [(oracle_forest(d, trace), trace) for trace in chained_orders(tensor)]
+
 
 def traced_peak(run, tensor) -> int:
     tracemalloc.start()
@@ -789,7 +819,7 @@ def traced_peak(run, tensor) -> int:
 
 
 class TestRecoveryMemory:
-    """The walk holds one stage and an undo log, so its memory grows with the keys it touches, not with m × nnz."""
+    """The descent rewrites one stage in place, so its memory grows with the keys it touches, not with m × nnz."""
 
     def test_greedy_walk_grows_linearly(self):
         # One stage copy per step made the peak grow four times when m doubled: 120 MB at m 1000, 478 MB at m 2000.
