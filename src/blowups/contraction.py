@@ -29,21 +29,30 @@ alone (:func:`_blow_down`), and the public :func:`contract` by the
 pull-back, which is exact on any tensor.
 
 Recovery refuses a tensor as soon as the rank-one step does not fit it.
-:func:`_pop_premise` pops the multisets over ``i`` and its neighbours
-that hold ``i`` and raises :class:`NotContractibleError` at one that is
-missing or holds another value.  A stored key of ``i`` that is not among
-them holds a component that is not a neighbour of ``i``.  No later
-blow-down pops or writes a key that holds a contracted component, so such
-a key survives to the end, and recovery refuses it there: a key left
-beside the last pure power.  So a recovery that completes is certified:
-each blow-down removed exactly its point's rank-one term and nothing is
-left beside the last one, so the input is the form of the recovered
-forest.  Conversely a blow-up form meets the premise at every stage of
-every order: by the lemma below, its finals are the points no point is
-proximate to, whose basis vector enters no other point's term.  A
-rank-one blow-down writes only over the neighbours of its final, so a
-component in no narrow key (made of at most two components) never gets
-one and is never final; recovery refuses it before any blow-down.
+:func:`_blow_down` walks the multisets of ``d`` over ``i`` and its
+neighbours once: it pops each that holds ``i`` and raises
+:class:`NotContractibleError` at one that is missing or holds another
+value, and writes the sum at each of the others.  A stored key of ``i``
+that is not among them holds a component that is not a neighbour of
+``i``.  No later blow-down pops or writes a key that holds a contracted
+component, so such a key survives to the end, and recovery refuses it
+there: a key left beside the last pure power.  So a recovery that
+completes is certified: each blow-down removed exactly its point's
+rank-one term and nothing is left beside the last one, so the input is
+the form of the recovered forest.  Conversely a blow-up form meets the
+premise at every stage of every order: by the lemma below, its finals
+are the points no point is proximate to, whose basis vector enters no
+other point's term.  A rank-one blow-down writes only over the
+neighbours of its final, so a component in no narrow key (made of at
+most two components) never gets one and is never final; recovery refuses
+it before any blow-down.
+
+A point of a smooth ``d``-fold lies on at most ``d`` exceptional
+divisors, so a point of a forest has at most ``d`` targets, and by the
+lemma below a final of its form meets at most ``d`` components.
+Recovery refuses a final that meets more before it pops or writes any
+key, so each blow-down writes at most ``C(2d - 1, d)`` keys and every
+forest it returns is one the package accepts.
 
 Every order of a certified form can then be listed without the tensor.
 Let ``T = (-1)^{d-1} sum_{p in R} g_p v_p^d`` with all ``g_p > 0``,
@@ -75,13 +84,14 @@ every order is such a sum over a set closed under targets, and the
 lemma names its finals, their neighbours and their degrees ``g_i``.  A
 descent that completes certifies the input as such a sum over every
 point, with the degrees ``(-1)^{d-1} T(i^d)`` it read, which finality
-makes positive.  :func:`recover_all_orders` therefore runs the descent
-of :func:`recover_sequence` once and then lists every order from the
-recovered proximities alone: at each stage the finals are the remaining
-points that no remaining point met, and a step is named by current
-labels taken from the sorted list of contracted originals.  The tests
-check this against the public :func:`final_set` and :func:`contract`
-on every order of a census of forests.
+makes positive, and with at most ``d`` targets a point.  Recovery
+therefore runs the descent once and then lists every order from the
+recovered proximities alone, and :func:`recover_sequence` answers the
+first of them: at each stage the finals are the remaining points that
+no remaining point met, and a step is named by current labels taken
+from the sorted list of contracted originals.  The tests check this
+against the public :func:`final_set` and :func:`contract` on every
+order of a census of forests.
 """
 
 from __future__ import annotations
@@ -92,7 +102,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import NotContractibleError, SearchLimitError
 from .forest import Point, ProximityForest
@@ -219,25 +229,6 @@ def final_set(tensor: IntersectionTensor) -> frozenset[int]:
     return frozenset(i for i in tensor._holding if is_final(tensor, i))
 
 
-def _premise(d: int, i: int, neighbours: tuple[int, ...], w: int) -> Iterator[tuple[tuple, int]]:
-    """The keys of the final ``i`` on the rank-one premise: each multiset of ``d`` over ``i`` and its neighbours that holds ``c > 0`` copies of ``i``, with ``(-1)^(d-c) w``."""
-    for key in itertools.combinations_with_replacement(sorted((i, *neighbours)), d):
-        if c := key.count(i):
-            yield key, -w if (d - c) % 2 else w
-
-
-def _pop_premise(entries: dict, d: int, i: int, neighbours: tuple[int, ...], w: int) -> None:
-    """Pop the keys :func:`_premise` names; raise :class:`NotContractibleError` at the first that is missing or holds another value."""
-    for key, value in _premise(d, i, neighbours, w):
-        if (held := entries.pop(key, 0)) != value:
-            raise NotContractibleError(f"final component {i} is no blown-up point: key {list(key)} holds {held}, not {value}")
-
-
-def _rank_one(d: int, neighbours: tuple[int, ...], w: int) -> Iterable:
-    """The sums of a blow-down: ``-(-1)^d w`` at each multiset of ``d`` neighbours."""
-    return zip(itertools.combinations_with_replacement(neighbours, d), itertools.repeat(w if d % 2 else -w))
-
-
 def _spread_by_moves(removed: dict, i: int, neighbours: tuple[int, ...]) -> dict:
     """The sums the removed keys of the final ``i`` spread to under ``e_j -> e_j + e_i`` at each neighbour ``j``.
 
@@ -301,21 +292,28 @@ def _file(narrow: dict, key: tuple, stored: int) -> None:
 def _blow_down(d: int, stage: tuple, i: int) -> None:
     """Blow the stage down at its final ``i`` in place by the rank-one step.
 
-    :func:`_pop_premise` takes the keys of ``i`` out, or refuses the
-    tensor.  Every narrow key of ``i`` but its pure power is made of ``i``
-    and one neighbour, so one pass over them drops them from the
-    neighbours' sets.  One pass over :func:`_rank_one`'s sums writes each
-    key and files it when it came in or left.  Every key popped or written
-    is made of ``i`` and its neighbours, so only the neighbours are decided
-    again.
+    Every narrow key of ``i`` but its pure power is made of ``i`` and one
+    neighbour, so one pass over them drops them from the neighbours' sets.
+    Then one pass over the multisets of ``d`` over ``i`` and its neighbours
+    does the rest.  A multiset that holds ``c`` copies of ``i`` is a
+    premise key: it is popped, and the tensor is refused with
+    :class:`NotContractibleError` when it is missing or holds another value
+    than ``(-1)^(d-c) T(i^d)``.  Every other multiset gets the sum
+    ``-(-1)^d T(i^d)``, and is filed when it came in or left.  Every key
+    popped or written is made of ``i`` and its neighbours, so only the
+    neighbours are decided again.
     """
     entries, narrow, finals, ascending = stage
     neighbours, w = finals[i], entries[(i,) * d]
-    _pop_premise(entries, d, i, neighbours, w)
     for key in narrow.pop(i):
         if key[0] != key[-1]:
             narrow[key[-1] if key[0] == i else key[0]].discard(key)
-    for key, added in _rank_one(d, neighbours, w):
+    added = w if d % 2 else -w
+    for key in itertools.combinations_with_replacement(sorted((i, *neighbours)), d):
+        if c := key.count(i):
+            if (held := entries.pop(key, 0)) != (premise := -w if (d - c) % 2 else w):
+                raise NotContractibleError(f"final component {i} is no blown-up point: key {list(key)} holds {held}, not {premise}")
+            continue
         before = entries.get(key, 0)
         if value := before + added:
             entries[key] = value
@@ -372,8 +370,9 @@ def _descent(tensor: IntersectionTensor) -> list[tuple[int, int, tuple[int, ...]
 
     Raises :class:`NotContractibleError` when the input is no blow-up
     form: a component is never final (:func:`_stage`), a nonempty stage
-    has no final component, a blow-down does not fit the rank-one premise
-    (:func:`_pop_premise`), or a key is left beside the last pure power
+    has no final component, the chosen final meets more than ``d``
+    components, a blow-down does not fit the rank-one premise
+    (:func:`_blow_down`), or a key is left beside the last pure power
     (:func:`_last`).  The last step blows nothing down.  A descent that
     completes certifies the input as the form of the forest it lists (see
     the module docstring).
@@ -385,6 +384,8 @@ def _descent(tensor: IntersectionTensor) -> list[tuple[int, int, tuple[int, ...]
         if not ascending:
             raise NotContractibleError(f"no final component at stage {t + 1}")
         chosen = ascending[0]
+        if len(finals[chosen]) > d:
+            raise NotContractibleError(f"final component {chosen} meets {len(finals[chosen])} components, at most {d} allowed")
         descent.append((chosen, (-1) ** (d - 1) * entries[(chosen,) * d], finals[chosen]))
         if t + 1 < m:
             _blow_down(d, stage, chosen)
@@ -512,28 +513,14 @@ def recover_sequence(tensor: IntersectionTensor) -> tuple[ProximityForest, Contr
 
     At every stage the smallest final index is contracted; the point
     contracted at step ``t`` of ``m`` receives creation index
-    ``m + 1 - t``; the result is the first that :func:`recover_all_orders`
-    lists.  Raises :class:`NotContractibleError` when the input is not the
+    ``m + 1 - t``.  The answer is the first order of the walk that
+    :func:`recover_all_orders` lists, which builds its forest and trace.
+    Raises :class:`NotContractibleError` when the input is not the
     intersection form of any blow-up sequence, in the ways
     :func:`_descent` names.  A descent that completes certifies that the
     input is the recovered forest's form (see the module docstring).
-
-    The original contracted at step ``t`` (from 0) has creation index
-    ``m - t``, its step takes current labels from the originals
-    contracted before it, and its point's targets are the creation
-    indices of the originals it met.
     """
-    d, m = tensor.dimension, tensor.size
-    descent = _descent(tensor)
-    created = {original: m - t for t, (original, _, _) in enumerate(descent)}
-    contracted: list[int] = []  # originals contracted so far, ascending
-    steps, made, points = [], [], {}
-    for original, degree, met in descent:
-        c, *now = (a - bisect.bisect_left(contracted, a) for a in (original, *met))
-        steps.append(ContractionStep(c, degree, tuple(now)))
-        made.append(_point(points, degree, sorted(map(created.__getitem__, met), reverse=True)))
-        bisect.insort(contracted, original)
-    return ProximityForest(d, made[::-1]), ContractionTrace(tuple(steps))
+    return next(_orders(tensor))
 
 
 def recover_all_orders(

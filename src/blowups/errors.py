@@ -14,7 +14,12 @@ class SchemaError(BlowupsError):
 
 
 class NotContractibleError(BlowupsError):
-    """A tensor is not the intersection form of any blow-up sequence."""
+    """A tensor is not the intersection form of any blow-up sequence.
+
+    Recovery also raises it at a final that meets more than ``d``
+    components: a point of a smooth ``d``-fold lies on at most ``d``
+    exceptional divisors, so no forest the package accepts has such a form.
+    """
 
 
 class SearchLimitError(BlowupsError):

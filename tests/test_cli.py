@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from blowups import (
     ContractionTrace,
+    IntersectionTensor,
     MarkedPartition,
     NotContractibleError,
     ProximityForest,
@@ -164,6 +166,15 @@ class TestContractRecover:
         assert code == 0 and doc["count"] == 2
         code, doc = run(capsys, "recover-all", two, "--limit", "1")
         assert code == 3 and doc["error"]["code"] == "limit"
+
+    @pytest.mark.parametrize("command", ["recover", "recover-all"])
+    def test_recovery_refuses_a_final_that_meets_more_than_d(self, capsys, files, command):
+        # Point 4 is proximate to 3 points at d 2: its form is a sum of rank-one terms, but `tensor` refuses the forest.
+        wide = ProximityForest.make(2, (1, []), (1, []), (1, []), (1, [1, 2, 3]))
+        path = files["write"]("wide.json", tensor_to_dict(tensor_from_forest(wide)))
+        code, doc = run(capsys, command, path)
+        message = "final component 4 meets 3 components, at most 2 allowed"
+        assert code == 2 and doc["error"] == {"code": "not-contractible", "message": message}
 
 
 class TestLargeSizeFewEntries:
@@ -640,22 +651,45 @@ class TestFuzz:
                 "equiv": ["equiv", "--kind", kind, *paths[:2], "--exit-status"],
                 "equiv-marked": ["equiv", "--kind", kind, *paths],
             }[command]
-            out = io.StringIO()
-            tracemalloc.start()
-            start = time.perf_counter()
-            try:
-                with contextlib.redirect_stdout(out):
-                    code = main(argv)
-                elapsed = time.perf_counter() - start
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        text = out.getvalue()
-        doc = json.loads(text)
-        assert text == canonical_json(doc) + "\n"
+            code, doc = bounded_main(argv)
         assert code in (0, 1, 2, 3)
         assert code != 1 or doc.get("equivalent") is False
-        assert elapsed < 2.0 and peak < 50_000_000
+
+    @pytest.mark.parametrize("command", ["recover", "recover-all"])
+    @pytest.mark.parametrize("d, n", [(2, 250), (2, 500), (2, 1000), (2, 2000), (3, 80)])
+    def test_a_fan_is_refused_before_its_blow_down(self, tmp_path, command, d, n):
+        """A final with ``n`` neighbours, holding its rank-one premise keys and the neighbours' pure powers.
+
+        Blown down, it would write ``C(n + d - 1, d)`` keys: 2,001,000 at d 2 and n 2,000.
+        """
+        w = (-1) ** (d - 1)
+        premise = {key: w * (-1) ** (d - key.count(1)) for key in itertools.combinations_with_replacement(range(1, n + 2), d)
+                   if key[0] == 1}
+        fan = IntersectionTensor(d, n + 1, {**premise, **{(j,) * d: w for j in range(2, n + 2)}})
+        path = tmp_path / "fan.json"
+        path.write_text(canonical_json(tensor_to_dict(fan)))
+        code, doc = bounded_main([command, str(path)])
+        message = f"final component 1 meets {n} components, at most {d} allowed"
+        assert code == 2 and doc["error"] == {"code": "not-contractible", "message": message}
+
+
+def bounded_main(argv: list[str]) -> tuple[int, dict]:
+    """``main(argv)``'s exit code and document, which must be one canonical line, under 2 s and a 50 MB ``tracemalloc`` peak."""
+    out = io.StringIO()
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = out.getvalue()
+    doc = json.loads(text)
+    assert text == canonical_json(doc) + "\n"
+    assert elapsed < 2.0 and peak < 50_000_000
+    return code, doc
 
 
 class TestOrdersText:

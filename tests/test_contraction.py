@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -24,6 +25,7 @@ from blowups import (
     recover_all_orders,
     recover_sequence,
     tensor_from_forest,
+    validate_forest,
 )
 from _oracles import (
     apply_permutation,
@@ -90,6 +92,9 @@ def off_premise(dimension: int, defect: str, neighbours: int = 2) -> Intersectio
         entries[(1,) + (final,) * (dimension - 2) + (final + 1,)] = entries.pop(key)
     return IntersectionTensor(dimension, final + 1, entries)
 
+
+# Point 4 is proximate to 3 points at d 2: its form is a sum of rank-one terms, but its final 4 meets 3 components.
+WIDE_FINAL = tensor_from_forest(ProximityForest.make(2, (1, []), (1, []), (1, []), (1, [1, 2, 3])))
 
 DEFECTS = ("value", "missing", "outside")
 OFF_PREMISE = [(d, defect) for d in (3, 4) for defect in DEFECTS]
@@ -486,9 +491,10 @@ class TestRecoverAllOrders:
 def chained_orders(tensor):
     """Every contraction order by chaining the public ``final_set`` and ``contract``, as the walk lists them.
 
-    A leaf whose forest's relabelled form is not ``tensor`` raises
-    :class:`NotContractibleError`, so an input that is no blow-up form is
-    refused, as recovery refuses it, though not always with the same text.
+    A step that meets more than ``d`` components, or a leaf whose forest's
+    relabelled form is not ``tensor``, raises :class:`NotContractibleError`,
+    so an input that is no form of a valid forest is refused, as recovery
+    refuses it, though not always with the same text.
     """
     def walk(stage, steps):
         if not stage.size:
@@ -502,6 +508,8 @@ def chained_orders(tensor):
             raise NotContractibleError(f"no final component at stage {len(steps) + 1}")
         for i in finals:
             smaller, step = contract(stage, i)
+            if len(step.proximate_to_current) > tensor.dimension:
+                raise NotContractibleError(f"step {len(steps) + 1} meets more than {tensor.dimension} components")
             yield from walk(smaller, steps + (step,))
 
     return walk(tensor, ())
@@ -563,7 +571,7 @@ class TestLocalStages:
     @given(tensor=near_blow_up_tensors())
     @local_stage_examples
     def test_descent_matches_chained_public_steps(self, tensor):
-        # recover_sequence descends without the walk: it must meet the first chained order, or refuse where it refuses.
+        # recover_sequence answers the walk's first order: it must meet the first chained order, or refuse where it refuses.
         try:
             first = next(chained_orders(tensor))
         except NotContractibleError:
@@ -617,68 +625,103 @@ class TestLocalStages:
         assert calls == []
 
     def test_fan_out_blow_down_reads_its_written_keys_once(self, monkeypatch):
-        # 1 is final with 40 neighbours: T(1^2) = -1 and T(1 j) = 1, so its blow-down writes C(41, 2) keys.
+        # A final that meets d components writes each of its C(2d - 1, d) keys once; one that meets more writes none.
+        blow_downs, stages = count_blow_downs(monkeypatch)
         k = 40
-        tensor = IntersectionTensor(2, k + 1, {(1, 1): -1, **{(1, j): 1 for j in range(2, k + 2)}})
-        written = []
-        rank_one = blowups.contraction._rank_one
-
-        class CountingKeys(set):
-            passes = 0
-
-            def __iter__(self):
-                self.passes += 1
-                return super().__iter__()
-
-        def counting(*args):
-            written.append(CountingKeys(rank_one(*args)))
-            return written[-1]
-
-        monkeypatch.setattr(blowups.contraction, "_rank_one", counting)
+        wide = IntersectionTensor(2, k + 1, {(1, 1): -1, **{(1, j): 1 for j in range(2, k + 2)}})
+        fan = tensor_from_forest(ProximityForest.make(4, *[(1, [])] * 4, (1, [1, 2, 3, 4])))
         for recover in (recover_sequence, recover_all_orders):
-            written.clear()
-            with pytest.raises(NotContractibleError, match="no final component at stage 2"):
-                recover(tensor)
-            assert len(written) == 1 and len(written[0]) == k * (k + 1) // 2
-            assert [keys.passes for keys in written] == [1]
+            blow_downs.clear()
+            stages.clear()
+            with pytest.raises(NotContractibleError, match=f"final component 1 meets {k} components, at most 2 allowed"):
+                recover(wide)
+            assert blow_downs == []
+            assert [(entries.written, entries.popped) for entries in stages] == [([], 0)]
+            recover(fan)
+            d, n, written, popped = blow_downs[0]
+            assert (d, n, len(written), len(set(written)), popped) == (4, 4, 35, 35, 35)
 
     def test_a_blow_up_form_moves_no_key(self, monkeypatch):
-        # Each blow-down subtracts the final's rank-one term: C(n + d - 1, d) keys of its n neighbours, no key moved.
-        moved, blow_downs = [], []
-        spread_by_moves, rank_one = blowups.contraction._spread_by_moves, blowups.contraction._rank_one
+        # Each blow-down subtracts the final's rank-one term in one pass: it pops the C(n + d - 1, d - 1) keys of the
+        # final and writes the C(n + d - 1, d) keys of its n neighbours, each once, and no key is moved.
+        moved = []
+        spread_by_moves = blowups.contraction._spread_by_moves
 
         def counting_moves(*args):
             moved.append(args)
             return spread_by_moves(*args)
 
-        def counting_rank_one(d, neighbours, w):
-            sums = list(rank_one(d, neighbours, w))
-            blow_downs.append((d, len(neighbours), len(sums)))
-            return sums
-
         monkeypatch.setattr(blowups.contraction, "_spread_by_moves", counting_moves)
-        monkeypatch.setattr(blowups.contraction, "_rank_one", counting_rank_one)
+        blow_downs, _ = count_blow_downs(monkeypatch)
         for seed in range(10):
             for dimension in (2, 3, 4):
                 for recover, size in ((recover_sequence, 16), (recover_all_orders, 5)):
                     before = len(blow_downs)
                     recover(tensor_from_forest(random_forest(seed, dimension, size, 3)))
                     # Both blow down once per step of their one descent but the last.
-                    assert len(blow_downs) - before >= size - 1
+                    assert len(blow_downs) - before == size - 1
         assert moved == []
-        assert all(written == math.comb(n + d - 1, d) for d, n, written in blow_downs)
-        assert max(n for _, n, _ in blow_downs) >= 3
+        for d, n, written, popped in blow_downs:
+            assert len(written) == len(set(written)) == math.comb(n + d - 1, d)
+            assert popped == math.comb(n + d - 1, d - 1)
+        assert max(n for _, n, _, _ in blow_downs) >= 3
 
 
-def count_walks(monkeypatch) -> list:
-    """Patch the walk so that each call of ``_orders`` appends its tensor to the returned list."""
-    calls, orders = [], blowups.contraction._orders
+class CountingWrites(dict):
+    """A stage's entry dict that lists each key written or deleted, and counts the keys popped."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.written, self.popped = [], 0
+
+    def __setitem__(self, key, value):
+        self.written.append(key)
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        self.written.append(key)
+        super().__delitem__(key)
+
+    def pop(self, key, *default):
+        self.popped += 1
+        return super().pop(key, *default)
+
+
+def count_blow_downs(monkeypatch) -> tuple[list, list]:
+    """Patch recovery to count what it writes.
+
+    Each stage's entries become :class:`CountingWrites`, listed in the
+    second list returned, and each blow-down appends ``(d, neighbours,
+    keys written, keys popped)`` to the first.
+    """
+    blow_downs, stages = [], []
+    stage, blow_down = blowups.contraction._stage, blowups.contraction._blow_down
+
+    def counting_stage(tensor):
+        entries, *rest = stage(tensor)
+        stages.append(CountingWrites(entries))
+        return (stages[-1], *rest)
+
+    def counting_blow_down(d, stage, i):
+        entries, neighbours = stage[0], len(stage[2][i])
+        written, popped = len(entries.written), entries.popped
+        blow_down(d, stage, i)
+        blow_downs.append((d, neighbours, entries.written[written:], entries.popped - popped))
+
+    monkeypatch.setattr(blowups.contraction, "_stage", counting_stage)
+    monkeypatch.setattr(blowups.contraction, "_blow_down", counting_blow_down)
+    return blow_downs, stages
+
+
+def count_descents(monkeypatch) -> list:
+    """Patch recovery so that each call of ``_descent`` appends its tensor to the returned list."""
+    calls, descent = [], blowups.contraction._descent
 
     def counting(tensor):
         calls.append(tensor)
-        return orders(tensor)
+        return descent(tensor)
 
-    monkeypatch.setattr(blowups.contraction, "_orders", counting)
+    monkeypatch.setattr(blowups.contraction, "_descent", counting)
     return calls
 
 
@@ -690,8 +733,21 @@ def first_order(recover, tensor):
         return str(exc)
 
 
+def answers(tensor) -> list:
+    """What recovery returns for ``tensor``: ``recover_sequence``'s answer and every order it lists, or none where it refuses."""
+    try:
+        found = [recover_sequence(tensor)]
+    except NotContractibleError:
+        found = []
+    try:
+        found += recover_all_orders(tensor, limit=200)
+    except (NotContractibleError, SearchLimitError):
+        pass
+    return found
+
+
 def walk_first(tensor):
-    """The first order of the walk, which follows the path of ``recover_sequence``."""
+    """The first order of the walk, taken from ``_orders`` itself."""
     return next(blowups.contraction._orders(tensor))
 
 
@@ -715,16 +771,17 @@ class TestPremiseDescent:
     @local_stage_examples
     def test_every_answer_is_the_form_of_its_forest(self, tensor):
         # Recovery refuses, or the relabelled form of what it returns is the input: for recover and every listed order.
-        try:
-            answers = [recover_sequence(tensor)]
-        except NotContractibleError:
-            answers = []
-        try:
-            answers += recover_all_orders(tensor, limit=200)
-        except (NotContractibleError, SearchLimitError):
-            pass
-        for recovered, trace in answers:
+        for recovered, trace in answers(tensor):
             assert relabelled_form_is_input(tensor, recovered, trace)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tensor=near_blow_up_tensors(max_dimension=5, min_size=0))
+    @example(tensor=WIDE_FINAL)
+    @local_stage_examples
+    def test_every_answer_is_a_valid_forest(self, tensor):
+        # recover | tensor is closed: every forest that recovery returns is one that tensor_from_forest accepts.
+        for recovered, _ in answers(tensor):
+            assert validate_forest(recovered).ok
 
     @pytest.mark.parametrize(
         "tensor, answer",
@@ -743,27 +800,32 @@ class TestPremiseDescent:
             # Stage 2 has no final, and no key holds the contracted 1.
             (IntersectionTensor(3, 2, {(1, 1, 1): 1, (2, 2, 2): -1}), "no final component at stage 2"),
             (IntersectionTensor(2, 3, {(1, 1): -1, (2, 2): 1, (2, 3): 1, (3, 3): 1}), "no final component at stage 2"),
+            # The form of a point proximate to 3 points at d 2: every key fits the premise, but the final meets 3.
+            (WIDE_FINAL, "final component 4 meets 3 components, at most 2 allowed"),
         ],
         ids=["left-at-the-end", "3-missing", "3-value", "4-missing", "4-value", "no-final-contracted-key", "no-final-3",
-             "no-final-2"],
+             "no-final-2", "wide-final"],
     )
     def test_each_way_off_the_premise(self, tensor, answer, monkeypatch):
-        # recover_sequence and the walk refuse with the same text, and recover_sequence never starts the walk.
-        walk = first_order(walk_first, tensor)
-        calls = count_walks(monkeypatch)
-        assert first_order(recover_sequence, tensor) == walk == answer
-        assert calls == []
+        # recover_sequence and the walk refuse with the same text, each after exactly one descent.
+        calls = count_descents(monkeypatch)
+        assert first_order(walk_first, tensor) == answer
+        assert calls == [tensor]
+        assert first_order(recover_sequence, tensor) == answer
+        assert calls == [tensor, tensor]
 
-    def test_forms_never_take_the_walk(self, monkeypatch):
-        # Census: every forest at d 2-5, m <= 4, degrees 1-2, and 500 random forests at d 2-6, m <= 12.
-        calls = count_walks(monkeypatch)
+    def test_forms_descend_once(self, monkeypatch):
+        # Census: every forest at d 2-5, m <= 4, degrees 1-2, and 500 random forests at d 2-6, m <= 12, each recovered
+        # by exactly one descent: no second descent and no fallback.
+        calls = count_descents(monkeypatch)
         forests = [forest for d in range(2, 6) for m in range(5) for forest in enumerate_forests(d, m, 2)]
         forests += [random_forest(seed, 2 + seed % 5, seed % 13, 5) for seed in range(500)]
         for forest in forests:
             tensor = tensor_from_forest(forest)
             assert relabelled_form_is_input(tensor, *recover_sequence(tensor))
+            assert calls == [tensor]
+            calls.clear()
         assert len(forests) == 4768
-        assert calls == []
 
     def test_every_order_of_a_form_meets_the_premise(self):
         # Census over every order: forms are never refused, so refusing off the premise turns no form away.
@@ -792,7 +854,8 @@ class TestPremiseDescent:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_forests_with_many_targets_list_the_chained_orders(self, data):
-        # Up to d + 2 targets a point, which random_forest never draws: such a form is still a sum of rank-one terms.
+        # Up to d + 2 targets a point, which random_forest never draws: such a form is still a sum of rank-one terms,
+        # but a point with more than d targets is final with them as neighbours once the descent reaches it.
         d = data.draw(st.integers(2, 4))
         points = []
         for i in range(1, data.draw(st.integers(0, 7)) + 1):
@@ -803,9 +866,15 @@ class TestPremiseDescent:
         tensor = tensor_from_forest(forest)
         try:
             walked = recover_all_orders(tensor, limit=2000)
+        except NotContractibleError as exc:
+            final, met, allowed = map(int, re.fullmatch(r"final component (\d+) meets (\d+) components, at most (\d+) allowed",
+                                                        str(exc)).groups())
+            assert len(forest.targets(final)) == met > allowed == d
+            return
         except SearchLimitError:
             assert len(list(itertools.islice(chained_orders(tensor), 2001))) > 2000
             return
+        assert all(len(forest.targets(k)) <= d for k in range(1, len(forest) + 1))
         assert walked == [(oracle_forest(d, trace), trace) for trace in chained_orders(tensor)]
 
 

@@ -32,9 +32,9 @@ def test_cli_digest_orders_recovery_and_twins(tmp_path, monkeypatch):
     _cli_digest.twin_commands(twins)
     assert orders.lines()[-1] == 'da67c069f447126ec66183e3798774531bd625b80e5e2088a50fba0320a347fb 18 {"0":18}'
     assert recovery.lines() == [
-        "recover 27125141831ac63d4ce51f2a3f74a0c781cccc58522a54bed6f444a789de804c 36",
-        "recover-all f59196d3acc1c3fc852f0d0ac9b3c5502fd1fd8f50df5ba9c6d43ffa4103b0c5 36",
-        '15b8ba09a121b838b38fe215e2141cb2a925682340cdd480aefe72c6cac547c4 72 {"0":20,"2":32,"3":20}',
+        "recover 41e54196a02aca66e3a4eb1bff6d31b3f95b644c824a1dcd2ffaf11962ca2eaf 36",
+        "recover-all e171feb386b8ebb01ee30e8c05e5aa7e4647ad6a512cc167425136e7b17270d1 36",
+        '68d349932060d69b3ffb91c1ca98d0a3463ee9fe1517688e9d000a4078ae951b 72 {"0":20,"2":32,"3":20}',
     ]
     assert twins.lines() == [
         "canon 8f9b5b3d8c663f14d1644b7d8c4c1353fb7b6cbb3dc610f3df39a38f972ad899 24",

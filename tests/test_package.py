@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import _code_lines
 import blowups
 from blowups import contraction, equivalence, errors, forest, io, tensor
 
@@ -177,3 +178,12 @@ def test_readme_names_every_limit():
     named = set(re.findall(r"\b[A-Z][A-Z0-9_]*_LIMIT\b", readme))
     defined = set().union(*(_limit_constants(_tree(path)) for path in MODULES))
     assert (sorted(defined - named), sorted(named - defined)) == ([], [])
+
+
+def test_code_lines_lists_every_module(capsys):
+    """``tests/_code_lines.py`` prints one count per module, then their sum."""
+    _code_lines.main()
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [name for _, name in rows] == [path.name for path in MODULES] + ["total"]
+    counts = [int(count) for count, _ in rows]
+    assert all(counts) and sum(counts[:-1]) == counts[-1]
