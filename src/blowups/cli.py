@@ -64,12 +64,18 @@ def _load(kind: str, path: str):
     return _load_forest(path) if kind == "forest" else _load_tensor(path)
 
 
+def _read_once(*paths: str) -> None:
+    """Refuse a call that names stdin, ``-``, for more than one document, before any is read."""
+    if paths.count("-") > 1:
+        raise ValueError("stdin can be read only once, so at most one document may be -")
+
+
 def _load_partition(path: str):
     return io.partition_from_dict(io.load_document(path))
 
 
 def _tensor_text(tensor) -> str:
-    return io._tensor_json(tensor.dimension, tensor.size, tensor.entries.items())
+    return io._tensor_json(tensor.dimension, tensor.size, [(*key, value) for key, value in tensor.entries.items()])
 
 
 def _cmd_tensor(args) -> str:
@@ -85,12 +91,12 @@ def _cmd_contract(args) -> str:
     return _tensor_text(contracted)
 
 
-def _cmd_recover(args) -> dict:
+def _cmd_recover(args) -> str:
     forest, trace = recover_sequence(_load_tensor(args.tensor))
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.writelines([io._trace_json(trace), "\n"])
-    return io.forest_to_dict(forest)
+    return io._forest_json(forest)
 
 
 def _cmd_recover_all(args) -> str:
@@ -101,6 +107,7 @@ def _cmd_equiv(args) -> dict:
     files = args.files
     if len(files) not in (2, 4):
         raise ValueError("equiv expects two inputs, or two inputs plus two partitions")
+    _read_once(*files)
     forests = args.kind == "forest"
     a, b = (_load(args.kind, path) for path in files[:2])
     if len(files) == 2:
@@ -120,17 +127,20 @@ def _cmd_canon(args) -> str:
     )
 
 
-def _cmd_orbits(args) -> dict:
-    return {"orbits": [list(orbit) for orbit in automorphism_orbits(_load(args.kind, args.input))]}
+def _cmd_orbits(args) -> str:
+    orbits = automorphism_orbits(_load(args.kind, args.input))
+    return '{"orbits":[%s]}' % ",".join(["[%s]" % ",".join(map(str, orbit)) for orbit in orbits])
 
 
 def _cmd_compat(args) -> dict:
+    _read_once(args.input, args.partition)
     partition = _load_partition(args.partition)
     compatible_with = partition_compatible_sequence if args.kind == "forest" else partition_compatible_morphism
     return {"compatible": compatible_with(_load(args.kind, args.input), partition)}
 
 
 def _cmd_quotient(args) -> str:
+    _read_once(args.tensor, args.partition)
     quotient = quotient_tensor(_load_tensor(args.tensor), _load_partition(args.partition))
     return _tensor_text(quotient)
 
@@ -221,14 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reuses, built at its first call.
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser ``main`` reuses and its sub-parser for each command, built at its first call.
 
     Safe to share: each parse fills a fresh namespace, no option has a
     mutable default, and each handler looks up the library names it calls
     when it runs.
     """
-    return build_parser()
+    parser = build_parser()
+    return parser, next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -236,13 +247,23 @@ def main(argv: list[str] | None = None) -> int:
 
     A handler returns its document, or canonical JSON text, as
     ``recover-all`` does for its long lists of orders, ``canon`` around
-    its canonical leaf's bytes, and each command that prints a tensor
-    from its entries.  ``main`` encodes a document with
+    its canonical leaf's bytes, ``recover`` and ``orbits`` from templates,
+    and each command that prints a tensor from its entries.  ``main`` encodes a document with
     :func:`io.canonical_json` and writes text as it is.
     Either way, an error raised by the handler comes before any output
     and is written as ``{"error": ...}`` instead.
+
+    A call that names a command is parsed by that command's sub-parser
+    alone, which is half the cost of the full parser.  The full parser
+    runs only when that fails to name a command or leaves an argument
+    over, and prints the usage, help or error text it always has.
     """
-    args = _parser().parse_args(argv)
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, None)
+    if args is None or rest:
+        args = parser.parse_args(argv)
     try:
         payload = args.handler(args)
     except Exception as exc:

@@ -31,8 +31,10 @@ twins.  One test, exact on every structure, finds them: a vertex
 fingerprinted under the discrete labelling with the two exchanged must
 read what its twin reads under the discrete labelling.  Members of a
 cell with the same neighbours, or keys, and none in the cell are one
-class, found in one pass: one fingerprint each and one more.  This is the
-"known automorphisms" pruning of McKay & Piperno and the cheap-symmetry
+class, found in one pass: one fingerprint each and one more, or none
+where no member of the cell is next to another, as in every cell of a
+forest, since the members' own neighbours or keys then tell them.  This
+is the "known automorphisms" pruning of McKay & Piperno and the cheap-symmetry
 idea of Darga, Sakallah & Markov, saucy (DAC 2008); on a star the search
 then walks one path.  A node tries a vertex exactly when it is the least
 of its orbit under the known automorphisms fixing the path.  A target
@@ -76,7 +78,7 @@ exhaustively against its inputs.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -177,6 +179,14 @@ class _DigraphStructure:
     def fingerprint(self, v: int, colors: list[int]):
         return tuple(sorted(map(colors.__getitem__, self.out[v]))), tuple(sorted(map(colors.__getitem__, self.inn[v])))
 
+    def twin_keys(self, members: list[int]) -> list[frozenset[int]] | None:
+        """For a forest, each member's neighbours, equal exactly for twins; ``None`` for a block graph.
+
+        A forest's colours start with the depth, and an edge joins two
+        depths, so no cell holds an edge and the two ends of one are told apart.
+        """
+        return None if self.forest is None else list(map(frozenset, map(self.adjacent.__getitem__, members)))
+
     def relabel(self, labels: list[int]) -> ProximityForest:
         inverse = [0] * self.n
         for v, label in enumerate(labels):
@@ -186,9 +196,7 @@ class _DigraphStructure:
 
     def original(self) -> ProximityForest:
         """The structure as ``relabel`` gives it under the identity labelling: the forest viewed, if there is one."""
-        if self.forest is not None:
-            return self.forest
-        return self.relabel(list(range(1, self.n + 1)))
+        return self.relabel(list(range(1, self.n + 1))) if self.forest is None else self.forest
 
     def serialize(self, labels: list[int]) -> bytes:
         """The canonical JSON of ``relabel(labels)``'s document, built from the degrees and out-lists."""
@@ -259,6 +267,16 @@ class _TensorStructure:
         items.sort()
         return tuple(items)
 
+    def twin_keys(self, members: list[int]) -> list[frozenset] | None:
+        """Each member's stored keys but pure powers, equal exactly for twins, or ``None`` if a key holds two members.
+
+        Members of one cell share their pure powers, as colours.
+        """
+        cell = set(members)
+        if all(map(cell.isdisjoint, map(self.adjacent.__getitem__, members))):
+            return [frozenset((*self.pairs[v], *self.wide.get(v, ()))) for v in members]
+        return None
+
     def relabel(self, labels: list[int]) -> IntersectionTensor:
         # A permutation keeps keys distinct and in range, and values stay nonzero.
         at = [0, *labels].__getitem__  # keys hold 1-based components
@@ -272,8 +290,8 @@ class _TensorStructure:
     def serialize(self, labels: list[int]) -> bytes:
         """The canonical JSON of ``relabel(labels)``'s document, built from the entries."""
         at = [0, *labels].__getitem__
-        entries = zip([sorted(map(at, key)) for key in self.tensor.entries], self.tensor.entries.values())
-        return _tensor_json(self.tensor.dimension, self.n, entries).encode()
+        rows = [(*sorted(map(at, key)), value) for key, value in self.tensor.entries.items()]
+        return _tensor_json(self.tensor.dimension, self.n, rows).encode()
 
 
 @dataclass
@@ -295,41 +313,35 @@ class _SearchOutcome:
         return self._data
 
 
-class _Orbits:
-    """A union-find over points: the orbits of the permutations joined so far, each named by its least member.
+def _join(parent: dict[int, int], perms) -> None:
+    """Join the orbits of permutations, each given sparsely as a map from each point it moves to its image.
 
-    Only points that were joined are stored, so it costs what the joined permutations move.
+    ``parent`` is a union-find over the points joined so far, each mapped
+    to its parent; a point not in it, or mapped to itself, is a root.  The
+    root of a set is its least member, so a parent is always less than
+    its child, and only points that were joined are stored: it costs what
+    the permutations move.
     """
-
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while (p := parent.get(x, x)) != x:
-            parent[x] = x = parent.get(p, p)  # path halving
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        a, b = self.find(a), self.find(b)
-        if a != b:
-            self.parent[max(a, b)] = min(a, b)  # so each root is the least member of its set
-
-    def add(self, perm: dict[int, int]) -> None:
-        """Join the orbits of a permutation given sparsely, as a map from each point it moves to its image."""
+    for perm in perms:
         for v, w in perm.items():
-            self.union(v, w)
+            while (p := parent.get(v, v)) != v:
+                parent[v] = v = parent.get(p, p)  # path halving
+            while (p := parent.get(w, w)) != w:
+                parent[w] = w = parent.get(p, p)
+            if v < w:
+                parent[w] = v
+            elif w < v:
+                parent[v] = w
 
 
 def _orbit_ids(n: int, perms) -> list[int]:
-    """For each vertex, the least member of its orbit under the group generated by ``perms``.
-
-    Each permutation is given sparsely, as a map from each point it moves to its image.
-    """
-    orbits = _Orbits()
-    for s in perms:
-        orbits.add(s)
-    return [orbits.find(v) for v in range(n)]
+    """For each vertex, the least member of its orbit under the group generated by ``perms``, given sparsely."""
+    parent: dict[int, int] = {}
+    _join(parent, perms)
+    ids = list(range(n))
+    for v in sorted(parent):  # a parent is less than its child, so its root is read first
+        ids[v] = ids[parent[v]]
+    return ids
 
 
 class _Partition:
@@ -360,16 +372,17 @@ class _Partition:
             self.position[v] = p
             self.start[colors[v]] = p  # the last write is the cell's first position
 
-    def individualise(self, v: int) -> None:
-        """Split ``v`` off as a cell of its own at the first position of its cell, which keeps its colour."""
-        colors, elements, position, start = self.colors, self.elements, self.position, self.start
-        c = colors[v]
-        s = start[c]
-        w, p = elements[s], position[v]
-        elements[s], elements[p] = v, w
-        position[v], position[w] = s, p
-        self.trail += ((~c, s), (v, c))
-        start[c], start[s], colors[v] = s + 1, s, s
+    def individualise(self, *members: int) -> None:
+        """Split each member in turn off as a cell of its own at the first position of its cell, which keeps its colour."""
+        colors, elements, position, start, trail = self.colors, self.elements, self.position, self.start, self.trail
+        for v in members:
+            c = colors[v]
+            s = start[c]
+            w, p = elements[s], position[v]
+            elements[s], elements[p] = v, w
+            position[v], position[w] = s, p
+            trail += ((~c, s), (v, c))
+            start[c], start[s], colors[v] = s + 1, s, s
 
     def undo(self, mark: int) -> None:
         """Restore the colours and cell starts to what they were when ``trail`` held ``mark`` changes."""
@@ -505,29 +518,36 @@ def _twin_chains(struct, colors: list[int]) -> list[dict[int, int]]:
     carries each one's onto the other's.  Fingerprinting one member once
     more, with the cell relabelled, tells such a bucket, so k twins cost
     k + 1 fingerprints, and only the other buckets are tested pair by pair.
+    Where no member of the cell is next to another, ``struct.twin_keys``
+    gives each member's neighbours, or keys, as they are: they are equal
+    exactly for twins, so every bucket of them is a class and no
+    fingerprint is taken.  That holds in every cell of a forest, and a
+    tensor's cell is checked against its members' neighbours.
     """
     if len(set(colors)) == struct.n:  # a discrete colouring, as for most rigid objects, holds no two twins
         return []
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
-    labels = list(range(struct.n))
+    labels, fingerprint = list(range(struct.n)), struct.fingerprint
     chains = []
     for members in cells.values():
         if len(members) < 2:
             continue
-        buckets: dict[tuple, list[int]] = {}
-        for v in members:
+        keys = struct.twin_keys(members)
+        marked = members if keys is None else ()
+        for v in marked:
             labels[v] = -1
-        for v in members:
-            buckets.setdefault(struct.fingerprint(v, labels), []).append(v)
-        for v in members:
+        buckets: dict[object, list[int]] = {}
+        for v, key in zip(members, keys or map(fingerprint, members, itertools.repeat(labels))):
+            buckets.setdefault(key, []).append(v)
+        for v in marked:
             labels[v] = -2  # a fingerprint that reads no member of the cell reads the same
         twin_classes, mixed = [], []  # ``mixed``: the buckets whose fingerprint reads a member of the cell
         for key, bucket in buckets.items():
             if len(bucket) > 1:
-                (twin_classes if struct.fingerprint(bucket[0], labels) == key else mixed).append(bucket)
-        for v in members:
+                (twin_classes if not marked or fingerprint(bucket[0], labels) == key else mixed).append(bucket)
+        for v in marked:
             labels[v] = v
         for bucket in mixed:
             classes: list[tuple[tuple, list[int]]] = []
@@ -535,16 +555,16 @@ def _twin_chains(struct, colors: list[int]) -> list[dict[int, int]]:
                 for key, twins in classes:
                     u = twins[0]
                     labels[u], labels[v] = v, u
-                    twin = struct.fingerprint(v, labels) == key
+                    twin = fingerprint(v, labels) == key
                     labels[u], labels[v] = u, v
                     if twin:
                         twins.append(v)
                         break
                 else:
-                    classes.append((struct.fingerprint(v, labels), [v]))
+                    classes.append((fingerprint(v, labels), [v]))
             twin_classes += [twins for _, twins in classes if len(twins) > 1]
         for twins in sorted(twin_classes):  # in the order of their least members
-            chains.extend({a: b, b: a} for a, b in zip(twins, twins[1:]))
+            chains += [{a: b, b: a} for a, b in zip(twins, twins[1:])]
     return chains
 
 
@@ -623,8 +643,8 @@ def _search(struct) -> _SearchOutcome:
     n = struct.n
     first_leaf: tuple[list[int], tuple[int, ...]] | None = None  # the first leaf's labelling and path
     leaves: dict[bytes, tuple[list[int], tuple[int, ...]]] = {}
-    order = sorted(struct.colors)
-    part = _Partition([bisect_right(order, c) - 1 for c in struct.colors])
+    last = {c: p for p, c in enumerate(sorted(struct.colors))}  # each colour's last position in sorted order
+    part = _Partition([last[c] for c in struct.colors])
     colors, elements = part.colors, part.elements
     part.trail = None  # the root partition is never undone
     _refine(struct, part, range(n))
@@ -639,21 +659,16 @@ def _search(struct) -> _SearchOutcome:
         """The members of the target cell least of their orbit under the known automorphisms fixing the path."""
         mark = len(trail)
         yield members[0]
-        orbits, joined = _Orbits(), 0
-        least: dict[int, int] = {}
+        parent: dict[int, int] = {}  # the orbits, kept by ``_join``
+        joined, least = 0, {}  # ``least``: the first member of each twin class in the cell
         for v in members if chains else ():  # the members of one twin class in the cell are one orbit
-            if (t := twin[v]) in least:
-                orbits.union(least[t], v)
-            else:
-                least[t] = v
+            parent[v] = least.setdefault(twin[v], v)  # members ascend, so each class's first is its root
         fixed = set(path[:depth])
         for v in members[1:]:
             part.undo(mark)  # back to this node's partition
-            for s in found[joined:]:
-                if fixed.isdisjoint(s):
-                    orbits.add(s)
+            _join(parent, (s for s in found[joined:] if fixed.isdisjoint(s)))
             joined = len(found)
-            if orbits.find(v) == v:
+            if parent.get(v, v) == v:
                 yield v
 
     # One entry per open node, ``stack[k]`` at depth ``k``: [target cell's first position, tries].
@@ -677,8 +692,7 @@ def _search(struct) -> _SearchOutcome:
                 work += (len(members) - 1) * n
                 path[len(stack) :] = members
                 stack += [[q, iter(())] for q in range(p, p + len(members))]  # each a node with nothing left to try
-                for v in members:
-                    part.individualise(v)
+                part.individualise(*members)
                 continue
             stack.append([p, tries(len(stack), sorted(cell))])
         else:

@@ -43,7 +43,8 @@ class Point:
     proximate_to: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "proximate_to", frozenset(self.proximate_to))
+        if type(self.proximate_to) is not frozenset:  # a frozenset is kept as it is, the object given
+            object.__setattr__(self, "proximate_to", frozenset(self.proximate_to))
 
 
 @dataclass(frozen=True)

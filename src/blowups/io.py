@@ -14,12 +14,13 @@ one of them is read again item by item, which names its first defect.
 
 ``canonical_json`` fixes the byte-level encoding used everywhere output
 must be deterministic: UTF-8, keys sorted, separators ``","`` and ``":"``,
-no whitespace.  A trace, ``recover-all``'s list of every order, and a
-tensor document are written as that text directly, byte for byte what
-``canonical_json`` makes of :func:`trace_to_dict`, :func:`forest_to_dict`
-and :func:`tensor_to_dict`.  An order shares most of its steps with the
-one before it: only the rest are encoded, and their index maps start from
-the survivors at the shared prefix.  A point is encoded once at each
+no whitespace.  A trace, ``recover-all``'s list of every order, the
+forest ``recover`` prints and a tensor document are written as that text
+directly, byte for byte what ``canonical_json`` makes of
+:func:`trace_to_dict`, :func:`forest_to_dict` and :func:`tensor_to_dict`.
+An order shares most of its steps with the one before it: only the rest
+are encoded, and their index maps start from the survivors at the shared
+prefix.  A point is encoded once at each
 position it takes in the recovered forests.  A tensor's entries
 are each written from one template for its dimension; the ``tensor``,
 ``contract`` and ``quotient`` commands and each written leaf of the
@@ -32,7 +33,7 @@ import itertools
 import json
 import operator
 import sys
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .contraction import ContractionStep, ContractionTrace
 from .errors import SchemaError
@@ -66,15 +67,27 @@ def load_document(path: str) -> Any:
 
     Any document that does not decode is a :class:`SchemaError`: bytes that
     are not UTF-8, text that is not JSON, nesting deeper than the recursion
-    limit, and an integer with more digits than Python converts.
+    limit, and an integer with more digits than Python converts.  The last
+    is worded here, since Python's own wording differs between versions.
+    A file is read as bytes, which costs half as much as a text-mode file.
+    That gives the same document, since text mode only rewrites line ends,
+    which JSON reads as whitespace; but it moves the positions a decoder's
+    message names, so a file that fails is read again in text mode.
     """
     try:
         if path == "-":
             return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb", buffering=0) as handle:
+            data = handle.read()
+        try:
+            return json.loads(data.decode("utf-8"))
+        except ValueError:
+            with open(path, "r", encoding="utf-8") as handle:
+                return json.load(handle)
     except (ValueError, RecursionError) as exc:
-        raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
+        # The decoder's own errors, and those of a bad byte, are subclasses; a plain ValueError is ``int``'s refusal.
+        reason = f"an integer has more than {sys.get_int_max_str_digits()} digits" if type(exc) is ValueError else exc
+        raise SchemaError(f"{path}: malformed JSON: {reason}") from exc
 
 
 def _require_object(obj: Any, keys: set[str], what: str) -> dict:
@@ -128,7 +141,9 @@ def _checked_points(items: list) -> list[Point] | None:
 
     As for tensor entries, each check is one pass over the whole list by
     builtins, and only exact ``dict``, ``list`` and ``int`` types pass.
-    Targets in ``1..pos-1`` lie in the 64-bit range.
+    A list's targets are distinct when its set is as long, and lie in
+    ``1..pos-1`` when the least is at least 1 and the greatest below
+    ``pos``, so they lie in the 64-bit range too.
     """
     if not items:
         return []
@@ -138,15 +153,17 @@ def _checked_points(items: list) -> list[Point] | None:
         ids, degrees, targets = (list(map(operator.itemgetter(f), items)) for f in ("id", "degree", "proximate_to"))
     except KeyError:
         return None
-    if set(map(type, ids)) != {int} or ids != list(range(1, len(items) + 1)):
+    if set(map(type, ids + degrees)) != {int} or ids != list(range(1, len(items) + 1)):
         return None
-    if set(map(type, degrees)) != {int} or min(degrees) < -INT64_MAX or max(degrees) > INT64_MAX:
+    if min(degrees) < -INT64_MAX or max(degrees) > INT64_MAX or set(map(type, targets)) != {list}:
         return None
-    if set(map(type, targets)) != {list} or not set(map(type, itertools.chain.from_iterable(targets))) <= {int}:
+    flat = list(itertools.chain.from_iterable(targets))
+    if not set(map(type, flat)) <= {int} or min(flat, default=1) < 1:
         return None
-    if not all(not t or (min(t) >= 1 and max(t) < pos and len(set(t)) == len(t)) for pos, t in enumerate(targets, 1)):
+    if not all(map(operator.lt, map(max, filter(None, targets)), itertools.compress(ids, targets))):
         return None
-    return list(map(Point, degrees, map(frozenset, targets)))
+    sets = list(map(frozenset, targets))
+    return list(map(Point, degrees, sets)) if sum(map(len, sets)) == len(flat) else None
 
 
 def _read_points(items: list) -> list[Point]:
@@ -206,21 +223,21 @@ def tensor_to_dict(tensor: IntersectionTensor) -> dict:
     }
 
 
-def _tensor_json(dimension: int, size: int, entries: Iterable[tuple[Sequence[int], int]]) -> str:
-    """The canonical JSON of a tensor document with these ``(index, value)`` entries, in any order.
+def _tensor_json(dimension: int, size: int, rows: Iterable[tuple[int, ...]]) -> str:
+    """The canonical JSON of a tensor document with these entries, each a row ``(*index, value)``, in any order.
 
     Byte for byte what :func:`canonical_json` makes of :func:`tensor_to_dict`.
     The indices must be distinct, as both callers' are: the keys of an
-    entry dict, or those keys under a permutation.  So the entries sort by
-    index alone.  Each entry is written from one template for the
+    entry dict, or those keys under a permutation.  So the rows sort by
+    index alone.  Each row is written from one template for the
     dimension, made only when there are entries, so a huge ``dimension``
     with none costs nothing.
     """
-    entries = sorted(entries, key=operator.itemgetter(0))
+    rows = sorted(rows)
     text = ""
-    if entries:
+    if rows:
         template = '{"index":[%s],"value":%%d}' % ",".join(["%d"] * dimension)
-        text = ",".join([template % (*index, value) for index, value in entries])
+        text = ",".join([template % row for row in rows])
     return '{"dimension":%d,"entries":[%s],"size":%d}' % (dimension, text, size)
 
 
@@ -310,6 +327,14 @@ def trace_to_dict(trace: ContractionTrace) -> dict:
 
 _STEP_JSON = '{"contracted":%d,"degree":%d,"proximate_to_current":[%s]}'
 _POINT_JSON = '{"degree":%d,"id":%d,"proximate_to":[%s]}'
+
+
+def _forest_json(forest: ProximityForest) -> str:
+    """``canonical_json(forest_to_dict(forest))``, each point written from ``_POINT_JSON`` as ``recover-all`` writes it."""
+    points = [_POINT_JSON % (p.degree, i, ",".join(map(str, sorted(p.proximate_to)))) for i, p in enumerate(forest.points, 1)]
+    return '{"dimension":%d,"points":[%s]}' % (forest.dimension, ",".join(points))
+
+
 _ORDER_JSON = '{"forest":{"dimension":%d,"points":[%s]},"trace":%s}'
 
 

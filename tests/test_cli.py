@@ -142,6 +142,18 @@ class TestContractRecover:
         assert code == 0
         assert forest_from_dict(doc) == three_chain_mixed
 
+    def test_recovered_forest_bytes(self, capsys, files):
+        """``recover`` writes its forest from the point template, byte for byte the canonical JSON of its document."""
+        forests = [random_forest(seed, d, m, 3) for seed, (d, m) in enumerate([(2, 1), (2, 8), (3, 12), (4, 9)])]
+        for forest in forests:
+            path = files["write"]("form.json", tensor_to_dict(tensor_from_forest(forest)))
+            assert main(["recover", path]) == 0
+            recovered, _ = recover_sequence(tensor_from_forest(forest))
+            assert capsys.readouterr().out == canonical_json(forest_to_dict(recovered)) + "\n"
+        largest = ProximityForest.make(2, (blowups.io.INT64_MAX, []), (blowups.io.INT64_MAX, [1]))
+        for forest in [*forests, largest, ProximityForest(3)]:
+            assert blowups.io._forest_json(forest) == canonical_json(forest_to_dict(forest))
+
     def test_recover_writes_trace(self, capsys, files):
         trace_path = files["dir"] / "trace.json"
         code, _ = run(capsys, "recover", files["tensor"], "--trace", str(trace_path))
@@ -442,6 +454,25 @@ class TestErrorHandling:
             "code": "limit",
             "message": "canonical search exceeded 10000 colours scanned at depth 50",
         }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("equiv", "--kind", "forest", "-", "-"),
+            ("equiv", "--kind", "tensor", "@tensor", "-", "@pairs", "-"),
+            ("compat", "--kind", "forest", "-", "-"),
+            ("quotient", "-", "-"),
+        ],
+        ids=["equiv", "marked equiv", "compat", "quotient"],
+    )
+    def test_stdin_is_read_once(self, capsys, monkeypatch, files, argv):
+        """Two documents named ``-`` are refused before either is read, with a message that names stdin."""
+        text = Path(files["forest"]).read_text(encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, doc = run(capsys, *(files[a[1:]] if a.startswith("@") else a for a in argv))
+        message = "stdin can be read only once, so at most one document may be -"
+        assert code == 2 and doc == {"error": {"code": "invalid-input", "message": message}}
+        assert sys.stdin.read() == text
 
     def test_stdin_input(self, capsys, monkeypatch, files, three_chain_mixed):
         with open(files["forest"], "r", encoding="utf-8") as handle:
@@ -896,6 +927,58 @@ class TestParserReuse:
         code = main(list(valid))
         expected = fresh(*valid)
         assert (code, capsys.readouterr().out) == (expected.returncode, expected.stdout)
+
+
+class TestParserParity:
+    """A call parsed by its command's sub-parser alone prints, and exits, as one parsed by the full parser."""
+
+    ARGVS = [
+        ("tensor", "@forest"),
+        ("finals", "@tensor"),
+        ("contract", "@tensor", "3"),
+        ("recover", "@tensor"),
+        ("recover-all", "@tensor", "--limit", "5"),
+        ("equiv", "--kind", "tensor", "@tensor", "@tensor2", "--exit-status"),
+        ("equiv", "--kind", "forest", "@forest", "@forest2", "@pairs", "@pairs"),
+        ("canon", "--kind", "forest", "@forest"),
+        ("orbits", "@forest", "--kind", "forest"),
+        ("compat", "--kind", "tensor", "@tensor", "@pairs"),
+        ("quotient", "@tensor", "@pairs"),
+        ("diag", "@tensor"),
+        ("validate", "--strict", "@forest"),
+        ("gen", "--dim", "2", "--points", "4"),
+        ("-h",),
+        ("canon", "-h"),
+        ("recover-all", "--help"),
+        (),
+        ("nope", "@tensor"),
+        ("--kind", "forest", "canon", "@forest"),
+        ("canon", "@forest"),
+        ("canon", "--kind", "graph", "@forest"),
+        ("diag", "@tensor", "x"),
+        ("diag", "@tensor", "--zz"),
+        ("contract", "@tensor", "three"),
+        ("equiv", "--kind", "tensor"),
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_routes_agree(self, capsys, monkeypatch, files):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line at the terminal width
+        cli._parser.cache_clear()
+        argvs = [tuple(files[a[1:]] if a.startswith("@") else a for a in argv) for argv in self.ARGVS]
+        ours = [self.outcome(capsys, argv) for argv in argvs]
+        full, _ = cli._parser()
+        monkeypatch.setattr(cli, "_parser", lambda: (full, {}))  # no command is known: every call takes the full parser
+        assert [self.outcome(capsys, argv) for argv in argvs] == ours
+        assert [code for code, _, _ in ours].count(("exit", 2)) == 9
 
 
 class TestInstalledEntryPoints:

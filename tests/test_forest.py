@@ -19,6 +19,18 @@ def rules(report):
     return [v.rule for v in report.violations]
 
 
+class TestPoint:
+    @pytest.mark.parametrize("targets", [[2, 1], {1, 2}, frozenset({1, 2})], ids=["list", "set", "frozenset"])
+    def test_targets_become_one_frozenset(self, targets):
+        point = Point(3, targets)
+        assert type(point.proximate_to) is frozenset and point.proximate_to == {1, 2}
+        assert point == Point(3, frozenset({1, 2})) and hash(point) == hash(Point(3, [1, 2]))
+
+    def test_a_frozenset_is_kept_as_given(self):
+        targets = frozenset({1, 2})
+        assert Point(1, targets).proximate_to is targets
+
+
 class TestValidate:
     def test_valid_forest(self, three_chain_mixed):
         assert validate_forest(three_chain_mixed).ok

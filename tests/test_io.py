@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -178,6 +179,39 @@ class TestLoadDocument:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         with pytest.raises(SchemaError, match="^-: malformed JSON: "):
             load_document("-")
+
+    def test_long_integer_is_worded_here(self, monkeypatch, tmp_path):
+        """The refusal of an integer too long to convert reads the same under every Python version."""
+        data = b'{"value":' + b"9" * 5000 + b"}"
+        path = tmp_path / "long.json"
+        path.write_bytes(data)
+        reason = f"malformed JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        with pytest.raises(SchemaError) as caught:
+            load_document(str(path))
+        assert str(caught.value) == f"{path}: {reason}"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        with pytest.raises(SchemaError) as caught:
+            load_document("-")
+        assert str(caught.value) == f"-: {reason}"
+
+    @pytest.mark.parametrize(
+        "data",
+        [b'{"a":\r\n[1,\r2]}\r\n', b'{"a":\r\n[1,\r2]\r\n,,}', b'{"a":\r\n"\r"}', b"\r\n\r\r\n", b'\r\n{"a":\xff}'],
+        ids=["valid", "malformed after line ends", "a line end in a string", "line ends alone", "not utf-8 after a line end"],
+    )
+    def test_a_file_reads_as_in_text_mode(self, tmp_path, data):
+        """A file is read as bytes, but gives the document, or the message, that reading it in text mode gives."""
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                expected = json.load(handle)
+        except ValueError as exc:
+            with pytest.raises(SchemaError) as caught:
+                load_document(str(path))
+            assert str(caught.value) == f"{path}: malformed JSON: {exc}"
+        else:
+            assert load_document(str(path)) == expected
 
 
 class TestForestFormat:
